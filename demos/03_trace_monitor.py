@@ -25,7 +25,7 @@ spec = PartialSpec(
     postcondition=parse("output.confidence > 0.1"),
     sufficient={"pedestrian": (parse("input.height > 6"),)},
     necessary={"pedestrian": (parse("input.height < 8"),)},
-    probabilistic=(RangeConstraint(parse("input.height"), 0.0, 6.0, 0.9),),
+    probabilistic=(RangeConstraint("height", 0.0, 6.0, 0.9),),
 )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from .errors import EvalError, FormatError, TransformError
+from .errors import EvalError, FormatError, TransformError, TypeCheckError
 from .speccore.records import FeatureRecord, Prediction, canonical_key, conformance_errors
 from .speccore.spec import PartialSpec, check_pre
 from .speccore.transforms import (
@@ -27,7 +27,9 @@ from .speclang.ast import Binary, Expression, InputRef, Num, to_source
 from .speclang.evaluate import evaluate_condition
 from .speclang.parser import parse
 from .speclang.schema import Schema, is_number, schema_from_json_dict
-from .speclang.typecheck import BOOLEAN, type_errors, typecheck
+# type_errors is not called here; it stays a module attribute because
+# bench/tracer.py times the typecheck layer under both names in this module.
+from .speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 
 COLLECTED = "COLLECTED"
 AUGMENTED = "AUGMENTED"
@@ -677,11 +679,12 @@ def _partition_from_json(data: Any, schema: Optional[Schema]) -> Partition:
         raise FormatError(f"partition {data['name']!r} needs a 'predicate' string")
     expr = parse(predicate)
     if schema is not None:
-        problems = type_errors(expr, schema, output_allowed=False)
-        if not problems and typecheck(expr, schema, output_allowed=False) != BOOLEAN:
-            problems = ["predicate is not boolean"]
-        if problems:
-            raise FormatError(f"partition {data['name']!r}", problems)
+        try:
+            tag = typecheck(expr, schema, output_allowed=False)
+        except TypeCheckError as exc:
+            raise FormatError(f"partition {data['name']!r}", exc.errors) from exc
+        if tag != BOOLEAN:
+            raise FormatError(f"partition {data['name']!r}", ["predicate is not boolean"])
     weight = data.get("risk_weight", 1)
     if not isinstance(weight, int) or isinstance(weight, bool):
         raise FormatError(f"partition {data['name']!r} risk_weight must be an integer")

@@ -185,13 +185,18 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
     A label with a satisfied sufficient condition wins outright. Failing
     that, labels whose necessary conditions are violated are eliminated; if
     exactly one label survives, it wins (mode "elimination" marks this
-    extension). Everything else passes through to the ML classifier.
+    extension). Everything else passes through to the ML classifier. A spec
+    condition that fails to evaluate raises PatternError naming its stage
+    (sufficient or necessary), as a failing ML member does.
     """
     spec = config.spec
     satisfied = []
-    for label, exprs in spec.sufficient.items():
-        if any(evaluate_condition(e, fields) for e in exprs):
-            satisfied.append(label)
+    try:
+        for label, exprs in spec.sufficient.items():
+            if any(evaluate_condition(e, fields) for e in exprs):
+                satisfied.append(label)
+    except EvalError as exc:
+        raise PatternError(f"gated sufficient condition failed: {exc}") from exc
     if len(satisfied) > 1:
         raise PatternError(
             "sufficient conditions of labels "
@@ -203,12 +208,15 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
             Prediction(satisfied[0], 1.0), DecisionSource.SPEC, mode="sufficient"
         )
     remaining = []
-    for label in spec.schema.labels:
-        eliminated = any(
-            not evaluate_condition(e, fields) for e in spec.necessary.get(label, ())
-        )
-        if not eliminated:
-            remaining.append(label)
+    try:
+        for label in spec.schema.labels:
+            eliminated = any(
+                not evaluate_condition(e, fields) for e in spec.necessary.get(label, ())
+            )
+            if not eliminated:
+                remaining.append(label)
+    except EvalError as exc:
+        raise PatternError(f"gated necessary condition failed: {exc}") from exc
     if len(remaining) == 1:
         return GatedDecision(
             Prediction(remaining[0], 1.0), DecisionSource.SPEC, mode="elimination"

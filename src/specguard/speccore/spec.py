@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..errors import EvalError, FormatError, SpecSyntaxError
+from ..errors import EvalError, FormatError, SpecSyntaxError, TypeCheckError
 from ..speclang.ast import Bool, Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
@@ -24,7 +24,9 @@ from ..speclang.schema import (
     schema_from_json_dict,
     schema_to_json_dict,
 )
-from ..speclang.typecheck import BOOLEAN, type_errors, typecheck
+# type_errors is not called here; it stays a module attribute because
+# bench/tracer.py times the typecheck layer under both names in this module.
+from ..speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 from .classifiers import Classifier, classify
 from .records import FeatureRecord, Prediction
 from .transforms import (
@@ -86,11 +88,11 @@ def static_errors(spec: PartialSpec) -> list[str]:
     errors: list[str] = []
 
     def check_boolean(expr: Expression, where: str, output_allowed: bool) -> None:
-        problems = type_errors(expr, spec.schema, output_allowed)
-        if problems:
-            errors.extend(f"{where}: {p}" for p in problems)
+        try:
+            tag = typecheck(expr, spec.schema, output_allowed)
+        except TypeCheckError as exc:
+            errors.extend(f"{where}: {p}" for p in exc.errors)
             return
-        tag = typecheck(expr, spec.schema, output_allowed)
         if tag != BOOLEAN:
             errors.append(f"{where}: must be boolean, is {tag} ({to_source(expr)!r})")
 

@@ -10,7 +10,7 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
-from ..errors import FormatError, TransformError
+from ..errors import FormatError, TransformError, TypeCheckError
 from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate
 from ..speclang.parser import parse
@@ -24,7 +24,9 @@ from ..speclang.schema import (
     is_number,
     value_errors,
 )
-from ..speclang.typecheck import BOOLEAN, NUMBER, STRING, type_errors, typecheck
+# type_errors is not called here; it stays a module attribute because
+# bench/tracer.py times the typecheck layer under both names in this module.
+from ..speclang.typecheck import BOOLEAN, NUMBER, STRING, type_errors, typecheck  # noqa: F401
 from .records import FeatureRecord, Prediction
 
 # --------------------------------------------------------------------------
@@ -122,11 +124,11 @@ def validate_transformation(t: Transformation, schema: Schema) -> list[str]:
         if isinstance(ftype, GridType):
             errors.append(f"transformation {t.name!r}: field_map cannot assign grid {field!r}")
             continue
-        expr_errors = type_errors(expr, schema, output_allowed=False)
-        if expr_errors:
-            errors.extend(f"transformation {t.name!r}, field {field!r}: {e}" for e in expr_errors)
+        try:
+            tag = typecheck(expr, schema, output_allowed=False)
+        except TypeCheckError as exc:
+            errors.extend(f"transformation {t.name!r}, field {field!r}: {e}" for e in exc.errors)
             continue
-        tag = typecheck(expr, schema, output_allowed=False)
         want = _TAG_OF_FIELD[type(ftype)]
         if tag != want:
             errors.append(

@@ -12,23 +12,36 @@ from typing import Union
 Expression = Union["Num", "Str", "Bool", "InputRef", "OutputRef", "Unary", "Binary", "Call"]
 
 
+class Node:
+    """Base of every AST node.
+
+    A node memoises what is derived from it (its compiled closure, its source
+    text) as instance attributes set with object.__setattr__, outside the
+    dataclass fields: equality, hashing and repr never see them, and pickling
+    drops them.
+    """
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_compiled", "_source")}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Str:
+class Str(Node):
     value: str
 
 
 @dataclass(frozen=True)
-class Bool:
+class Bool(Node):
     value: bool
 
 
 @dataclass(frozen=True)
-class InputRef:
+class InputRef(Node):
     """Reference to an input field: input.f, or input.g[r][c] for grids."""
 
     field: str
@@ -37,27 +50,27 @@ class InputRef:
 
 
 @dataclass(frozen=True)
-class OutputRef:
+class OutputRef(Node):
     """Reference to the prediction: output.label or output.confidence."""
 
     attr: str  # "label" | "confidence"
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(Node):
     op: str  # "-" | "!"
     operand: Expression
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(Node):
     op: str  # "||" "&&" "<" "<=" ">" ">=" "==" "!=" "+" "-" "*" "/"
     left: Expression
     right: Expression
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(Node):
     func: str
     args: tuple[Expression, ...]
 
@@ -112,11 +125,20 @@ def _string_text(value: str) -> str:
 
 
 def to_source(expr: Expression) -> str:
-    """Render an AST back to source text.
+    """Render an AST back to source text, memoised on the node.
 
     Canonical for parser-produced trees: parse(to_source(parse(t))) is
     structurally equal to parse(t) for every grammatical t.
     """
+    try:
+        return expr._source
+    except AttributeError:
+        text = _render(expr)
+    object.__setattr__(expr, "_source", text)
+    return text
+
+
+def _render(expr: Expression) -> str:
     if isinstance(expr, Num):
         return _number_text(expr.value)
     if isinstance(expr, Str):

@@ -1,18 +1,15 @@
 """Static type rules for condition expressions.
 
 Every expression evaluates to one of four type tags: "number", "boolean",
-"string", or "grid". Grids only appear as arguments to len/rows/cols/sum.
+"string", or "grid". Grids only appear as arguments to len/rows/cols/sum,
+whose signatures come from the builtin table in builtins.py.
 """
 from __future__ import annotations
 
 from ..errors import TypeCheckError
 from .ast import Binary, Bool, Call, Expression, InputRef, Num, OutputRef, Str, Unary, to_source
+from .builtins import BOOLEAN, BUILTINS, GRID, NUMBER, STRING
 from .schema import BooleanType, CategoryType, GridType, IntegerType, NumberType, Schema
-
-NUMBER = "number"
-BOOLEAN = "boolean"
-STRING = "string"
-GRID = "grid"
 
 _ARITH_OPS = ("+", "-", "*", "/")
 _ORDER_OPS = ("<", "<=", ">", ">=")
@@ -127,47 +124,44 @@ class _Checker:
     def check_call(self, expr: Call) -> str | None:
         name = expr.func
         args = [self.check(a) for a in expr.args]
-        if name == "abs":
-            return self.expect_args(expr, args, [NUMBER])
-        if name in ("min", "max"):
-            if len(expr.args) < 2:
+        builtin = BUILTINS.get(name)
+        if builtin is None:
+            self.fail(f"unknown function {name!r}")
+            return None
+        params = builtin.params
+        if builtin.variadic:
+            if len(args) < len(params):
                 self.fail(f"{name}() needs at least two arguments in {to_source(expr)!r}")
                 return None
+            want = params[-1][0]
             for tag in args:
-                if tag is not None and tag != NUMBER:
-                    self.fail(f"{name}() arguments must be numbers in {to_source(expr)!r}")
+                if tag is not None and tag != want:
+                    self.fail(f"{name}() arguments must be {want}s in {to_source(expr)!r}")
                     return None
-            return None if any(a is None for a in args) else NUMBER
-        if name == "len":
+        elif len(params[0]) > 1:
+            # One parameter that admits several tags.
             if len(args) != 1:
-                self.fail(f"len() takes one argument in {to_source(expr)!r}")
+                self.fail(f"{name}() takes one argument in {to_source(expr)!r}")
                 return None
-            if args[0] is None:
+            if args[0] is not None and args[0] not in params[0]:
+                accepted = " or ".join(params[0])
+                self.fail(f"{name}() takes a {accepted}, got {args[0]} in {to_source(expr)!r}")
                 return None
-            if args[0] not in (GRID, STRING):
-                self.fail(f"len() takes a grid or string, got {args[0]} in {to_source(expr)!r}")
+        else:
+            if len(args) != len(params):
+                self.fail(
+                    f"{name}() takes {len(params)} argument(s), got {len(args)} "
+                    f"in {to_source(expr)!r}"
+                )
                 return None
-            return NUMBER
-        if name in ("rows", "cols", "sum"):
-            return self.expect_args(expr, args, [GRID])
-        self.fail(f"unknown function {name!r}")
-        return None
-
-    def expect_args(self, expr: Call, got: list[str | None], want: list[str]) -> str | None:
-        if len(got) != len(want):
-            self.fail(
-                f"{expr.func}() takes {len(want)} argument(s), got {len(got)} "
-                f"in {to_source(expr)!r}"
-            )
-            return None
-        ok = True
-        for i, (g, w) in enumerate(zip(got, want)):
-            if g is not None and g != w:
-                self.fail(f"{expr.func}() argument {i + 1} must be a {w}, got {g}")
-                ok = False
-        if not ok or any(g is None for g in got):
-            return None
-        return NUMBER
+            ok = True
+            for i, (got, (want,)) in enumerate(zip(args, params)):
+                if got is not None and got != want:
+                    self.fail(f"{name}() argument {i + 1} must be a {want}, got {got}")
+                    ok = False
+            if not ok:
+                return None
+        return None if None in args else builtin.result
 
 
 def type_errors(expr: Expression, schema: Schema, output_allowed: bool) -> list[str]:

@@ -1,15 +1,33 @@
-"""Evaluator golden cases, plus a differential check against an independently
-written second evaluator on randomly generated typed expressions."""
+"""Evaluator golden cases, a differential check against an independently
+written second evaluator on randomly generated typed expressions, and a
+property pinning the compiled evaluator to the reference tree walk
+(tree_walk.py) on well-typed and ill-typed expressions alike."""
 from __future__ import annotations
 
+import math
 import operator
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tree_walk
 from specguard.errors import EvalError
 from specguard.speccore.records import Prediction
-from specguard.speclang.ast import Binary, Bool, Call, InputRef, Num, OutputRef, Str, Unary
+from specguard.speclang.ast import (
+    Binary,
+    Bool,
+    Call,
+    InputRef,
+    Num,
+    OutputRef,
+    Str,
+    Unary,
+    to_source,
+)
+from specguard.speclang.builtins import BUILTINS
 from specguard.speclang.evaluate import evaluate, evaluate_condition, numbers_equal
 from specguard.speclang.parser import parse
 
@@ -246,3 +264,196 @@ def test_differential_boolean_expressions():
                 evaluate(expr, inputs, output)
             continue
         assert evaluate(expr, inputs, output) is want, (expr, inputs)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the reference tree walk.
+
+_NUMBER_OPS = ["+", "-", "*", "/"]
+_COMPARE_OPS = ["<", "<=", ">", ">=", "==", "!="]
+_LABELS = ["pedestrian", "cyclist"]
+
+_numbers = st.sampled_from([0, 1, -2, 0.5, 0.1, 0.2, 0.3, 2.5, 3.0]).map(Num)
+_grid_refs = st.builds(InputRef, st.just("img"), st.integers(0, 1), st.integers(0, 1))
+
+
+def _typed_number(children):
+    return st.one_of(
+        st.builds(Unary, st.just("-"), children),
+        st.builds(Binary, st.sampled_from(_NUMBER_OPS), children, children),
+        st.builds(Call, st.just("abs"), st.tuples(children)),
+        st.builds(
+            Call,
+            st.sampled_from(["min", "max"]),
+            st.lists(children, min_size=2, max_size=3).map(tuple),
+        ),
+        st.builds(
+            Call, st.sampled_from(["len", "rows", "cols", "sum"]), st.just((InputRef("img"),))
+        ),
+        st.builds(Call, st.just("len"), st.tuples(st.just(InputRef("zone")))),
+    )
+
+
+_typed_numbers = st.recursive(
+    st.one_of(
+        _numbers,
+        st.sampled_from([InputRef("height"), InputRef("count"), OutputRef("confidence")]),
+        _grid_refs,
+    ),
+    _typed_number,
+    max_leaves=6,
+)
+_strings = st.one_of(
+    st.sampled_from(_LABELS + [""]).map(Str),
+    st.sampled_from([InputRef("zone"), OutputRef("label")]),
+)
+
+
+def _typed_boolean(children):
+    return st.one_of(
+        st.builds(Unary, st.just("!"), children),
+        st.builds(Binary, st.sampled_from(["&&", "||"]), children, children),
+        st.builds(Binary, st.sampled_from(["==", "!="]), children, children),
+    )
+
+
+_typed_booleans = st.recursive(
+    st.one_of(
+        st.booleans().map(Bool),
+        st.just(InputRef("flag")),
+        st.builds(Binary, st.sampled_from(_COMPARE_OPS), _typed_numbers, _typed_numbers),
+        st.builds(Binary, st.sampled_from(["==", "!="]), _strings, _strings),
+    ),
+    _typed_boolean,
+    max_leaves=4,
+)
+
+
+def _any_node(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["-", "!", "~"]), children),
+        st.builds(
+            Binary,
+            st.sampled_from(_NUMBER_OPS + _COMPARE_OPS + ["&&", "||", "%"]),
+            children,
+            children,
+        ),
+        st.builds(
+            Call,
+            st.sampled_from(sorted(BUILTINS) + ["nope"]),
+            st.lists(children, max_size=3).map(tuple),
+        ),
+    )
+
+
+# Anything goes: wrong operand types, unknown operators and functions, wrong
+# arities, missing fields, bad grid indices, and values that are not nodes.
+_untyped = st.recursive(
+    st.one_of(
+        _numbers,
+        _strings,
+        st.booleans().map(Bool),
+        st.sampled_from(["height", "count", "flag", "zone", "img", "absent"]).map(InputRef),
+        st.builds(
+            InputRef, st.sampled_from(["img", "height"]), st.integers(-1, 2), st.integers(-1, 2)
+        ),
+        st.just(OutputRef("confidence")),
+        st.sampled_from([5, None]),
+        _typed_numbers,
+    ),
+    _any_node,
+    max_leaves=8,
+)
+
+_cells = st.one_of(st.integers(-2, 3), st.floats(-3, 3, allow_nan=False))
+_typed_inputs = st.fixed_dictionaries(
+    {
+        "height": st.one_of(st.floats(-3, 3, allow_nan=False), st.just(0.0)),
+        "count": st.integers(-2, 3),
+        "flag": st.booleans(),
+        "zone": st.sampled_from(["", "lane", "walkway"]),
+        "img": st.lists(st.lists(_cells, min_size=2, max_size=2), min_size=2, max_size=2),
+    }
+)
+_any_value = st.one_of(
+    _cells,
+    st.booleans(),
+    st.sampled_from(["", "lane"]),
+    st.lists(st.lists(_cells, max_size=2), max_size=2),
+    st.lists(_cells, max_size=2),
+)
+_any_inputs = st.dictionaries(
+    st.sampled_from(["height", "count", "flag", "zone", "img"]), _any_value
+)
+_outputs = st.one_of(
+    st.none(),
+    st.builds(Prediction, st.sampled_from(_LABELS), st.one_of(st.none(), st.floats(0, 1))),
+)
+
+
+def _outcome(evaluator, expr, inputs, output):
+    try:
+        value = evaluator(expr, inputs, output)
+    except Exception as exc:  # the property compares failures too
+        return ("raises", type(exc), str(exc))
+    if isinstance(value, float) and math.isnan(value):
+        return ("nan",)
+    return ("value", type(value), value)
+
+
+def _assert_same_as_tree_walk(expr, inputs, output):
+    assert _outcome(evaluate, expr, inputs, output) == _outcome(
+        tree_walk.evaluate, expr, inputs, output
+    )
+    assert _outcome(evaluate_condition, expr, inputs, output) == _outcome(
+        tree_walk.evaluate_condition, expr, inputs, output
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_typed_booleans, _typed_numbers), _typed_inputs, _outputs)
+def test_compiled_matches_tree_walk_on_well_typed_expressions(expr, inputs, output):
+    _assert_same_as_tree_walk(expr, inputs, output)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_untyped, st.one_of(_typed_inputs, _any_inputs), _outputs)
+def test_compiled_matches_tree_walk_on_ill_typed_expressions(expr, inputs, output):
+    _assert_same_as_tree_walk(expr, inputs, output)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        parse("false && 1 / input.x > 0"),
+        parse("true || 1 / input.x > 0"),
+        parse("true && 1 / input.x > 0"),
+        parse("false || input.absent > 0"),
+        parse("!(false && nope(1))"),
+        parse("max(input.x, input.img[1][0]) < 6 && len(input.zone) > 0"),
+        parse("sum(input.img) == 4 || rows(input.img) != cols(input.img)"),
+        parse("input.x * 0.1 + 0.2 == 0.3"),
+        Binary("%", Num(1), Str("a")),
+        Binary("%", Num(1), InputRef("x")),
+        Call("abs", ()),
+        Call("max", ()),
+        Binary("&&", Bool(False), 5),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("output", [None, PED])
+def test_short_circuit_grid_and_call_examples_match_tree_walk(expr, output):
+    inputs = {"x": 1, "img": [[1, 2], [0.5, 0.5]], "zone": "lane"}
+    _assert_same_as_tree_walk(expr, inputs, output)
+
+
+def test_memoised_node_equals_and_hashes_like_a_fresh_parse():
+    source = "input.height > 1.2 && max(input.width, input.height) < 6"
+    used = parse(source)
+    assert evaluate_condition(used, {"height": 1.5, "width": 0.5}) is True
+    assert to_source(used) is to_source(used) == source
+    fresh = parse(source)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +233,12 @@ class TestProbabilisticWindows:
         )
         assert kinds(violations) == [ViolationKind.EVAL_ERROR]
         assert violations[0].record_id == "gone"
+
+    def test_demo_03_spec_has_no_eval_errors_on_full_windows(self, capsys):
+        demo = runpy.run_path(str(Path(__file__).parent.parent / "demos" / "03_trace_monitor.py"))
+        capsys.readouterr()
+        report = run_trace(demo["spec"], demo["trace"], MonitorPolicy(probabilistic_window=10))
+        assert ViolationKind.EVAL_ERROR not in kinds(report.violations)
 
 
 class TestConcatenation:

@@ -220,6 +220,15 @@ class TestGated:
         assert decision.source is DecisionSource.ML
         assert "all labels eliminated" in decision.note
 
+    @pytest.mark.parametrize("stage", ["sufficient", "necessary"])
+    def test_spec_evaluation_failure_is_a_pattern_error_naming_the_stage(self, stage):
+        conditions = {"sufficient": {}, "necessary": {}}
+        conditions[stage] = {"pedestrian": (parse("1 / input.height > 1"),)}
+        spec = gated_spec(**conditions)
+        config = GatedConfig(spec, constant("pedestrian", 0.6))
+        with pytest.raises(PatternError, match=f"gated {stage} condition failed: division by zero"):
+            gated_classify(config, {"height": 0.0})
+
 
 class TestEnvelope:
     def test_routes_both_channels(self):
@@ -304,6 +313,17 @@ class TestSimulate:
         assert report.error_rate == 1.0
         assert len(report.errors) == 12
         assert report.per_source["ERROR"]["mismatches"] == 12
+
+    def test_spec_evaluation_failure_in_gating_counts_as_mismatch(self):
+        # 1 / input.height fails on the record of height 0 only; the run goes on.
+        spec = gated_spec(sufficient={"pedestrian": (parse("1 / input.height > 0.2"),)})
+        report = simulate(self.domain(), height_rule(), GatedConfig(spec, height_rule()))
+        assert report.errors == [
+            {"record": "h0", "error": "gated sufficient condition failed: division by zero"}
+        ]
+        assert report.mismatches == [{"record": "h0", "source": "ERROR", "expected": "pedestrian"}]
+        assert report.per_source["ERROR"] == {"records": 1, "mismatches": 1}
+        assert sum(bucket["records"] for bucket in report.per_source.values()) == 12
 
     def test_oracle_failure_aborts(self):
         with pytest.raises(PatternError, match="oracle failed"):

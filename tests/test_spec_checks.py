@@ -2,6 +2,7 @@
 well-formedness validation, and the JSON form."""
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -240,6 +241,48 @@ class TestStaticErrors:
         assert any("lo > hi" in e for e in errors)
         assert any("max_violation_fraction outside" in e for e in errors)
         assert any("tolerance < 0" in e for e in errors)
+
+    def test_findings_text_and_order(self):
+        spec = make_spec(
+            precondition=parse("input.height + 1"),
+            postcondition=parse("output.label == 3 && input.nope > 0"),
+            sufficient={
+                "pedestrian": (parse("max(input.height) > true"), parse("len(input.height) < 2")),
+                "ghost": (parse("input.height > 6"),),
+            },
+            necessary={
+                "pedestrian": (parse("output.confidence > 0.5"), parse("abs(input.img, 1) > 0"))
+            },
+        )
+        assert static_errors(spec) == [
+            "precondition: must be boolean, is number ('input.height + 1')",
+            "postcondition: cannot compare string with number in 'output.label == 3'",
+            "postcondition: unknown input field 'nope'",
+            "sufficient['pedestrian'][0]: max() needs at least two arguments "
+            "in 'max(input.height)'",
+            "sufficient['pedestrian'][0]: operator '>' needs numbers, right side is boolean "
+            "in 'max(input.height) > true'",
+            "sufficient['pedestrian'][1]: len() takes a grid or string, got number "
+            "in 'len(input.height)'",
+            "sufficient label 'ghost' is not in the alphabet",
+            "necessary['pedestrian'][0]: output.confidence is not allowed in an input-only "
+            "expression",
+            "necessary['pedestrian'][1]: abs() takes 1 argument(s), got 2 in 'abs(input.img, 1)'",
+        ]
+
+    def test_each_expression_is_type_checked_in_one_pass(self, monkeypatch):
+        # The module, not the function that speclang exports under its name.
+        checker = importlib.import_module("specguard.speclang.typecheck")._Checker
+        passes = []
+        start = checker.__init__
+
+        def counting(self, *args):
+            passes.append(args)
+            start(self, *args)
+
+        monkeypatch.setattr(checker, "__init__", counting)
+        static_errors(make_spec())  # precondition, postcondition, one sufficient, one necessary
+        assert len(passes) == 4
 
 
 SPEC_JSON = {
