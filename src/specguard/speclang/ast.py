@@ -6,7 +6,7 @@ and necessary conditions, partition predicates, and field_map transformations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 Expression = Union["Num", "Str", "Bool", "InputRef", "OutputRef", "Unary", "Binary", "Call"]
@@ -18,11 +18,11 @@ class Node:
     A node memoises what is derived from it (its compiled closure, its source
     text) as instance attributes set with object.__setattr__, outside the
     dataclass fields: equality, hashing and repr never see them, and pickling
-    drops them.
+    keeps only the fields, so any memo is dropped.
     """
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_compiled", "_source")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

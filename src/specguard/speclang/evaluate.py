@@ -222,17 +222,6 @@ def _compile_binary(expr: Binary) -> Closure:
             raise TypeError(unknown)
 
         return rejects
-    if isinstance(expr.right, Num) and type(expr.right.value) in (int, float):
-        constant = float(expr.right.value)
-
-        def against_constant(inputs: Mapping[str, Any], output: Any) -> Any:
-            a = left(inputs, output)
-            if a.__class__ is not float:
-                a = as_number(a, context)
-            return apply(a, constant)
-
-        return against_constant
-
     def numeric(inputs: Mapping[str, Any], output: Any) -> Any:
         a = left(inputs, output)
         b = right(inputs, output)
@@ -316,10 +305,4 @@ def _compile_call(expr: Call) -> Closure:
             run = _grid(run, f"{name}() needs a grid argument")
         args.append(run)
     impl = builtin.impl
-    if len(args) == 1:
-        (only,) = args
-        return lambda inputs, output: impl(only(inputs, output))
-    if len(args) == 2:
-        first, second = args
-        return lambda inputs, output: impl(first(inputs, output), second(inputs, output))
     return lambda inputs, output: impl(*[run(inputs, output) for run in args])

@@ -358,6 +358,7 @@ _untyped = st.recursive(
             InputRef, st.sampled_from(["img", "height"]), st.integers(-1, 2), st.integers(-1, 2)
         ),
         st.just(OutputRef("confidence")),
+        st.just(Num(10**400)),  # not representable as a float
         st.sampled_from([5, None]),
         _typed_numbers,
     ),
@@ -438,6 +439,9 @@ def test_compiled_matches_tree_walk_on_ill_typed_expressions(expr, inputs, outpu
         Call("abs", ()),
         Call("max", ()),
         Binary("&&", Bool(False), 5),
+        Binary("&&", Bool(False), Binary(">", InputRef("x"), Num(10**400))),
+        Binary(">", InputRef("absent"), Num(10**400)),
+        Binary(">", InputRef("x"), Num(10**400)),
     ],
     ids=repr,
 )
@@ -456,4 +460,5 @@ def test_memoised_node_equals_and_hashes_like_a_fresh_parse():
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+    object.__setattr__(used, "_other_memo", lambda: None)  # lambdas do not pickle
     assert pickle.loads(pickle.dumps(used)) == fresh
