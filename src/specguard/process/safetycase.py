@@ -8,6 +8,13 @@ the chain and reports every break: unmitigated hazards, goals without
 requirements, requirements without evidence, evidence whose artifact file is
 missing, and requirements whose ASIL does not match their goal's (the ASIL
 is inherited down from the hazard's goal).
+
+ASIL rule: a requirement inherits the highest ASIL among all the safety
+goals it reaches through REFINES edges, directly or through other
+requirements; goals without an ASIL are ignored. When the requirement's own
+ASIL differs from that one, it gets a single ASIL_MISMATCH gap naming the
+goal that carries the inherited ASIL (the smallest goal id on ties). The
+verdict does not depend on node or edge order.
 """
 from __future__ import annotations
 
@@ -99,7 +106,7 @@ class SafetyCaseGraph:
     base_dir: Path = Path(".")  # artifact paths resolve relative to this
 
     def __post_init__(self) -> None:
-        by_id = {}
+        by_id: dict[str, Node] = {}
         for node in self.nodes:
             if node.id in by_id:
                 raise FormatError(f"duplicate node id {node.id!r}")
@@ -115,12 +122,11 @@ class SafetyCaseGraph:
                     f"connects {by_id[edge.source].kind.value} to "
                     f"{by_id[edge.target].kind.value}, which is not allowed"
                 )
+        # The id index is not a field, so ==, hash and repr are unchanged.
+        object.__setattr__(self, "_by_id", by_id)
 
     def node(self, node_id: str) -> Node:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
 
 @dataclass(frozen=True)
@@ -145,12 +151,29 @@ class GapReport:
         return {"ok": self.ok, "gaps": [g.to_json_dict() for g in self.gaps]}
 
 
-def _check_acyclic(graph: SafetyCaseGraph) -> None:
-    adjacency: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for edge in graph.edges:
-        adjacency[edge.source].append(edge.target)
+def _higher_goal(a: Optional[Node], b: Optional[Node]) -> Optional[Node]:
+    """Of two goals (None meaning no ASIL-carrying goal), the one whose ASIL
+    is inherited: the higher ASIL, then the smaller id."""
+    if a is None or b is None:
+        return a if b is None else b
+    if a.asil != b.asil:  # the letters A < B < C < D sort in ASIL order
+        return a if a.asil > b.asil else b
+    return a if a.id < b.id else b
+
+
+def _inherited_goals(
+    graph: SafetyCaseGraph,
+    adjacency: dict[str, list[str]],
+    refines: dict[str, list[str]],
+) -> dict[str, Optional[Node]]:
+    """One iterative depth-first pass over every edge. It raises CycleError
+    on a cycle and, in post-order, maps each requirement that refines
+    something to the goal whose ASIL it inherits (None when it reaches no
+    goal with an ASIL). A requirement's refinement targets are all finished
+    before it is, so each REFINES edge is looked at once."""
+    inherited: dict[str, Optional[Node]] = {}
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n.id: WHITE for n in graph.nodes}
+    colour = dict.fromkeys(adjacency, WHITE)
     for start in adjacency:
         if colour[start] != WHITE:
             continue
@@ -169,41 +192,43 @@ def _check_acyclic(graph: SafetyCaseGraph) -> None:
                     colour[child] = GREY
                     stack.append((child, 0))
                     path.append(child)
-            else:
-                colour[node] = BLACK
-                stack.pop()
-                path.pop()
-
-
-def _goal_of(graph: SafetyCaseGraph, requirement: Node) -> Optional[Node]:
-    """The safety goal a requirement refines, following requirement-to-
-    requirement refinement upward. None when the chain never reaches a goal."""
-    seen = set()
-    frontier = [requirement.id]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for edge in graph.edges:
-            if edge.kind is EdgeKind.REFINES and edge.source == current:
-                target = graph.node(edge.target)
+                continue
+            colour[node] = BLACK
+            stack.pop()
+            path.pop()
+            if node not in refines:
+                continue
+            goal = None
+            for target_id in refines[node]:
+                target = graph.node(target_id)
                 if target.kind is NodeKind.SAFETY_GOAL:
-                    return target
-                frontier.append(target.id)
-    return None
+                    reached = target if target.asil is not None else None
+                else:
+                    reached = inherited.get(target_id)
+                goal = _higher_goal(goal, reached)
+            inherited[node] = goal
+    return inherited
 
 
 def trace_check(graph: SafetyCaseGraph) -> GapReport:
-    """Gap analysis over the whole argument chain. Gaps are sorted by
-    (kind, node id) so reports do not depend on node insertion order."""
-    _check_acyclic(graph)
+    """Gap analysis over the whole argument chain in time linear in the
+    graph's size. Gaps are sorted by (kind, node id) so reports do not
+    depend on node or edge order."""
+    adjacency: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    refines: dict[str, list[str]] = {}
+    mitigated, refined, supported = set(), set(), set()
+    for edge in graph.edges:
+        adjacency[edge.source].append(edge.target)
+        if edge.kind is EdgeKind.REFINES:
+            refines.setdefault(edge.source, []).append(edge.target)
+            refined.add(edge.target)
+        elif edge.kind is EdgeKind.MITIGATES:
+            mitigated.add(edge.target)
+        else:
+            supported.add(edge.target)
+    inherited = _inherited_goals(graph, adjacency, refines)
+    missing_artifact: dict[str, Optional[str]] = {}  # artifact -> detail path
     gaps: list[Gap] = []
-    mitigated = {e.target for e in graph.edges if e.kind is EdgeKind.MITIGATES}
-    refined = {e.target for e in graph.edges if e.kind is EdgeKind.REFINES}
-    supported_or_refined = refined | {
-        e.target for e in graph.edges if e.kind is EdgeKind.SUPPORTS
-    }
     for node in graph.nodes:
         if node.kind is NodeKind.HAZARD and node.id not in mitigated:
             gaps.append(
@@ -214,7 +239,7 @@ def trace_check(graph: SafetyCaseGraph) -> GapReport:
                 Gap(GapKind.MISSING_REQUIREMENT, node.id, "no requirement refines this goal")
             )
         elif node.kind is NodeKind.REQUIREMENT:
-            if node.id not in supported_or_refined:
+            if node.id not in refined and node.id not in supported:
                 gaps.append(
                     Gap(
                         GapKind.MISSING_EVIDENCE,
@@ -223,13 +248,8 @@ def trace_check(graph: SafetyCaseGraph) -> GapReport:
                         "requirement refines it)",
                     )
                 )
-            goal = _goal_of(graph, node)
-            if (
-                goal is not None
-                and node.asil is not None
-                and goal.asil is not None
-                and node.asil != goal.asil
-            ):
+            goal = inherited.get(node.id)
+            if goal is not None and node.asil is not None and node.asil != goal.asil:
                 gaps.append(
                     Gap(
                         GapKind.ASIL_MISMATCH,
@@ -239,12 +259,15 @@ def trace_check(graph: SafetyCaseGraph) -> GapReport:
                     )
                 )
         elif node.kind is NodeKind.EVIDENCE and node.artifact is not None:
-            artifact = Path(node.artifact)
-            if not artifact.is_absolute():
-                artifact = graph.base_dir / artifact
-            if not artifact.is_file():
+            if node.artifact not in missing_artifact:
+                artifact = Path(node.artifact)
+                if not artifact.is_absolute():
+                    artifact = graph.base_dir / artifact
+                missing_artifact[node.artifact] = None if artifact.is_file() else str(artifact)
+            path = missing_artifact[node.artifact]
+            if path is not None:
                 gaps.append(
-                    Gap(GapKind.MISSING_ARTIFACT, node.id, f"artifact file not found: {artifact}")
+                    Gap(GapKind.MISSING_ARTIFACT, node.id, f"artifact file not found: {path}")
                 )
     gaps.sort(key=lambda g: (g.kind.value, g.node_id))
     return GapReport(gaps)

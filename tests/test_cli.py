@@ -523,6 +523,39 @@ class TestProcessCommands:
         assert code == 0
         assert payload == {"ok": True, "gaps": []}
 
+    def test_safetycase_text_report_does_not_depend_on_edge_order(self, capsys, files):
+        nodes = [
+            {"id": "H1", "kind": "HAZARD"},
+            {"id": "G1", "kind": "SAFETY_GOAL", "asil": "A"},
+            {"id": "G2", "kind": "SAFETY_GOAL", "asil": "D"},
+            {"id": "R1", "kind": "REQUIREMENT", "asil": "A"},
+            {"id": "R2", "kind": "REQUIREMENT", "asil": "A"},
+        ]
+        edges = [
+            {"kind": "mitigates", "source": "G1", "target": "H1"},
+            {"kind": "mitigates", "source": "G2", "target": "H1"},
+            {"kind": "refines", "source": "R1", "target": "G1"},
+            {"kind": "refines", "source": "R1", "target": "G2"},
+            {"kind": "refines", "source": "R2", "target": "R1"},
+        ]
+        outputs = []
+        for name, order in (("forward.json", edges), ("reversed.json", edges[::-1])):
+            graph = files.write(name, {"nodes": nodes, "edges": order})
+            code, out, err = run(
+                capsys, "safetycase", "check", "--graph", graph, "--format", "text"
+            )
+            assert (code, err) == (1, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (
+            "ASIL_MISMATCH R1: requirement ASIL A differs from goal 'G2' ASIL D "
+            "(ASIL is inherited)\n"
+            "ASIL_MISMATCH R2: requirement ASIL A differs from goal 'G2' ASIL D "
+            "(ASIL is inherited)\n"
+            "MISSING_EVIDENCE R2: no evidence supports this requirement (and no "
+            "derived requirement refines it)\n"
+        )
+
     def test_safetycase_cycle_exits_two(self, capsys, files):
         graph = files.write(
             "cycle.json",

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specguard.errors import CatalogError, CycleError, FormatError
@@ -57,6 +57,7 @@ from specguard.process.safetycase import (
     load_graph,
     trace_check,
 )
+from safetycase_oracle import oracle_gaps
 
 
 def method(id, symbols, spec=False, interp=False, method_type=MethodType.TESTING):
@@ -772,3 +773,199 @@ class TestSafetyCase:
         )
         graph = load_graph(graph_file)
         assert trace_check(graph).ok
+
+
+def asil_graph(requirement_asil, goal_asils, reversed_edges=False):
+    """One requirement refining one goal per entry of goal_asils, with the
+    goal ids in that order (G1, G2, ...)."""
+    goals = [
+        Node(f"G{i}", NodeKind.SAFETY_GOAL, asil=asil)
+        for i, asil in enumerate(goal_asils, start=1)
+    ]
+    nodes = (Node("R1", NodeKind.REQUIREMENT, asil=requirement_asil), *goals)
+    edges = [Edge(EdgeKind.REFINES, "R1", goal.id) for goal in goals]
+    if reversed_edges:
+        edges.reverse()
+    return SafetyCaseGraph(nodes, tuple(edges))
+
+
+def asil_gaps(graph):
+    return [
+        (g.node_id, g.detail)
+        for g in trace_check(graph).gaps
+        if g.kind is GapKind.ASIL_MISMATCH
+    ]
+
+
+class TestSafetyCaseAsilRule:
+    @pytest.mark.parametrize("reversed_edges", [False, True])
+    def test_highest_goal_asil_is_inherited(self, reversed_edges):
+        graph = asil_graph("A", ["D", "A"], reversed_edges)
+        assert asil_gaps(graph) == [
+            ("R1", "requirement ASIL A differs from goal 'G1' ASIL D (ASIL is inherited)")
+        ]
+
+    @pytest.mark.parametrize("reversed_edges", [False, True])
+    def test_inherited_asil_reaches_through_derived_requirements(self, reversed_edges):
+        nodes = (
+            Node("G1", NodeKind.SAFETY_GOAL, asil="A"),
+            Node("G2", NodeKind.SAFETY_GOAL, asil="C"),
+            Node("R1", NodeKind.REQUIREMENT, asil="A"),
+            Node("R2", NodeKind.REQUIREMENT, asil="C"),
+            Node("R3", NodeKind.REQUIREMENT, asil="C"),
+        )
+        edges = [
+            Edge(EdgeKind.REFINES, "R1", "G1"),
+            Edge(EdgeKind.REFINES, "R2", "G2"),
+            Edge(EdgeKind.REFINES, "R3", "R1"),
+            Edge(EdgeKind.REFINES, "R3", "R2"),
+        ]
+        if reversed_edges:
+            edges.reverse()
+        assert asil_gaps(SafetyCaseGraph(nodes, tuple(edges))) == []
+
+    def test_equal_goal_asils_give_no_gap(self):
+        assert asil_gaps(asil_graph("B", ["B", "B"])) == []
+
+    @pytest.mark.parametrize("reversed_edges", [False, True])
+    def test_ties_name_the_smallest_goal_id(self, reversed_edges):
+        graph = asil_graph("A", ["C", "B", "C"], reversed_edges)
+        assert asil_gaps(graph) == [
+            ("R1", "requirement ASIL A differs from goal 'G1' ASIL C (ASIL is inherited)")
+        ]
+
+    def test_goal_without_asil_is_ignored(self):
+        assert asil_gaps(asil_graph("A", [None, "A"])) == []
+        assert asil_gaps(asil_graph("A", [None])) == []
+        assert asil_gaps(asil_graph("A", ["B", None])) == [
+            ("R1", "requirement ASIL A differs from goal 'G1' ASIL B (ASIL is inherited)")
+        ]
+
+    def test_requirement_without_asil_has_no_gap(self):
+        assert asil_gaps(asil_graph(None, ["D", "A"])) == []
+
+    def test_long_chain_is_checked_without_recursion(self, monkeypatch):
+        length = 5000
+        ids = [f"R{i:04d}" for i in range(length)]
+        mismatched = set(ids[::997])
+        nodes = [
+            Node("H1", NodeKind.HAZARD),
+            Node("G1", NodeKind.SAFETY_GOAL, asil="B"),
+            *(
+                Node(rid, NodeKind.REQUIREMENT, asil="D" if rid in mismatched else "B")
+                for rid in ids
+            ),
+        ]
+        edges = [Edge(EdgeKind.MITIGATES, "G1", "H1"), Edge(EdgeKind.REFINES, ids[0], "G1")]
+        edges += [Edge(EdgeKind.REFINES, child, parent) for parent, child in zip(ids, ids[1:])]
+        graph = SafetyCaseGraph(tuple(nodes), tuple(edges))
+        calls = 0
+        lookup = SafetyCaseGraph.node
+
+        def counted(self, node_id):
+            nonlocal calls
+            calls += 1
+            return lookup(self, node_id)
+
+        monkeypatch.setattr(SafetyCaseGraph, "node", counted)
+        gaps = trace_check(graph).gaps
+        assert [(g.kind, g.node_id) for g in gaps] == [
+            *((GapKind.ASIL_MISMATCH, rid) for rid in sorted(mismatched)),
+            (GapKind.MISSING_EVIDENCE, ids[-1]),
+        ]
+        assert gaps[0].detail == (
+            "requirement ASIL D differs from goal 'G1' ASIL B (ASIL is inherited)"
+        )
+        assert calls <= len(edges)
+
+    def test_node_lookup_keeps_key_error(self):
+        graph = SafetyCaseGraph((Node("H1", NodeKind.HAZARD),), ())
+        assert graph.node("H1") == Node("H1", NodeKind.HAZARD)
+        with pytest.raises(KeyError):
+            graph.node("H2")
+
+
+_ASILS = st.sampled_from([None, "A", "B", "C", "D"])
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(tmp_path_factory):
+    """A base directory holding present.json and sub/present.json."""
+    base = tmp_path_factory.mktemp("artifacts")
+    (base / "sub").mkdir()
+    for rel in ("present.json", "sub/present.json"):
+        (base / rel).write_text("{}", encoding="utf-8")
+    return base
+
+
+@st.composite
+def acyclic_graphs(draw, base_dir):
+    """Hazards, goals, requirement DAGs (a requirement may refine several
+    goals and earlier requirements; ids are a random permutation, so id
+    order and refinement order differ) and evidence with present, missing
+    and absent artifacts."""
+    artifacts = st.sampled_from(
+        [
+            None,
+            "present.json",
+            "./present.json",
+            "sub/present.json",
+            "gone.json",
+            "sub//gone.json",
+            str(base_dir / "present.json"),
+            str(base_dir / "absent.json"),
+        ]
+    )
+    hazards = [Node(f"H{i}", NodeKind.HAZARD) for i in range(draw(st.integers(0, 3)))]
+    goals = [
+        Node(f"G{i}", NodeKind.SAFETY_GOAL, asil=draw(_ASILS))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    names = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    requirements = [Node(f"R{n}", NodeKind.REQUIREMENT, asil=draw(_ASILS)) for n in names]
+    evidence = [
+        Node(f"E{i}", NodeKind.EVIDENCE, evidence_kind=EvidenceKind.DOCUMENT,
+             artifact=draw(artifacts))
+        for i in range(draw(st.integers(0, 5)))
+    ]
+
+    def some(candidates, max_size):
+        if not candidates:
+            return []
+        return draw(st.lists(st.sampled_from(candidates), max_size=max_size))
+
+    edges = [
+        Edge(EdgeKind.MITIGATES, goal.id, hazard.id)
+        for goal in goals
+        for hazard in some(hazards, 2)
+    ]
+    for i, requirement in enumerate(requirements):
+        edges += [
+            Edge(EdgeKind.REFINES, requirement.id, parent.id)
+            for parent in some(goals + requirements[:i], 3)
+        ]
+    edges += [
+        Edge(EdgeKind.SUPPORTS, item.id, requirement.id)
+        for item in evidence
+        for requirement in some(requirements, 2)
+    ]
+    return SafetyCaseGraph(
+        tuple(hazards + goals + requirements + evidence), tuple(edges), base_dir
+    )
+
+
+class TestSafetyCaseProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_report_does_not_depend_on_node_or_edge_order(self, artifact_dir, data):
+        graph = data.draw(acyclic_graphs(artifact_dir))
+        nodes = data.draw(st.permutations(graph.nodes))
+        edges = data.draw(st.permutations(graph.edges))
+        shuffled = SafetyCaseGraph(tuple(nodes), tuple(edges), graph.base_dir)
+        assert trace_check(shuffled).to_json_dict() == trace_check(graph).to_json_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gaps_match_the_brute_force_oracle(self, artifact_dir, data):
+        graph = data.draw(acyclic_graphs(artifact_dir))
+        assert trace_check(graph).gaps == oracle_gaps(graph)
