@@ -376,16 +376,16 @@ def categorize_uncertainty(
     if max_depth > MAX_UNCERTAINTY_DEPTH:
         raise FormatError(f"max_depth is capped at {MAX_UNCERTAINTY_DEPTH}")
     reached: dict[str, tuple[int, tuple[str, ...]]] = {}
-    frontier: list[FeatureRecord] = []
+    # Each frontier state carries the transform path that first reached it.
+    frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []
     for record in known:
         key = canonical_key(record.input.fields)
         if key not in reached:
             reached[key] = (0, ())
-            frontier.append(record.input)
+            frontier.append((record.input, ()))
     for depth in range(1, max_depth + 1):
-        next_frontier: list[FeatureRecord] = []
-        for record in frontier:
-            base_depth, base_path = reached[canonical_key(record.fields)]
+        next_frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []
+        for record, base_path in frontier:
             for t in transforms:
                 try:
                     new_record = apply_transformation(t, record, schema)
@@ -394,8 +394,9 @@ def categorize_uncertainty(
                 key = canonical_key(new_record.fields)
                 if key in reached:
                     continue
-                reached[key] = (base_depth + 1, base_path + (t.name,))
-                next_frontier.append(new_record)
+                path = base_path + (t.name,)
+                reached[key] = (depth, path)
+                next_frontier.append((new_record, path))
         frontier = next_frontier
         if not frontier:
             break

@@ -146,20 +146,58 @@ def _require_integral(t: Transformation, field: str, value: float) -> float:
     return float(value)
 
 
-def _shift_grid(op: ShiftGrid, grid: list) -> list:
-    n_rows = len(grid)
-    n_cols = len(grid[0]) if grid else 0
-    out = []
-    for r in range(n_rows):
-        row = []
-        for c in range(n_cols):
-            src_r, src_c = r - op.dy, c - op.dx
-            if 0 <= src_r < n_rows and 0 <= src_c < n_cols:
-                row.append(grid[src_r][src_c])
-            else:
-                row.append(op.fill)
-        out.append(row)
-    return out
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _transform_grid(
+    t: Transformation, op: Union[ShiftGrid, Scale, AddOffset], grid: list
+) -> list:
+    """The fresh grid op makes of grid.
+
+    The pass that builds each new row also checks the old one: a grid must be
+    a list of equally long lists of ints and floats (bools are not numbers).
+    """
+    width = len(grid[0]) if grid and isinstance(grid[0], list) else 0
+    rows = []
+    for r, row in enumerate(grid):
+        if not isinstance(row, list):
+            raise TransformError(
+                f"transformation {t.name!r}: {op.field!r} is not a grid: row {r} is {row!r}"
+            )
+        if len(row) != width:
+            raise TransformError(
+                f"transformation {t.name!r}: grid {op.field!r} is not rectangular: "
+                f"row {r} has {len(row)} cells, row 0 has {width}"
+            )
+        # Exact ints and floats pass at C speed; subclasses get the full test.
+        if not _NUMBER_TYPES.issuperset(map(type, row)):
+            for col, cell in enumerate(row):
+                if not isinstance(cell, (int, float)) or type(cell) is bool:
+                    raise TransformError(
+                        f"transformation {t.name!r}: grid {op.field!r} cell [{r}][{col}] "
+                        f"is {cell!r}, not a number"
+                    )
+        if isinstance(op, Scale):
+            k = op.k
+            rows.append([x * k for x in row])
+        elif isinstance(op, AddOffset):
+            offset = op.c
+            rows.append([x + offset for x in row])
+        else:
+            rows.append(row)  # the shift below slices it into a fresh list
+    if not isinstance(op, ShiftGrid):
+        return rows
+    # Cells shifted in from outside the grid take the fill value.
+    fill = op.fill
+    dx = max(-width, min(width, op.dx))
+    if dx >= 0:
+        rows = [[fill] * dx + row[: width - dx] for row in rows]
+    else:
+        rows = [row[-dx:] + [fill] * -dx for row in rows]
+    n_rows = len(rows)
+    return [
+        rows[r - op.dy] if 0 <= r - op.dy < n_rows else [fill] * width for r in range(n_rows)
+    ]
 
 
 def apply_transformation(
@@ -167,43 +205,22 @@ def apply_transformation(
 ) -> FeatureRecord:
     """Apply t to a record, returning a fresh record (no id, original untouched).
 
-    Raises TransformError when the record's shape defeats the operation or an
-    integer field would receive a non-integer value.
-    """
-    fields = copy.deepcopy(dict(record.fields))
-    op = t.op
-    if isinstance(op, (ShiftGrid, Scale, AddOffset, SetField)):
-        if op.field not in fields:
-            raise TransformError(f"transformation {t.name!r}: record has no field {op.field!r}")
-        ftype = schema.fields.get(op.field)
-        value = fields[op.field]
-        if isinstance(op, ShiftGrid):
-            if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
-                raise TransformError(f"transformation {t.name!r}: {op.field!r} is not a grid")
-            fields[op.field] = _shift_grid(op, value)
-        elif isinstance(op, (Scale, AddOffset)):
-            def change(x: float) -> float:
-                return x * op.k if isinstance(op, Scale) else x + op.c
+    The result shares no mutable value with the original: ShiftGrid, Scale,
+    AddOffset and SetField build a fresh value for their field and deep-copy
+    the others, FieldMap deep-copies the record before writing its results.
 
-            if isinstance(value, list):
-                fields[op.field] = [[change(cell) for cell in row] for row in value]
-            else:
-                if not is_number(value):
-                    raise TransformError(
-                        f"transformation {t.name!r}: {op.field!r} is not numeric"
-                    )
-                result = change(float(value))
-                if isinstance(ftype, IntegerType):
-                    result = _require_integral(t, op.field, result)
-                fields[op.field] = result
-        else:
-            fields[op.field] = copy.deepcopy(op.value)
-    else:
-        originals = dict(record.fields)
+    Raises TransformError when the record's shape defeats the operation (a
+    missing field, a grid that is not rectangular or holds a cell that is
+    not an int or float, a non-numeric value to scale) or an integer field
+    would receive a non-integer value.
+    """
+    op = t.op
+    if isinstance(op, FieldMap):
+        fields = copy.deepcopy(dict(record.fields))
         updates: dict[str, Any] = {}
         for field, expr in op.assignments:
             try:
-                result = evaluate(expr, originals)
+                result = evaluate(expr, record.fields)
             except Exception as exc:
                 raise TransformError(
                     f"transformation {t.name!r}, field {field!r}: {exc}"
@@ -212,6 +229,27 @@ def apply_transformation(
                 result = _require_integral(t, field, result)
             updates[field] = result
         fields.update(updates)
+        return FeatureRecord(fields, id=None)
+    if op.field not in record.fields:
+        raise TransformError(f"transformation {t.name!r}: record has no field {op.field!r}")
+    value = record.fields[op.field]
+    if isinstance(op, SetField):
+        new_value = copy.deepcopy(op.value)
+    elif isinstance(value, list):
+        new_value = _transform_grid(t, op, value)
+    elif isinstance(op, ShiftGrid):
+        raise TransformError(f"transformation {t.name!r}: {op.field!r} is not a grid")
+    else:
+        if not is_number(value):
+            raise TransformError(f"transformation {t.name!r}: {op.field!r} is not numeric")
+        new_value = float(value) * op.k if isinstance(op, Scale) else float(value) + op.c
+        if isinstance(schema.fields.get(op.field), IntegerType):
+            new_value = _require_integral(t, op.field, new_value)
+    memo: dict = {}
+    fields = {
+        name: new_value if name == op.field else copy.deepcopy(v, memo)
+        for name, v in record.fields.items()
+    }
     return FeatureRecord(fields, id=None)
 
 

@@ -30,6 +30,22 @@ PED_SPEC = {
     "probabilistic": [],
 }
 
+GRID_SPEC = {
+    "schema": {
+        "fields": {"img": {"type": "grid", "rows": 8, "cols": 8}},
+        "labels": ["clear", "obstacle"],
+    },
+    "precondition": "sum(input.img) >= 0",
+    "sufficient": {},
+    "necessary": {},
+    "invariants": [
+        {"name": "shift_right", "kind": "shift_grid", "field": "img", "dx": 1, "fill": 0},
+        {"name": "scale_up", "kind": "scale", "field": "img", "k": 2},
+    ],
+    "equivariants": [],
+    "probabilistic": [],
+}
+
 TRACE = [
     {"id": "t1", "input": {"height": 5.0}, "output": {"label": "pedestrian", "confidence": 0.9}},
     {"id": "t2", "input": {"height": 9.0}, "output": {"label": "pedestrian", "confidence": 0.8}},
@@ -360,6 +376,41 @@ class TestDatasetCommands:
         assert code == 1
         assert payload["fractions"]["unknown_unknown"] == 1.0
 
+
+    @pytest.mark.parametrize(
+        "bad_row", [[1, 1, 1], [0] * 7 + ["x"]], ids=["short_row", "string_cell"]
+    )
+    def test_uncertainty_prunes_a_malformed_known_grid(self, capsys, files, bad_row):
+        spec = files.write("grid_spec.json", GRID_SPEC)
+        good = [[0] * 8 for _ in range(8)]
+        good[3][3] = 1
+        bad = [[0] * 8 for _ in range(8)]
+        bad[5] = bad_row
+        known = files.write(
+            "known.jsonl",
+            [
+                {"id": "good", "input": {"img": good}, "label": "clear"},
+                {"id": "bad", "input": {"img": bad}, "label": "clear"},
+            ],
+        )
+        probes = files.write(
+            "grid_probes.jsonl",
+            [
+                {"id": "p1", "input": {"img": bad}},
+                {"id": "p2", "input": {"img": [[0] + row[:7] for row in good]}},
+                {"id": "p3", "input": {"img": [[9] * 8 for _ in range(8)]}},
+            ],
+        )
+        code, payload = run_json(
+            capsys, "dataset", "uncertainty", "--known", known,
+            "--probes", probes, "--spec", spec, "--depth", "2",
+        )
+        assert code == 1
+        assert [(p["probe"], p["category"]) for p in payload["per_probe"]] == [
+            ("p1", "KNOWN"),
+            ("p2", "KNOWN_UNKNOWN"),
+            ("p3", "UNKNOWN_UNKNOWN"),
+        ]
 
 class TestPatternsSimulate:
     def classifier(self, files, name, threshold):

@@ -1,12 +1,14 @@
 """Schema construction rules, record conformance, and canonical identity keys."""
 from __future__ import annotations
 
+import enum
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import canonical_oracle as oracle
 from specguard.errors import FormatError
 from specguard.speccore.records import (
     FeatureRecord,
@@ -195,6 +197,64 @@ class TestCanonicalKey:
         # +0.0/-0.0 collapse by design; everything else must stay apart
         if x != 0.0:
             assert canonical_key({"v": x}) != canonical_key({"v": x + abs(x) * 1e-3 + 1.0})
+
+    def test_rejects_non_string_field_names(self):
+        with pytest.raises(FormatError, match="field name 1 is not a string"):
+            canonical_key({"a": 1, 1: 2})
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
+class Reading(float):
+    pass
+
+
+KEY_NAMES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "名前", "\u2028", "\ud800", "a b"]),
+)
+KEY_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**1024),  # beyond float range: OverflowError
+    st.floats(),  # nan, ±inf and -0.0 included
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=5),
+    st.sampled_from([Level.LOW, Level.HIGH, Tag("t"), Tag('q"\u00e9'), Reading(-0.0)]),
+    st.sampled_from([None, {}, {"k": 1}]),
+)
+KEY_VALUES = st.recursive(KEY_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+def key_outcome(key_fn, fields):
+    try:
+        return key_fn(fields)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestCanonicalKeyOracle:
+    """canonical_key against the tagged-list-then-json.dumps encoder it
+    replaced (tests/canonical_oracle.py): the same string, or the same
+    exception with the same message."""
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(KEY_NAMES, KEY_VALUES, max_size=4))
+    def test_matches_the_oracle(self, fields):
+        assert key_outcome(canonical_key, fields) == key_outcome(oracle.canonical_key, fields)
+
+    def test_two_bad_values_name_the_first_inserted(self):
+        fields = {"z": None, "a": {"k": 1}}
+        with pytest.raises(FormatError, match="value None cannot"):
+            canonical_key(fields)
+        assert key_outcome(canonical_key, fields) == key_outcome(oracle.canonical_key, fields)
 
 
 class TestRecordJson:

@@ -2,6 +2,9 @@
 numeric ops, field maps, validation, and the JSON forms."""
 from __future__ import annotations
 
+import copy
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +128,125 @@ class TestNumericOps:
     def test_set_field(self):
         out = apply_transformation(Transformation("reset", SetField("height", 0.0)), rec(), SCHEMA)
         assert out.fields["height"] == 0.0
+
+
+class TestGridShape:
+    """A grid that is not a rectangle of numbers is a TransformError naming
+    the transformation and the field, for every grid operation."""
+
+    OPS = [ShiftGrid("img", dx=1), Scale("img", 2), AddOffset("img", 1.0)]
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: type(op).__name__)
+    @pytest.mark.parametrize(
+        ("grid", "message"),
+        [
+            ([[1, 2, 3], [4, 5], [7, 8, 9]], r"'img' is not rectangular: row 1 has 2 cells"),
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]], r"'img' is not rectangular: row 2 has 4"),
+            ([[1, 2, 3], 4, [7, 8, 9]], r"'img' is not a grid: row 1 is 4"),
+            ([[1, 2, 3], [4, "x", 6], [7, 8, 9]], r"'img' cell \[1\]\[1\] is 'x', not a number"),
+            ([[1, 2, 3], [4, 5, 6], [7, 8, True]], r"'img' cell \[2\]\[2\] is True"),
+            ([[None, 2, 3], [4, 5, 6], [7, 8, 9]], r"'img' cell \[0\]\[0\] is None"),
+        ],
+        ids=["short_row", "long_row", "row_not_list", "str_cell", "bool_cell", "none_cell"],
+    )
+    def test_bad_grid_raises_transform_error(self, op, grid, message):
+        with pytest.raises(TransformError, match=r"transformation 'bad': (grid )?" + message):
+            apply_transformation(Transformation("bad", op), rec(img=grid), SCHEMA)
+
+    def test_int_factor_never_repeats_a_string_cell(self):
+        grid = [["x", 2, 3], [4, 5, 6], [7, 8, 9]]
+        with pytest.raises(TransformError, match="is 'x', not a number"):
+            apply_transformation(Transformation("x2", Scale("img", 2)), rec(img=grid), SCHEMA)
+
+    def test_number_subclasses_are_numbers(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Reading(float):
+            pass
+
+        grid = [[Level.LOW, Reading(2.5), 3], [4, 5, 6], [7, 8, 9]]
+        out = apply_transformation(Transformation("x2", Scale("img", 2)), rec(img=grid), SCHEMA)
+        assert out.fields["img"][0] == [2, 5.0, 6]
+        t = Transformation("r", ShiftGrid("img", dx=1))
+        out = apply_transformation(t, rec(img=grid), SCHEMA)
+        assert out.fields["img"][0] == [0.0, Level.LOW, Reading(2.5)]
+
+    def test_empty_grid_stays_empty(self):
+        for op in self.OPS:
+            out = apply_transformation(Transformation("t", op), rec(img=[]), SCHEMA)
+            assert out.fields["img"] == []
+
+
+COPY_SCHEMA = Schema(
+    {"a": GridType(2, 3), "b": GridType(2, 3), "h": NumberType()},
+    ("yes", "no"),
+)
+
+
+def copy_record():
+    return FeatureRecord(
+        {"a": [[1, 2.5, -3], [4, 0.0, 6]], "b": [[7, 8, 9], [10, 11, 12]], "h": 2.0}, "r"
+    )
+
+
+def lists_in(value):
+    if isinstance(value, list):
+        yield value
+        for item in value:
+            yield from lists_in(item)
+
+
+class TestCopyContract:
+    """apply_transformation leaves the original alone and shares no list with
+    it. Each expected repr (types and field order included) is what the
+    deep-copy-everything implementation returned."""
+
+    CASES = [
+        (
+            ShiftGrid("a", dx=1, dy=-1, fill=0.5),
+            "{'a': [[0.5, 4, 0.0], [0.5, 0.5, 0.5]], 'b': [[7, 8, 9], [10, 11, 12]], 'h': 2.0}",
+        ),
+        (
+            Scale("a", 2.0),
+            "{'a': [[2.0, 5.0, -6.0], [8.0, 0.0, 12.0]], 'b': [[7, 8, 9], [10, 11, 12]], "
+            "'h': 2.0}",
+        ),
+        (
+            AddOffset("b", -1.5),
+            "{'a': [[1, 2.5, -3], [4, 0.0, 6]], 'b': [[5.5, 6.5, 7.5], [8.5, 9.5, 10.5]], "
+            "'h': 2.0}",
+        ),
+        (
+            AddOffset("h", 1.5),
+            "{'a': [[1, 2.5, -3], [4, 0.0, 6]], 'b': [[7, 8, 9], [10, 11, 12]], 'h': 3.5}",
+        ),
+        (
+            SetField("b", [[0, 0, 0], [0, 0, 0]]),
+            "{'a': [[1, 2.5, -3], [4, 0.0, 6]], 'b': [[0, 0, 0], [0, 0, 0]], 'h': 2.0}",
+        ),
+        (
+            FieldMap((("h", parse("input.h * 3")),)),
+            "{'a': [[1, 2.5, -3], [4, 0.0, 6]], 'b': [[7, 8, 9], [10, 11, 12]], 'h': 6.0}",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        ("op", "expected"),
+        CASES,
+        ids=["shift_grid", "scale_grid", "add_grid", "add_number", "set", "field_map"],
+    )
+    def test_result_is_fresh_and_original_untouched(self, op, expected):
+        record = copy_record()
+        snapshot = copy.deepcopy(record.fields)
+        op_snapshot = copy.deepcopy(op)
+        out = apply_transformation(Transformation("t", op), record, COPY_SCHEMA)
+        assert repr(out.fields) == expected
+        assert record.fields == snapshot
+        for lst in list(lists_in(list(out.fields.values()))):
+            lst.append("mutated")
+        assert record.fields == snapshot
+        assert op == op_snapshot
 
 
 class TestFieldMap:
