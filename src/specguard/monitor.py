@@ -4,14 +4,28 @@ Feed a recorded (or live) sequence of input/prediction pairs through a
 PartialSpec. Per-sample checks produce violations; a policy maps violation
 kinds to state transitions NOMINAL -> DEGRADED -> FAILSAFE (never backward).
 Probabilistic constraints run on tumbling windows of inputs.
+
+Fast path. run_trace first hands each record to one Python function
+generated for the spec (clean_record_function). It answers True only when
+the exact checks would find nothing: the record conforms to the schema and
+the prediction to the label alphabet, and check_sample reports no
+violation. Such a record only joins the probabilistic window. Every other
+record, including one on which the generated function raises, goes through
+conformance_errors, prediction_errors and check_sample exactly as it would
+without the fast path, so every violation, its detail, its error text and
+the order of the checks come from those functions alone. A spec the
+generator does not take (one that fails static_errors, or holds a literal
+that is not exactly an int a float can hold, a float, a str or a bool) has
+no fast path.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EvalError, FormatError
 from .speccore.records import (
@@ -28,9 +42,18 @@ from .speccore.spec import (
     check_post,
     check_pre,
     check_sufficient,
+    static_errors,
 )
 from .speclang.ast import to_source
-from .speclang.schema import is_number
+from .speclang.codegen import Emitter, Unsupported
+from .speclang.schema import (
+    BooleanType,
+    CategoryType,
+    GridType,
+    IntegerType,
+    NumberType,
+    is_number,
+)
 
 
 class MonitorState(Enum):
@@ -79,8 +102,9 @@ class MonitorPolicy:
     probabilistic_window: int = 100
 
     def __post_init__(self) -> None:
-        if self.probabilistic_window < 1:
-            raise FormatError("probabilistic_window must be >= 1")
+        window = self.probabilistic_window
+        if not isinstance(window, int) or isinstance(window, bool) or window < 1:
+            raise FormatError(f"probabilistic_window must be an integer >= 1, got {window!r}")
         if self.on_post_class_violation is PolicyAction.MARK_UNTRUSTED:
             raise FormatError(
                 "on_post_class_violation must be DEGRADE or FAILSAFE; "
@@ -222,6 +246,95 @@ def check_sample(spec: PartialSpec, record: TraceRecord, policy: MonitorPolicy) 
     return violations
 
 
+def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], bool]]:
+    """One generated function clean(fields, prediction) for the spec, or
+    None when the spec has no fast path (see the module docstring).
+
+    clean returns True only when the fields are a dict that conforms to the
+    schema with exact builtin types (float, int, str, bool, lists of rows),
+    the label is a str in the alphabet, the confidence is a float in [0, 1],
+    the precondition and postcondition hold, no sufficient condition of
+    another label holds and every necessary condition of the predicted
+    label holds. It may return False or raise where the exact checks find
+    nothing; it never returns True where they find something. The spec is
+    read once, here: build a new function after changing it.
+    """
+    try:
+        if static_errors(spec):
+            return None
+    except Exception:  # a spec too malformed to check keeps the exact path
+        return None
+    schema = spec.schema
+    names = {name: f"x{i}" for i, name in enumerate(schema.fields)}
+    emit = Emitter(schema, names)
+    body = [
+        f"if fields.__class__ is not dict or len(fields) != {len(schema.fields)}:",
+        "    return False",
+    ]
+    finite = f"{emit.constant(-math.inf)} < {{0}} < {emit.constant(math.inf)}"
+    for name, ftype in schema.fields.items():
+        x = names[name]
+        body.append(f"{x} = fields[{emit.constant(name)}]")
+        if isinstance(ftype, (NumberType, IntegerType)):
+            # float() raises OverflowError for an int no float can hold.
+            fits = finite.format(x) if isinstance(ftype, NumberType) else f"{x}.is_integer()"
+            body += [
+                f"if {x}.__class__ is int:",
+                f"    {x} = float({x})",
+                f"elif {x}.__class__ is not float or not {fits}:",
+                "    return False",
+            ]
+        elif isinstance(ftype, BooleanType):
+            body += [f"if {x}.__class__ is not bool:", "    return False"]
+        elif isinstance(ftype, CategoryType):
+            values = emit.constant(frozenset(ftype.values))
+            body += [f"if {x}.__class__ is not str or {x} not in {values}:", "    return False"]
+        elif isinstance(ftype, GridType):
+            rows, cols = emit.constant(ftype.rows), emit.constant(ftype.cols)
+            body += [
+                f"if {x}.__class__ is not list or len({x}) != {rows}:",
+                "    return False",
+                f"for row in {x}:",
+                f"    if row.__class__ is not list or len(row) != {cols}:",
+                "        return False",
+                "    for cell in row:",
+                "        if cell.__class__ is int:",
+                "            cell = float(cell)",
+                f"        elif cell.__class__ is not float or not {finite.format('cell')}:",
+                "            return False",
+            ]
+        else:
+            return None
+    labels = emit.constant(frozenset(schema.labels))
+    body += [
+        "label = prediction.label",
+        f"if label.__class__ is not str or label not in {labels}:",
+        "    return False",
+        "confidence = prediction.confidence",
+        "if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:",
+        "    return False",
+    ]
+    try:
+        conditions = [spec.precondition]
+        if spec.postcondition is not None:
+            conditions.append(spec.postcondition)
+        tests = [f"not {emit.condition(c)}" for c in conditions]
+        for label, exprs in spec.sufficient.items():
+            if exprs:
+                holds = " or ".join(emit.condition(e) for e in exprs)
+                tests.append(f"label != {emit.constant(label)} and ({holds})")
+        for label, exprs in spec.necessary.items():
+            if exprs:
+                hold = " and ".join(emit.condition(e) for e in exprs)
+                tests.append(f"label == {emit.constant(label)} and not ({hold})")
+        for test in tests:
+            body += [f"if {test}:", "    return False"]
+        body.append("return True")
+        return emit.function("clean", "fields, prediction", body)
+    except (Unsupported, RecursionError, SyntaxError):
+        return None
+
+
 def check_batch_probabilistic(
     spec: PartialSpec, inputs: Sequence[FeatureRecord]
 ) -> list[Violation]:
@@ -313,7 +426,13 @@ def run_trace(
     transition are not flagged). Probabilistic constraints fire on each full
     tumbling window of probabilistic_window records; a trailing partial
     window is not checked.
+
+    The spec's fast-path function is generated once per call, before the
+    first record; a record it calls clean skips the exact checks, every
+    other record gets them (see the module docstring). The report is the
+    one the exact checks alone would give.
     """
+    clean = clean_record_function(spec)
     all_violations: list[Violation] = []
     state = MonitorState.NOMINAL
     processed = 0
@@ -346,20 +465,25 @@ def run_trace(
                 ]
             )
             continue
-        structural = conformance_errors(item.input.fields, spec.schema)
-        structural += prediction_errors(item.output, spec.schema)
-        if structural:
-            absorb(
-                [
-                    Violation(
-                        item.id,
-                        ViolationKind.EVAL_ERROR,
-                        {"stage": "conformance", "errors": structural},
-                    )
-                ]
-            )
-            continue
-        absorb(check_sample(spec, item, policy))
+        try:
+            decided = clean is not None and clean(item.input.fields, item.output)
+        except Exception:  # the exact checks below say what is wrong
+            decided = False
+        if not decided:
+            structural = conformance_errors(item.input.fields, spec.schema)
+            structural += prediction_errors(item.output, spec.schema)
+            if structural:
+                absorb(
+                    [
+                        Violation(
+                            item.id,
+                            ViolationKind.EVAL_ERROR,
+                            {"stage": "conformance", "errors": structural},
+                        )
+                    ]
+                )
+                continue
+            absorb(check_sample(spec, item, policy))
         window.append(item.input)
         if len(window) == policy.probabilistic_window:
             absorb(check_batch_probabilistic(spec, window), window_label=window_index)
@@ -372,22 +496,33 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     """Read a JSON Lines trace file: one record per line,
     {"id": "...", "input": {...}, "output": {"label": "...", "confidence": c}}.
 
-    Unparseable lines come back as MalformedLine so the monitor can log them
-    and keep going. An unreadable file raises FormatError.
+    The file is read one line at a time. Lines end at "\n" (a "\r" before
+    it is dropped too), as JSON Lines defines; no other character ends a
+    line. Blank lines are skipped. A line that is not UTF-8 or not a valid
+    record comes back as a MalformedLine, so the monitor can log it and keep
+    going. An unreadable file raises FormatError.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        handle = path.open("rb")
     except OSError as exc:
         raise FormatError(f"cannot read trace file {path}: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            yield _trace_record_from_json(data)
-        except (json.JSONDecodeError, FormatError) as exc:
-            yield MalformedLine(line_no, str(exc))
+    with handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                yield MalformedLine(line_no, f"line is not UTF-8: {exc}")
+                continue
+            if line.endswith("\n"):
+                line = line[:-2] if line.endswith("\r\n") else line[:-1]
+            if not line.strip():
+                continue
+            try:
+                yield _trace_record_from_json(json.loads(line))
+            except (ValueError, FormatError) as exc:
+                # ValueError: a JSONDecodeError, or an int with too many digits
+                yield MalformedLine(line_no, str(exc))
 
 
 def _trace_record_from_json(data: Any) -> TraceRecord:

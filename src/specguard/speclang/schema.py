@@ -79,10 +79,15 @@ class Schema:
 
 
 def is_number(value: Any) -> bool:
-    """True for finite ints and floats; bools do not count as numbers."""
+    """True for finite floats and for ints a float can hold; bools do not
+    count as numbers."""
     if isinstance(value, bool):
         return False
     if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
         return True
     return isinstance(value, float) and math.isfinite(value)
 

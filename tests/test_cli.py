@@ -260,6 +260,82 @@ class TestMonitorRun:
         assert json.loads(err)["error"] == "FormatError"
 
 
+    @pytest.mark.parametrize(
+        "field,expected_stage",
+        [("height", "conformance"), ("lanes", "conformance"), ("confidence", "trace")],
+    )
+    def test_an_int_no_float_holds_is_a_violation_not_a_crash(
+        self, capsys, files, field, expected_stage
+    ):
+        spec = dict(
+            PED_SPEC,
+            schema={
+                "fields": {"height": {"type": "number"}, "lanes": {"type": "integer"}},
+                "labels": ["pedestrian", "not_pedestrian"],
+            },
+            precondition="input.height > 0 && input.lanes >= 0",
+        )
+        record = {
+            "id": "t1",
+            "input": {"height": 5.0, "lanes": 2},
+            "output": {"label": "pedestrian", "confidence": 0.9},
+        }
+        if field == "confidence":
+            record["output"]["confidence"] = 10**400
+        else:
+            record["input"][field] = 10**400
+        code, payload = run_json(
+            capsys,
+            "monitor",
+            "run",
+            "--spec",
+            files.write("huge_spec.json", spec),
+            "--trace",
+            files.write("huge.jsonl", [record]),
+        )
+        assert code == 1
+        assert [(v["kind"], v["detail"]["stage"]) for v in payload["violations"]] == [
+            ("EVAL_ERROR", expected_stage)
+        ]
+
+    @pytest.mark.parametrize("window", ["5", 2.5, True, 0, None])
+    def test_a_window_that_is_not_a_positive_int_is_an_invocation_error(
+        self, capsys, files, window
+    ):
+        policy = files.write("policy.json", {"probabilistic_window": window})
+        code, out, err = run(
+            capsys,
+            "monitor",
+            "run",
+            "--spec",
+            files.spec,
+            "--trace",
+            files.trace,
+            "--policy",
+            policy,
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "FormatError"
+        assert "probabilistic_window must be an integer >= 1" in error["detail"]
+
+    def test_a_line_that_is_not_utf8_is_a_logged_violation(self, capsys, files):
+        path = files.dir / "binary.jsonl"
+        lines = [json.dumps(row).encode("utf-8") for row in TRACE]
+        lines[1] = b'{"id": "t2", "input": {"height": 9.0}, "output": {"label": "\xff"}}'
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, payload = run_json(
+            capsys, "monitor", "run", "--spec", files.spec, "--trace", str(path)
+        )
+        assert code == 1
+        assert payload["records_processed"] == 3
+        (violation,) = payload["violations"]
+        assert violation["detail"]["stage"] == "trace"
+        assert violation["detail"]["line"] == 2
+        assert "UTF-8" in violation["detail"]["error"]
+
+
 class TestDatasetCommands:
     def test_coverage_pass_exits_zero(self, capsys, files):
         code, payload = run_json(

@@ -96,6 +96,11 @@ class TestPolicyValidation:
         with pytest.raises(FormatError, match=">= 1"):
             MonitorPolicy(probabilistic_window=0)
 
+    @pytest.mark.parametrize("window", ["5", 2.5, True, False, None, 5.0])
+    def test_window_must_be_an_int(self, window):
+        with pytest.raises(FormatError, match="must be an integer >= 1"):
+            MonitorPolicy(probabilistic_window=window)
+
 
 GOLDEN_TRACE = [
     tr("r1", 5.0),
@@ -298,6 +303,51 @@ class TestReadTrace:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             list(read_trace(tmp_path / "absent.jsonl"))
+
+    def test_crlf_and_lf_files_give_identical_reports(self, tmp_path):
+        output = {"label": "pedestrian", "confidence": 0.9}
+        lines = [
+            json.dumps({"id": "r1", "input": {"height": 5.0}, "output": output}),
+            '{"id": "r2", "input": {"height": 9.0}, "output": {"label": "pedestrian"',
+            "",
+            json.dumps({"id": "r3", "input": {"height": -1.0}, "output": output}),
+            json.dumps({"id": "r4", "input": {"height": 9.0}, "output": output}),
+        ]
+        reports = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "trace.jsonl"
+            path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode("utf-8"))
+            reports.append(json.dumps(run_trace(make_spec(), read_trace(path)).to_json_dict()))
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert [(v["record_id"], v["kind"]) for v in report["violations"]] == [
+            (None, "EVAL_ERROR"),
+            ("r3", "PRE"),
+            ("r4", "NECESSARY"),
+        ]
+        # The JSON error names the line's own column, not a later line.
+        assert report["violations"][0]["detail"]["line"] == 2
+        assert "line 1 column" in report["violations"][0]["detail"]["error"]
+
+    def test_a_line_that_is_not_utf8_is_malformed_and_the_rest_is_read(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        good = json.dumps({"id": "r1", "input": {"height": 5.0}, "output": {"label": "pedestrian"}})
+        path.write_bytes(
+            good.encode("utf-8") + b"\n" + b'{"id": "r\xc3\x28"}\n' + good.encode("utf-8") + b"\n"
+        )
+        items = list(read_trace(path))
+        assert [type(item) for item in items] == [TraceRecord, MalformedLine, TraceRecord]
+        assert items[1].line == 2
+        assert "not UTF-8" in items[1].error
+
+    def test_only_a_newline_ends_a_line(self, tmp_path):
+        # U+2028 and a lone \r are characters inside a line, not line ends.
+        path = tmp_path / "trace.jsonl"
+        record = {"id": "a\u2028b", "input": {"height": 5.0}, "output": {"label": "pedestrian"}}
+        text = json.dumps(record, ensure_ascii=False) + "\n" + json.dumps(record) + "\r\r\n"
+        path.write_bytes(text.encode("utf-8"))
+        items = list(read_trace(path))
+        assert [item.id for item in items] == ["a\u2028b", "a\u2028b"]
 
     def test_report_json_shape(self):
         report = run_trace(make_spec(), GOLDEN_TRACE)
