@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from ..errors import FormatError
-from ..speclang.schema import Schema, is_number, value_errors
+from ..speclang.schema import Schema, is_number, value_errors, value_guard
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,35 @@ def prediction_errors(prediction: Prediction, schema: Schema) -> list[str]:
         if not is_number(prediction.confidence) or not 0.0 <= float(prediction.confidence) <= 1.0:
             errors.append(f"confidence {prediction.confidence!r} is not in [0, 1]")
     return errors
+
+
+def conformance_guard(
+    schema: Schema, names: Mapping[str, str], constant: Callable[[Any], str]
+) -> list[str]:
+    """Python source lines, for a generated function of (fields, prediction),
+    that return None or raise unless fields is a dict of exact builtin types
+    on which conformance_errors finds nothing and the prediction has a str
+    label on which prediction_errors finds nothing and a float confidence.
+
+    Afterwards the local names[f] holds field f's value (see value_guard)
+    and the locals label and confidence hold the prediction's.
+    """
+    lines = [
+        f"if fields.__class__ is not dict or len(fields) != {len(schema.fields)}:",
+        "    return None",
+    ]
+    for name, ftype in schema.fields.items():
+        # With the length checked, a missing field raises KeyError here.
+        lines.append(f"{names[name]} = fields[{constant(name)}]")
+        lines += value_guard(ftype, names[name], constant)
+    return lines + [
+        "label = prediction.label",
+        f"if label.__class__ is not str or label not in {constant(frozenset(schema.labels))}:",
+        "    return None",
+        "confidence = prediction.confidence",
+        "if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:",
+        "    return None",
+    ]
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from ..errors import FormatError
 
@@ -126,6 +126,61 @@ def value_errors(name: str, ftype: FieldType, value: Any) -> list[str]:
                         f"field {name!r} cell [{r}][{c}] must be a finite number, got {cell!r}"
                     )
         return errors
+    raise TypeError(f"unknown field type: {ftype!r}")
+
+
+def value_guard(ftype: FieldType, x: str, constant: Callable[[Any], str]) -> list[str]:
+    """Python source lines, for a generated function, that return None
+    unless the local x holds a value of an exact builtin type (float, int,
+    bool, str, lists of rows) that value_errors accepts.
+
+    They never let through a value value_errors rejects; they may reject or
+    raise (OverflowError for an int no float can hold) on one it accepts,
+    such as an int subclass. Afterwards a number or integer field's local
+    holds its value as a float; a grid's lines also use the locals row and
+    cell. constant(value) names a value (a category set, a grid size) for
+    the source, so no spec data enters it as text.
+    """
+
+    def finite(v: str) -> str:
+        return f"{constant(-math.inf)} < {v} < {constant(math.inf)}"
+
+    if isinstance(ftype, NumberType):
+        return [
+            f"if {x}.__class__ is int:",
+            f"    {x} = float({x})",
+            f"elif {x}.__class__ is not float or not {finite(x)}:",
+            "    return None",
+        ]
+    if isinstance(ftype, IntegerType):
+        # value_errors compares float(value) with the int exactly.
+        return [
+            f"if {x}.__class__ is int:",
+            f"    if float({x}) != {x}:",
+            "        return None",
+            f"    {x} = float({x})",
+            f"elif {x}.__class__ is not float or not {x}.is_integer():",
+            "    return None",
+        ]
+    if isinstance(ftype, BooleanType):
+        return [f"if {x}.__class__ is not bool:", "    return None"]
+    if isinstance(ftype, CategoryType):
+        values = constant(frozenset(ftype.values))
+        return [f"if {x}.__class__ is not str or {x} not in {values}:", "    return None"]
+    if isinstance(ftype, GridType):
+        rows, cols = constant(ftype.rows), constant(ftype.cols)
+        return [
+            f"if {x}.__class__ is not list or len({x}) != {rows}:",
+            "    return None",
+            f"for row in {x}:",
+            f"    if row.__class__ is not list or len(row) != {cols}:",
+            "        return None",
+            "    for cell in row:",
+            "        if cell.__class__ is int:",
+            "            cell = float(cell)",
+            f"        elif cell.__class__ is not float or not {finite('cell')}:",
+            "            return None",
+        ]
     raise TypeError(f"unknown field type: {ftype!r}")
 
 

@@ -2,10 +2,11 @@
 expression emitter behind it (speclang.codegen).
 
 The contract under test: when the generated function says a record is
-clean, the exact checks (conformance_errors, prediction_errors,
-check_sample) find nothing; on records of exact builtin types the converse
-holds too, so the fast path is not vacuous; and run_trace reports the same
-with and without it."""
+clean (True), the exact checks (conformance_errors, prediction_errors,
+check_sample) find nothing; when it says False, conformance_errors and
+prediction_errors find nothing; on records of exact builtin types the
+converse holds too, so the fast path is not vacuous; and run_trace reports
+the same with and without it."""
 from __future__ import annotations
 
 import dataclasses
@@ -26,6 +27,7 @@ from specguard.monitor import (
     MalformedLine,
     MonitorPolicy,
     TraceRecord,
+    ViolationKind,
     check_sample,
     clean_record_function,
     run_trace,
@@ -48,6 +50,8 @@ from specguard.speclang.schema import (
     IntegerType,
     NumberType,
     Schema,
+    value_errors,
+    value_guard,
 )
 
 LABELS = ("pedestrian", "cyclist")
@@ -99,14 +103,22 @@ _specs = st.builds(
 _hostile = st.sampled_from(
     [True, False, math.nan, math.inf, -math.inf, 10**400, -(10**400), Level.ONE, None, "lane", 2.5]
 )
+# Ints at and beyond the edge of a float's exact range: a number field or
+# grid cell takes every one a float holds, an integer field only those a
+# float holds exactly.
+_big_ints = st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 1), 2**63 + 1, 2**1000])
 
 
 @st.composite
 def _fields(draw):
     fields = draw(_typed_inputs)
-    change = draw(st.sampled_from(["none", "none", "none", "field", "cell", "missing", "extra"]))
+    change = draw(
+        st.sampled_from(["none", "none", "none", "field", "cell", "big", "missing", "extra"])
+    )
     if change == "field":
         fields[draw(st.sampled_from(sorted(fields)))] = draw(_hostile)
+    elif change == "big":
+        fields[draw(st.sampled_from(["height", "count"]))] = draw(_big_ints)
     elif change == "cell":
         fields["img"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(_hostile)
     elif change == "missing":
@@ -127,14 +139,25 @@ _predictions = st.builds(
 )
 
 
+def _structural(spec, fields, prediction):
+    return conformance_errors(fields, spec.schema) + prediction_errors(prediction, spec.schema)
+
+
 def _exact_findings(spec, fields, prediction):
     """What run_trace's exact path reports for the record, as a list."""
-    structural = conformance_errors(fields, spec.schema)
-    structural += prediction_errors(prediction, spec.schema)
+    structural = _structural(spec, fields, prediction)
     if structural:
         return structural
     record = TraceRecord("r", FeatureRecord(fields, "r"), prediction)
     return check_sample(spec, record, MonitorPolicy())
+
+
+def _verdict(clean, fields, prediction):
+    """clean's answer, with None for an exception (the exact path decides)."""
+    try:
+        return clean(fields, prediction)
+    except Exception:
+        return None
 
 
 def _exact_types(fields, prediction):
@@ -157,15 +180,19 @@ def test_clean_means_the_exact_checks_find_nothing(spec, fields, prediction):
     assert (clean is None) == bool(static_errors(spec))
     if clean is None:
         return
-    try:
-        decided = clean(fields, prediction)
-    except Exception:  # the record falls back to the exact path
-        decided = None
+    decided = _verdict(clean, fields, prediction)
+    assert decided in (True, False, None)
+    structural = _structural(spec, fields, prediction)
     findings = _exact_findings(spec, fields, prediction)
     if decided is True:
         assert findings == []
-    elif not findings and _exact_types(fields, prediction):
-        pytest.fail(f"clean record not decided: {decided!r}")
+    if decided is False:
+        assert structural == []
+    # The generated conditions raise only where an evaluation error stops
+    # the exact checks too, so without one a conforming record is decided.
+    if not structural and _exact_types(fields, prediction):
+        if not any(v.kind is ViolationKind.EVAL_ERROR for v in findings):
+            assert decided is (not findings)
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,7 +266,8 @@ def _variants():
     for name in CONFORMING:
         yield f"{name} missing", {k: v for k, v in CONFORMING.items() if k != name}, None
     yield "extra field", {**CONFORMING, "bonus": 1.0}, None
-    for value in [True, math.nan, math.inf, 10**400, Level.ONE, None, "lane", 2.5, [[0, 0]]]:
+    values = [True, math.nan, math.inf, 10**400, 2**53 + 1, Level.ONE, None, "lane", 2.5, [[0, 0]]]
+    for value in values:
         for name in CONFORMING:
             fields = {**CONFORMING, name: value}
             if conformance_errors(fields, SCHEMA):
@@ -262,11 +290,57 @@ def test_a_record_off_the_schema_is_never_decided_clean(fields, prediction):
     clean = clean_record_function(PartialSpec(schema=SCHEMA))
     prediction = prediction or Prediction("pedestrian", 0.5)
     assert clean(CONFORMING, Prediction("pedestrian", 0.5)) is True
+    assert _verdict(clean, fields, prediction) is None
+
+
+class Real(float):
+    pass
+
+
+EDGE_VALUES = [
+    0, 0.0, -0.0, 0.5, -3, 2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 1), 2**63 + 1, 10**400,
+    -(10**400), 1e300, -1e300, 1e16 + 1, math.nan, math.inf, -math.inf, True, False, Level.ONE,
+    Real(1.0), None, "", "lane", "Lane", [[0, 0.5], [1, 2]], [[2**53 + 1, 0], [0, 0]],
+    [[10**400, 0], [0, 0]], [[math.nan, 0], [0, 0]], [[True, 0], [0, 0]], [[0, 0], [0]],
+    [[0, 0], (0, 0)], [[0, 0]], ((0, 0), (0, 0)),
+]
+FIELD_TYPES = [NumberType(), IntegerType(), BooleanType(), CategoryType(("", "lane")), GridType(2, 2)]
+
+
+@pytest.mark.parametrize("ftype", FIELD_TYPES, ids=repr)
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_value_guard_agrees_with_value_errors(ftype, value):
+    emit = Emitter(Schema({}, LABELS), {})
+    lines = value_guard(ftype, "x", emit.constant) + ["return [x]"]
+    guard = emit.function("guard", "x", lines)
     try:
-        decided = clean(fields, prediction)
-    except Exception:
-        decided = None
-    assert decided is not True
+        kept = guard(value)
+    except Exception:  # the record falls back to the exact path
+        kept = None
+    errors = value_errors("f", ftype, value)
+    if kept:
+        assert errors == []
+        if isinstance(ftype, (NumberType, IntegerType)):
+            assert type(kept[0]) is float and kept[0] == float(value)
+    elif not errors and _exact_types({"f": value}, Prediction("a", 0.5)):
+        pytest.fail(f"a conforming value is turned away: {kept!r}")
+
+
+@pytest.mark.parametrize("label", ["pedestrian", "bicycle", "", Real(1.0)], ids=repr)
+@pytest.mark.parametrize(
+    "confidence",
+    [0.0, -0.0, 1.0, 0.5, 1.0000001, -1e-300, 0, 1, True, Level.ONE, Real(0.5), math.nan, None],
+    ids=repr,
+)
+def test_conformance_guard_agrees_with_prediction_errors(label, confidence):
+    clean = clean_record_function(PartialSpec(schema=SCHEMA))
+    prediction = Prediction(label, confidence)
+    decided = _verdict(clean, CONFORMING, prediction)
+    errors = prediction_errors(prediction, SCHEMA)
+    if decided is True:
+        assert errors == []
+    elif not errors and _exact_types(CONFORMING, prediction):
+        pytest.fail(f"a conforming prediction is turned away: {decided!r}")
 
 
 def test_benchmark_style_spec_decides_clean_records_and_only_those():
@@ -301,16 +375,19 @@ def test_benchmark_style_spec_decides_clean_records_and_only_those():
         (ok, Prediction("cyclist", 0.9)),  # SUFFICIENT 1 of pedestrian
         ({**ok, "lane": 2}, Prediction("pedestrian", 0.9)),  # NECESSARY 1
         ({**ok, "lane": 3}, Prediction("pedestrian", 0.9)),  # NECESSARY 0 and 1
+    ]:
+        assert clean(fields, prediction) is False
+    for fields, prediction in [
         ({**ok, "lane": 1.5}, Prediction("pedestrian", 0.9)),  # not an integer
+        ({**ok, "lane": 2**53 + 1}, Prediction("pedestrian", 0.9)),  # float() rounds it
         ({**ok, "zone": "tunnel"}, Prediction("pedestrian", 0.9)),  # not a category value
         ({**ok, "lane": True}, Prediction("pedestrian", 0.9)),  # bool is no number
         ({**ok, "lane": Level.ONE}, Prediction("pedestrian", 0.9)),  # not exactly an int
         (ok, Prediction("pedestrian", None)),  # no confidence
         (ok, Prediction("truck", 0.9)),  # not in the alphabet
+        ({"height": 1.7, "lane": 1, "colour": "red"}, Prediction("pedestrian", 0.9)),
     ]:
-        assert clean(fields, prediction) is False
-    with pytest.raises(KeyError):
-        clean({"height": 1.7, "lane": 1, "colour": "red"}, Prediction("pedestrian", 0.9))
+        assert _verdict(clean, fields, prediction) is None
 
 
 def test_comparing_an_int_literal_with_a_float_falls_back_like_the_evaluator_fails():
@@ -356,7 +433,10 @@ def test_hostile_names_values_and_labels_give_the_exact_verdicts(monkeypatch):
             for flag in (True, False):
                 fields = {number: 1.5, category: value, HOSTILE[2]: flag}
                 prediction = Prediction(label, 0.5)
-                want = not _exact_findings(spec, fields, prediction)
+                if _structural(spec, fields, prediction):
+                    want = None
+                else:
+                    want = not _exact_findings(spec, fields, prediction)
                 assert clean(fields, prediction) is want, (value, label, flag)
 
 
@@ -412,11 +492,17 @@ def test_malformed_lines_and_fallback_records_keep_their_order():
         MalformedLine(2, "boom"),
         TraceRecord("c", FeatureRecord({**good, "height": -1.0}), Prediction("pedestrian", 0.5)),
         TraceRecord("d", FeatureRecord({**good, "height": 10**400}), Prediction("pedestrian", 0.5)),
+        TraceRecord("e", FeatureRecord({**good, "count": 2**53 + 1}), Prediction("pedestrian", 0.5)),
+        TraceRecord("f", FeatureRecord({**good, "height": 2**53 + 1}), Prediction("pedestrian", 0.5)),
     ]
     report = run_trace(spec, trace)
     assert [(v.record_id, v.kind.value) for v in report.violations] == [
         (None, "EVAL_ERROR"),
         ("c", "PRE"),
         ("d", "EVAL_ERROR"),
+        ("e", "EVAL_ERROR"),
     ]
     assert report.violations[2].detail["stage"] == "conformance"
+    assert report.violations[3].detail["errors"] == [
+        "field 'count' must be an integer, got 9007199254740993"
+    ]
