@@ -202,7 +202,7 @@ def _policy_from_file(path: str) -> MonitorPolicy:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read policy {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"policy {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("policy file must be a JSON object")
@@ -249,7 +249,7 @@ def _read_records(path: str):
             continue
         try:
             records.append(record_from_json_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int of over 4300 digits
             raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc

@@ -665,7 +665,7 @@ def read_dataset(path: Union[str, Path]) -> list[LabeledRecord]:
             continue
         try:
             records.append(labeled_record_from_json_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int of over 4300 digits
             raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc
@@ -710,7 +710,7 @@ def load_requirements(path: Union[str, Path]) -> DataSetRequirements:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read requirements file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"requirements file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "schema" not in data:
         raise FormatError("requirements file needs a 'schema'")
@@ -746,7 +746,7 @@ def load_partitioning(path: Union[str, Path]) -> Partitioning:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read partitioning file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"partitioning file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("partitioning file must be a JSON object")

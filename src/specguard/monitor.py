@@ -38,8 +38,8 @@ from .speccore.records import (
     FeatureRecord,
     Prediction,
     conformance_errors,
-    conformance_guard,
     prediction_errors,
+    prediction_guard,
 )
 from .speccore.spec import (
     MeanConstraint,
@@ -49,10 +49,10 @@ from .speccore.spec import (
     check_post,
     check_pre,
     check_sufficient,
-    static_errors,
+    spec_function,
 )
 from .speclang.ast import to_source
-from .speclang.codegen import Emitter, Unsupported
+from .speclang.codegen import Emitter
 from .speclang.schema import is_number
 
 
@@ -262,38 +262,28 @@ def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Op
     or raise on a record that conforms. The spec is read once, here: build
     a new function after changing it.
 
-    The conformance part is written by records.conformance_guard and
-    schema.value_guard, next to the exact rules it must agree with; the
-    conditions' part by speclang.codegen.
+    The conformance part is written by records.conformance_guard,
+    records.prediction_guard and schema.value_guard, next to the exact
+    rules it must agree with; the conditions' part by speclang.codegen.
     """
-    try:
-        if static_errors(spec):
-            return None
-    except Exception:  # a spec too malformed to check keeps the exact path
-        return None
-    names = {name: f"x{i}" for i, name in enumerate(spec.schema.fields)}
-    emit = Emitter(spec.schema, names)
-    try:
-        body = conformance_guard(spec.schema, names, emit.constant)
+
+    def write(emit: Emitter) -> list[str]:
+        body = prediction_guard(spec.schema, emit.constant)
         conditions = [spec.precondition]
         if spec.postcondition is not None:
             conditions.append(spec.postcondition)
         tests = [f"not {emit.condition(c)}" for c in conditions]
         for label, exprs in spec.sufficient.items():
             if exprs:
-                holds = " or ".join(emit.condition(e) for e in exprs)
-                tests.append(f"label != {emit.constant(label)} and ({holds})")
+                tests.append(f"label != {emit.constant(label)} and {emit.any_of(exprs)}")
         for label, exprs in spec.necessary.items():
             if exprs:
-                hold = " and ".join(emit.condition(e) for e in exprs)
-                tests.append(f"label == {emit.constant(label)} and not ({hold})")
+                tests.append(f"label == {emit.constant(label)} and not {emit.all_of(exprs)}")
         for test in tests:
             body += [f"if {test}:", "    return False"]
-        body.append("return True")
-        return emit.function("clean", "fields, prediction", body)
-    except (Unsupported, TypeError, RecursionError, SyntaxError):
-        # TypeError: a field type value_guard does not know
-        return None
+        return body + ["return True"]
+
+    return spec_function(spec, "clean", "fields, prediction", write)
 
 
 def check_batch_probabilistic(

@@ -4,6 +4,21 @@ Six composable wrappers: ensembles with vote fusion, a simplex fallback on
 low confidence, spec-gated classification, a safety envelope splitting
 safety-critical from advisory output, low-confidence input harvesting, and an
 exhaustive simulation harness measuring each pattern's effect on error rate.
+
+Gated fast path. A GatedConfig builds one Python function for its spec
+when it is made (gated_decide_function); gated_classify asks it first. On
+a field dict of exact builtin types that conforms to the spec's schema, it
+evaluates every condition the exact path evaluates, in the same order, and
+answers with the GatedDecision the exact path would give ("sufficient" or
+"elimination"), or leaves the record to the ML member with the exact
+path's note. On every other record it returns None or raises: a record off
+the schema, one on which two sufficient conditions hold, one on which a
+condition fails to evaluate (division by zero, comparing an int literal
+with a float). Such a record goes through the exact path, so every
+PatternError text comes from it alone. A spec that fails static_errors,
+or holds a literal that is not exactly an int a float can hold, a float, a
+str or a bool, has no fast path. The spec is read once: after changing it,
+make a new config.
 """
 from __future__ import annotations
 
@@ -11,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     ClassifierError,
@@ -27,7 +42,8 @@ from .speccore.classifiers import (
     load_classifier,
 )
 from .speccore.records import FeatureRecord, Prediction
-from .speccore.spec import PartialSpec, load_spec
+from .speccore.spec import PartialSpec, load_spec, spec_function
+from .speclang.codegen import Emitter
 from .speclang.evaluate import evaluate_condition
 from .speclang.schema import is_number
 
@@ -74,8 +90,23 @@ class SimplexConfig:
 
 @dataclass(frozen=True)
 class GatedConfig:
+    """The spec decides when it can, the ML member otherwise. The spec's
+    fast-path function is built here, once (see the module docstring)."""
+
     spec: PartialSpec
     ml: Classifier
+
+    def __post_init__(self) -> None:
+        # Outside the dataclass fields: ==, hash and repr never see it.
+        object.__setattr__(self, "_decide", gated_decide_function(self.spec))
+
+    def __getstate__(self) -> dict:
+        return {"spec": self.spec, "ml": self.ml}  # generated code does not pickle
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -179,6 +210,52 @@ def simplex_decide(config: SimplexConfig, fields: Mapping[str, Any]) -> SimplexD
     return SimplexDecision(fallback, DecisionSource.FALLBACK)
 
 
+@dataclass(frozen=True)
+class _LeaveToML:
+    """The generated decision's answer when the spec leaves the record to
+    the ML member; note is the GatedDecision's note."""
+
+    note: Optional[str]
+
+
+_ALL_ELIMINATED = "all labels eliminated by necessary conditions"
+
+
+def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
+    """One generated function decide(fields) for the spec, or None when the
+    spec has no fast path (see the module docstring).
+
+    decide returns the GatedDecision of a spec decision, a _LeaveToML when
+    the ML member must answer, and None (or raises) when the exact path
+    must decide.
+    """
+
+    def write(emit: Emitter) -> list[str]:
+        lines = []
+        sufficient = list(spec.sufficient.items())
+        for i, (_, exprs) in enumerate(sufficient):
+            lines.append(f"s{i} = {emit.any_of(exprs)}")
+        if len(sufficient) > 1:
+            # The exact path reports the inconsistent spec.
+            count = " + ".join(f"s{i}" for i in range(len(sufficient)))
+            lines += [f"if {count} > 1:", "    return None"]
+        for i, (label, _) in enumerate(sufficient):
+            won = GatedDecision(Prediction(label, 1.0), DecisionSource.SPEC, mode="sufficient")
+            lines += [f"if s{i}:", f"    return {emit.constant(won)}"]
+        labels = spec.schema.labels
+        for i, label in enumerate(labels):
+            lines.append(f"n{i} = {emit.all_of(spec.necessary.get(label, ()))}")
+        lines.append("kept = " + " + ".join(["0"] + [f"n{i}" for i in range(len(labels))]))
+        lines.append("if kept == 1:")
+        for i, label in enumerate(labels):
+            left = GatedDecision(Prediction(label, 1.0), DecisionSource.SPEC, mode="elimination")
+            lines += [f"    if n{i}:", f"        return {emit.constant(left)}"]
+        ml, none_left = emit.constant(_LeaveToML(None)), emit.constant(_LeaveToML(_ALL_ELIMINATED))
+        return lines + [f"return {ml} if kept else {none_left}"]
+
+    return spec_function(spec, "decide", "fields", write)
+
+
 def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecision:
     """Let the spec decide when it can; consult the ML component otherwise.
 
@@ -188,7 +265,19 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
     extension). Everything else passes through to the ML classifier. A spec
     condition that fails to evaluate raises PatternError naming its stage
     (sufficient or necessary), as a failing ML member does.
+
+    The config's generated function decides first; a record it does not
+    decide takes the exact path below (see the module docstring).
     """
+    decide = config._decide  # type: ignore[attr-defined]
+    try:
+        decided = None if decide is None else decide(fields)
+    except Exception:  # the exact path below says what is wrong
+        decided = None
+    if decided is not None:
+        if decided.__class__ is _LeaveToML:
+            return _consult_ml(config, fields, decided.note)
+        return decided
     spec = config.spec
     satisfied = []
     try:
@@ -221,7 +310,12 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
         return GatedDecision(
             Prediction(remaining[0], 1.0), DecisionSource.SPEC, mode="elimination"
         )
-    note = "all labels eliminated by necessary conditions" if not remaining else None
+    return _consult_ml(config, fields, _ALL_ELIMINATED if not remaining else None)
+
+
+def _consult_ml(
+    config: GatedConfig, fields: Mapping[str, Any], note: Optional[str]
+) -> GatedDecision:
     try:
         prediction = config.ml.classify(fields)
     except (ClassifierError, EvalError) as exc:
@@ -386,7 +480,7 @@ def load_harness(path: Union[str, Path]) -> Subject:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read harness file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"harness file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("harness must be a JSON object")

@@ -284,7 +284,7 @@ def load_catalog(path: Union[str, Path]) -> tuple[Method, ...]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read catalog {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"catalog {path} is not valid JSON: {exc}") from exc
     return catalog_from_json(data)
 

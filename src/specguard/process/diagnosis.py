@@ -230,6 +230,6 @@ def load_failure(path: Union[str, Path]) -> FailureRecord:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read failure record {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"failure record {path} is not valid JSON: {exc}") from exc
     return failure_from_json_dict(data)

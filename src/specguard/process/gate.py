@@ -147,6 +147,6 @@ def load_questionnaire(path: Union[str, Path]) -> GateQuestionnaire:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read questionnaire {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"questionnaire {path} is not valid JSON: {exc}") from exc
     return questionnaire_from_json_dict(data)

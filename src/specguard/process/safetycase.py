@@ -351,6 +351,6 @@ def load_graph(path: Union[str, Path]) -> SafetyCaseGraph:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read safety case graph {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"safety case graph {path} is not valid JSON: {exc}") from exc
     return graph_from_json_dict(data, base_dir=path.resolve().parent)

@@ -35,7 +35,10 @@ class TableClassifier:
     default: Optional[Prediction] = None
 
     def classify(self, fields: Mapping[str, Any]) -> Prediction:
-        key = canonical_key(fields)
+        try:
+            key = canonical_key(fields)
+        except (FormatError, OverflowError) as exc:  # a value no key holds
+            raise ClassifierError(f"table classifier cannot key this input: {exc}") from exc
         hit = self.entries.get(key)
         if hit is not None:
             return hit
@@ -131,7 +134,7 @@ class SubprocessClassifier:
         line = self._read_line()
         try:
             data = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also not UTF-8, or an int of over 4300 digits
             self.close()
             raise ClassifierError(f"subprocess sent malformed JSON: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("label"), str):
@@ -210,9 +213,11 @@ def classifier_from_json_dict(data: Any, base_dir: Union[str, Path, None] = None
         for i, entry in enumerate(raw_entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
                 raise FormatError(f"table entry {i} needs an 'input' object")
-            entries[canonical_key(entry["input"])] = _prediction_from_json(
-                entry, f"table entry {i}"
-            )
+            try:
+                key = canonical_key(entry["input"])
+            except (FormatError, OverflowError) as exc:
+                raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
+            entries[key] = _prediction_from_json(entry, f"table entry {i}")
         default = data.get("default")
         return TableClassifier(
             entries,
@@ -327,6 +332,6 @@ def load_classifier(path: Union[str, Path]) -> Classifier:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read classifier file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"classifier file {path} is not valid JSON: {exc}") from exc
     return classifier_from_json_dict(data, base_dir=path.parent)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional
 
 from ..errors import FormatError
@@ -55,13 +56,11 @@ def prediction_errors(prediction: Prediction, schema: Schema) -> list[str]:
 def conformance_guard(
     schema: Schema, names: Mapping[str, str], constant: Callable[[Any], str]
 ) -> list[str]:
-    """Python source lines, for a generated function of (fields, prediction),
-    that return None or raise unless fields is a dict of exact builtin types
-    on which conformance_errors finds nothing and the prediction has a str
-    label on which prediction_errors finds nothing and a float confidence.
+    """Python source lines, for a generated function whose first parameter
+    is fields, that return None or raise unless fields is a dict of exact
+    builtin types on which conformance_errors finds nothing.
 
-    Afterwards the local names[f] holds field f's value (see value_guard)
-    and the locals label and confidence hold the prediction's.
+    Afterwards the local names[f] holds field f's value (see value_guard).
     """
     lines = [
         f"if fields.__class__ is not dict or len(fields) != {len(schema.fields)}:",
@@ -71,7 +70,17 @@ def conformance_guard(
         # With the length checked, a missing field raises KeyError here.
         lines.append(f"{names[name]} = fields[{constant(name)}]")
         lines += value_guard(ftype, names[name], constant)
-    return lines + [
+    return lines
+
+
+def prediction_guard(schema: Schema, constant: Callable[[Any], str]) -> list[str]:
+    """Python source lines, for a generated function with a parameter
+    prediction, that return None or raise unless the prediction has a str
+    label on which prediction_errors finds nothing and a float confidence.
+
+    Afterwards the locals label and confidence hold the prediction's.
+    """
+    return [
         "label = prediction.label",
         f"if label.__class__ is not str or label not in {constant(frozenset(schema.labels))}:",
         "    return None",
@@ -111,6 +120,30 @@ def _encode(value: Any) -> str:
     raise FormatError(f"value {value!r} cannot appear in a record")
 
 
+# Per tuple of field names, in insertion order: the key's text as a list
+# with a None slot for each value (odd positions), and the picker that puts
+# the values into name order. Cleared when full, so any number of distinct
+# name tuples costs bounded memory. An entry depends on the names alone, so
+# threads that race here only rebuild one.
+_TEMPLATE_CAP = 256
+_templates: dict[tuple, tuple[list, Callable[[list], Any]]] = {}
+
+
+def _template(names: tuple) -> Optional[tuple[list, Callable[[list], Any]]]:
+    if not all(isinstance(name, str) for name in names):
+        return None  # the spliced path names the first bad name or value
+    order = sorted(range(len(names)), key=names.__getitem__)
+    parts: list = []
+    for n, i in enumerate(order):
+        parts += ("," if n else "{") + _quote(names[i]) + ":", None
+    parts.append("}" if order else "{}")
+    entry = parts, itemgetter(*order) if len(order) > 1 else tuple
+    if len(_templates) >= _TEMPLATE_CAP:
+        _templates.clear()
+    _templates[names] = entry
+    return entry
+
+
 def canonical_key(fields: Mapping[str, Any]) -> str:
     """A stable text identity for a record's input fields.
 
@@ -130,11 +163,45 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     ``split`` orders records by this string and table-classifier entries are
     looked up by it, so it must never change.
 
+    A record whose values are all exactly float, int, str or bool is keyed
+    from a template: the sorted, quoted names with a slot for each value,
+    cached per tuple of field names in insertion order. The cache holds at
+    most _TEMPLATE_CAP (256) name tuples and is emptied when full. Every
+    other record (a list value, a subclass, a bad value or name) is spliced
+    together piece by piece.
+
     Raises FormatError for a field name that is not a string and for a value
     that is none of the above (a dict, None, ...); fields are encoded in
     insertion order, so the error names the first such field or value. A
     huge int that no float can hold raises OverflowError.
     """
+    names = tuple(fields)
+    entry = _templates.get(names) or _template(names)
+    if entry is None:
+        return _spliced_key(fields)
+    values = []
+    for value in fields.values():
+        kind = value.__class__
+        if kind is float or kind is int:
+            # %.17g round-trips every float; +0.0 so -0.0 and 0.0 collapse.
+            values.append('["n","%.17g"]' % (value + 0.0))
+        elif kind is str:
+            values.append('["s",%s]' % _quote(value))
+        elif kind is bool:
+            values.append('["b",true]' if value else '["b",false]')
+        else:
+            return _spliced_key(fields)
+    # join, not %-formatting: a key built by % keeps the spare room its
+    # buffer grew, about 1.2 MB more RSS over the 50k keys of the
+    # gated_simulate benchmark's oracle.
+    parts, pick = entry
+    parts = parts.copy()
+    parts[1::2] = pick(values)
+    return "".join(parts)
+
+
+def _spliced_key(fields: Mapping[str, Any]) -> str:
+    """canonical_key, one piece at a time."""
     encoded = []
     for name, value in fields.items():
         if not isinstance(name, str):

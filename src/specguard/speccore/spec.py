@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..errors import EvalError, FormatError, SpecSyntaxError, TypeCheckError
 from ..speclang.ast import Bool, Expression, to_source
+from ..speclang.codegen import Emitter, Unsupported
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
 from ..speclang.schema import (
@@ -28,7 +29,7 @@ from ..speclang.schema import (
 # bench/tracer.py times the typecheck layer under both names in this module.
 from ..speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 from .classifiers import Classifier, classify
-from .records import FeatureRecord, Prediction
+from .records import FeatureRecord, Prediction, conformance_guard
 from .transforms import (
     OutputTransform,
     Transformation,
@@ -129,6 +130,35 @@ def static_errors(spec: PartialSpec) -> list[str]:
             if constraint.tolerance < 0:
                 errors.append(f"{where}: tolerance < 0")
     return errors
+
+
+def spec_function(
+    spec: PartialSpec, name: str, params: str, write: Callable[[Emitter], list[str]]
+) -> Optional[Callable[..., Any]]:
+    """Compile ``def name(params)``, a fast path over the spec's records, or
+    return None when the spec has none: it fails static_errors (or is too
+    malformed to check), or holds what the Emitter does not translate (a
+    literal that is not exactly an int a float can hold, a float, a str or
+    a bool; nesting deeper than Python compiles).
+
+    The body opens with records.conformance_guard, so the function returns
+    None or raises unless its parameter fields is a dict that conforms to
+    the schema with exact builtin types. write(emit) gives the lines after
+    that guard; emit knows the local that holds each field's value.
+    """
+    try:
+        if static_errors(spec):
+            return None
+    except Exception:  # a spec too malformed to check keeps the exact path
+        return None
+    names = {field_name: f"x{i}" for i, field_name in enumerate(spec.schema.fields)}
+    emit = Emitter(spec.schema, names)
+    try:
+        body = conformance_guard(spec.schema, names, emit.constant)
+        return emit.function(name, params, body + write(emit))
+    except (Unsupported, TypeError, RecursionError, SyntaxError):
+        # TypeError: a field type value_guard does not know
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +499,7 @@ def load_spec_lenient(path: Union[str, Path]) -> tuple[Optional[PartialSpec], li
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of over 4300 digits
         raise FormatError(f"spec file {path} is not valid JSON: {exc}") from exc
     return spec_from_json_dict(data)
 

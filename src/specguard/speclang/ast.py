@@ -101,6 +101,8 @@ _BINARY_LEVEL = {
     "/": _LEVEL_MUL,
 }
 
+_INF = float("inf")
+
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
@@ -114,7 +116,12 @@ def _level(expr: Expression) -> int:
 
 def _number_text(value: float) -> str:
     # Integral values print without a trailing ".0"; everything else uses
-    # repr(), the shortest digits that round-trip through float().
+    # repr(), the shortest digits that round-trip through float(). An
+    # infinite literal (the parser reads 1e999 as one) prints as 1e999.
+    if value in (_INF, -_INF):
+        return "1e999" if value > 0 else "-1e999"
+    if value != value:
+        return "nan"
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

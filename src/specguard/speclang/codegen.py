@@ -24,7 +24,7 @@ k1, ... bound when the function is made.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, NoReturn
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from ..errors import EvalError
 from .ast import Binary, Bool, Call, InputRef, Num, OutputRef, Str, Unary
@@ -85,6 +85,14 @@ class Emitter:
         if tag != BOOLEAN:
             raise Unsupported(f"not a boolean expression: {expr!r}")
         return source
+
+    def any_of(self, exprs: Sequence[Any]) -> str:
+        """Source that tries the conditions in order until one holds."""
+        return "(" + " or ".join(self.condition(e) for e in exprs) + ")" if exprs else "False"
+
+    def all_of(self, exprs: Sequence[Any]) -> str:
+        """Source that tries the conditions in order until one fails."""
+        return "(" + " and ".join(self.condition(e) for e in exprs) + ")" if exprs else "True"
 
     def _number(self, expr: Any) -> str:
         """Source of a number expression, as the float operators receive it."""

@@ -38,6 +38,16 @@ class TestTableClassifier:
         with pytest.raises(ClassifierError, match="no entry"):
             TableClassifier({}).classify({"x": 2})
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [(10**400, "int too large to convert to float"), (None, "value None cannot appear")],
+        ids=["int-no-float-holds", "null"],
+    )
+    def test_a_value_no_key_holds_is_a_classifier_error(self, value, message):
+        table = TableClassifier({}, default=Prediction("no", 0.5))
+        with pytest.raises(ClassifierError, match=f"cannot key this input: {message}"):
+            table.classify({"x": value})
+
     def test_classify_helper_accepts_records_and_mappings(self):
         table = TableClassifier({canonical_key({"x": 1}): Prediction("yes")})
         assert classify(table, FeatureRecord({"x": 1}, "r")) == Prediction("yes")
@@ -198,6 +208,16 @@ class TestJsonForms:
         assert clf.command[1] == str(tmp_path / "model.py")
         with clf:
             assert clf.classify({"height": 9}).label == "tall"
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [(10**400, "int too large to convert to float"), (None, "value None cannot appear")],
+        ids=["int-no-float-holds", "null"],
+    )
+    def test_an_entry_that_cannot_be_keyed_is_named(self, value, message):
+        entries = [{"input": {"x": 1}, "label": "a"}, {"input": {"x": value}, "label": "b"}]
+        with pytest.raises(FormatError, match=f"table entry 1 input cannot be keyed: {message}"):
+            classifier_from_json_dict({"kind": "table", "entries": entries})
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "clf.json"

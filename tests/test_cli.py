@@ -533,6 +533,90 @@ class TestPatternsSimulate:
         assert payload["error_rate"] == pytest.approx(0.2)
 
 
+    def gated_files(self, files):
+        """A gated harness over PED_SPEC with a table oracle, and a domain."""
+        files.write("spec.json", PED_SPEC)
+        self.classifier(files, "ml.json", 8)
+        harness = files.write(
+            "harness.json", {"pattern": "gated", "spec": "spec.json", "ml": "ml.json"}
+        )
+        entries = [{"input": row["input"], "label": row["label"]} for row in DATA]
+        oracle = files.write("oracle.json", {"kind": "table", "entries": entries})
+        return harness, files.data, oracle
+
+    @pytest.mark.parametrize("where", ["domain", "oracle", "harness", "spec"])
+    def test_an_int_of_over_4300_digits_is_an_invocation_error(self, capsys, files, where):
+        harness, domain, oracle = self.gated_files(files)
+        target = {"domain": domain, "oracle": oracle, "harness": harness}.get(
+            where, str(files.dir / "spec.json")
+        )
+        text = Path(target).read_text(encoding="utf-8")
+        huge = "7" * 5000
+        if where == "domain":
+            text = text.replace('"height": 1.0', '"height": ' + huge, 1)
+        else:  # one more key holding the int; the JSON is read before the keys are
+            text = text.replace("{", '{"huge": ' + huge + ", ", 1)
+        assert huge in text
+        Path(target).write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "FormatError"
+        assert "4300" in line and "Traceback" not in err
+
+    def test_an_int_no_float_holds_aborts_an_oracle_lookup(self, capsys, files):
+        harness, _, oracle = self.gated_files(files)
+        domain = files.write("huge.jsonl", [{"id": "h", "input": {"height": 10**400}}])
+        code, out, err = run(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "PatternError"
+        assert "oracle failed on record h: table classifier cannot key this input" in (
+            error["detail"]
+        )
+
+    @pytest.mark.parametrize("value", [10**400, None], ids=["int-no-float-holds", "null"])
+    def test_a_value_no_key_holds_is_a_subject_error_mismatch(self, capsys, files, value):
+        oracle = files.write("oracle.json", {"kind": "expression", "rules": [], "default": "a"})
+        files.write("subject.json", {"kind": "table", "entries": [], "default": "a"})
+        harness = files.write(
+            "harness.json", {"pattern": "classifier", "classifier": "subject.json"}
+        )
+        domain = files.write(
+            "huge.jsonl", [{"id": "ok", "input": {"x": 1}}, {"id": "h", "input": {"x": value}}]
+        )
+        code, payload = run_json(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert code == 1
+        assert payload["mismatches"] == [{"record": "h", "source": "ERROR", "expected": "a"}]
+        assert payload["errors"][0]["error"].startswith(
+            "classifier failed: table classifier cannot key this input"
+        )
+
+    def test_an_oracle_entry_no_float_holds_is_an_invocation_error(self, capsys, files):
+        harness, domain, _ = self.gated_files(files)
+        entries = [
+            {"input": {"height": 1.0}, "label": "a"},
+            {"input": {"height": 10**400}, "label": "b"},
+        ]
+        oracle = files.write("huge_oracle.json", {"kind": "table", "entries": entries})
+        code, out, err = run(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "FormatError"
+        assert "table entry 1 input cannot be keyed" in err
+
+
 class TestProcessCommands:
     def test_catalog_score_all_asils(self, capsys):
         from specguard.process.catalog import packaged_catalog_path

@@ -1,18 +1,25 @@
-"""The monitor's generated fast path (monitor.clean_record_function) and the
-expression emitter behind it (speclang.codegen).
+"""The generated fast paths of the monitor (monitor.clean_record_function)
+and of the gated pattern (patterns.gated_decide_function), and the
+expression emitter behind both (speclang.codegen).
 
-The contract under test: when the generated function says a record is
-clean (True), the exact checks (conformance_errors, prediction_errors,
-check_sample) find nothing; when it says False, conformance_errors and
-prediction_errors find nothing; on records of exact builtin types the
-converse holds too, so the fast path is not vacuous; and run_trace reports
-the same with and without it."""
+The monitor's contract under test: when the generated function says a
+record is clean (True), the exact checks (conformance_errors,
+prediction_errors, check_sample) find nothing; when it says False,
+conformance_errors and prediction_errors find nothing; on records of exact
+builtin types the converse holds too, so the fast path is not vacuous; and
+run_trace reports the same with and without it. The gated pattern's:
+gated_classify gives the same decision or the same PatternError with and
+without its generated function, which decides every conforming record of
+exact builtin types on which the exact path decides."""
 from __future__ import annotations
 
 import dataclasses
 import enum
 import json
 import math
+import pickle
+import runpy
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_walk
-from test_evaluate import _cells, _typed_booleans, _typed_inputs, _typed_numbers
-from specguard import monitor
+from test_evaluate import _cells, _typed_booleans, _typed_inputs, _typed_numbers, _untyped
+from specguard import monitor, patterns
 from specguard.errors import EvalError
 from specguard.monitor import (
     MalformedLine,
@@ -32,6 +39,8 @@ from specguard.monitor import (
     clean_record_function,
     run_trace,
 )
+from specguard.patterns import GatedConfig, GatedDecision, gated_classify
+from specguard.speccore.classifiers import ExpressionClassifier
 from specguard.speccore.records import (
     FeatureRecord,
     Prediction,
@@ -506,3 +515,158 @@ def test_malformed_lines_and_fallback_records_keep_their_order():
     assert report.violations[3].detail["errors"] == [
         "field 'count' must be an integer, got 9007199254740993"
     ]
+
+
+# --------------------------------------------------------------------------
+# the gated pattern's generated decision
+
+ML = ExpressionClassifier(((parse("input.flag"), "cyclist", 0.9),), Prediction("pedestrian", 0.5))
+
+
+def _gated_outcome(config, fields):
+    try:
+        return gated_classify(config, fields)
+    except Exception as exc:  # the property compares failures too
+        return type(exc), str(exc)
+
+
+def _exact_config(spec, ml=ML):
+    with mock.patch.object(patterns, "gated_decide_function", lambda spec: None):
+        config = GatedConfig(spec, ml)
+    assert config._decide is None
+    return config
+
+
+_gated_specs = st.builds(
+    PartialSpec,
+    schema=st.just(SCHEMA),
+    sufficient=st.one_of(
+        _class_conditions,
+        # one condition for both labels: where it holds, the spec is inconsistent
+        _conditions.map(lambda c: {label: (c,) for label in LABELS}),
+        st.dictionaries(
+            st.sampled_from(LABELS), st.lists(_untyped, max_size=2).map(tuple), max_size=2
+        ),
+    ),
+    necessary=_class_conditions,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gated_specs, _fields())
+def test_gated_decision_is_the_exact_one(spec, fields):
+    fast = GatedConfig(spec, ML)
+    if static_errors(spec):  # never raises, even on the untyped conditions
+        assert fast._decide is None
+    want = _gated_outcome(_exact_config(spec), fields)
+    assert _gated_outcome(fast, fields) == want
+    if fast._decide is not None and isinstance(want, GatedDecision):
+        conforming = not conformance_errors(fields, SCHEMA)
+        if conforming and _exact_types(fields, Prediction("a", 0.5)):
+            assert fast._decide(fields) is not None
+
+
+def test_gated_decisions_cover_every_branch():
+    spec = PartialSpec(
+        schema=SCHEMA,
+        sufficient={
+            "pedestrian": (parse("input.height < 0"),),
+            "cyclist": (parse("input.count > 2"),),
+        },
+        necessary={"pedestrian": (parse("input.height < 2"),), "cyclist": (parse("input.flag"),)},
+    )
+    fast, exact = GatedConfig(spec, ML), _exact_config(spec)
+    cases = {
+        "sufficient": {**CONFORMING, "height": -1.0},
+        "elimination": {**CONFORMING, "height": 1.0, "flag": False},
+        "ml": {**CONFORMING, "height": 1.0},
+        "all eliminated": {**CONFORMING, "height": 3.0, "flag": False},
+        "inconsistent": {**CONFORMING, "height": -1.0, "count": 3},
+        "off the schema": {"height": -1.0},
+    }
+    outcomes = {name: _gated_outcome(fast, fields) for name, fields in cases.items()}
+    for name, fields in cases.items():
+        assert outcomes[name] == _gated_outcome(exact, fields), name
+    assert outcomes["sufficient"].mode == "sufficient"
+    assert outcomes["elimination"].mode == "elimination"
+    assert outcomes["ml"].prediction == Prediction("cyclist", 0.9)
+    assert outcomes["all eliminated"].note == "all labels eliminated by necessary conditions"
+    assert "inconsistent" in outcomes["inconsistent"][1]
+    assert fast._decide(cases["inconsistent"]) is None
+    assert fast._decide(cases["off the schema"]) is None
+
+
+def test_gated_condition_errors_keep_the_exact_text():
+    spec = PartialSpec(
+        schema=SCHEMA,
+        sufficient={"pedestrian": (parse("1 / input.height > 1"),)},
+        necessary={"cyclist": (Binary("==", Num(1), InputRef("height")),)},
+    )
+    fast, exact = GatedConfig(spec, ML), _exact_config(spec)
+    for height in (0.0, 0.5):
+        fields = {**CONFORMING, "height": height}
+        assert _gated_outcome(fast, fields) == _gated_outcome(exact, fields)
+    assert _gated_outcome(fast, {**CONFORMING, "height": 0.0})[1] == (
+        "gated sufficient condition failed: division by zero"
+    )
+
+
+def test_gated_hostile_names_values_and_labels_give_the_exact_decisions(monkeypatch):
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(codegen, "compile", capture, raising=False)
+    number, category = HOSTILE[3], HOSTILE[0]
+    labels = (HOSTILE[1], HOSTILE[4], HOSTILE[5])
+    schema = Schema(
+        {number: NumberType(), category: CategoryType(tuple(HOSTILE)), HOSTILE[2]: BooleanType()},
+        labels,
+    )
+    spec = PartialSpec(
+        schema=schema,
+        sufficient={HOSTILE[4]: (Binary("==", InputRef(category), Str(HOSTILE[6])),)},
+        necessary={
+            HOSTILE[1]: (InputRef(HOSTILE[2]),),
+            HOSTILE[5]: (Binary(">", InputRef(number), Num(1.0)),),
+        },
+    )
+    ml = ExpressionClassifier((), Prediction(HOSTILE[5], 0.5))
+    fast = GatedConfig(spec, ml)
+    (source,) = sources
+    for text in HOSTILE[:6]:
+        assert text not in source
+    exact = _exact_config(spec, ml)
+    for value in HOSTILE + ["off the category"]:
+        for height in (0.5, 1.5):
+            for flag in (True, False):
+                fields = {number: height, category: value, HOSTILE[2]: flag}
+                want = _gated_outcome(exact, fields)
+                assert _gated_outcome(fast, fields) == want, (value, height, flag)
+                if not conformance_errors(fields, schema):
+                    assert fast._decide(fields) is not None
+
+
+def test_demo_04_grid_spec_takes_the_fast_path(capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "04_architecture_patterns.py"
+    names = runpy.run_path(str(demo))
+    capsys.readouterr()
+    spec, faulty = names["spec"], names["faulty"]
+    fast = GatedConfig(spec, faulty)
+    assert fast._decide is not None
+    exact = _exact_config(spec, faulty)
+    for record in names["domain"]:
+        assert fast._decide(record.fields) is not None
+        assert gated_classify(fast, record.fields) == gated_classify(exact, record.fields)
+
+
+def test_gated_config_keeps_equality_repr_and_pickling():
+    spec = PartialSpec(schema=SCHEMA, sufficient={"pedestrian": (parse("input.flag"),)})
+    fast, exact = GatedConfig(spec, ML), _exact_config(spec)
+    assert fast == exact and repr(fast) == repr(exact)
+    assert "_decide" not in repr(fast)
+    copy = pickle.loads(pickle.dumps(fast))
+    assert copy == fast and copy._decide is not None
+    assert gated_classify(copy, CONFORMING) == gated_classify(fast, CONFORMING)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import canonical_oracle as oracle
 from specguard.errors import FormatError
+from specguard.speccore import records
 from specguard.speccore.records import (
     FeatureRecord,
     Prediction,
@@ -219,6 +220,7 @@ class Reading(float):
 KEY_NAMES = st.one_of(
     st.text(max_size=6),
     st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "名前", "\u2028", "\ud800", "a b"]),
+    st.sampled_from(["%", "%s", "%%", "{", "}", "%(a)s"]),  # template syntax
 )
 KEY_LEAVES = st.one_of(
     st.booleans(),
@@ -248,7 +250,29 @@ class TestCanonicalKeyOracle:
     @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
     @given(st.dictionaries(KEY_NAMES, KEY_VALUES, max_size=4))
     def test_matches_the_oracle(self, fields):
-        assert key_outcome(canonical_key, fields) == key_outcome(oracle.canonical_key, fields)
+        want = key_outcome(oracle.canonical_key, fields)
+        records._templates.clear()
+        assert key_outcome(canonical_key, fields) == want  # cold template cache
+        assert key_outcome(canonical_key, fields) == want  # warm
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(KEY_NAMES, KEY_LEAVES, max_size=5), st.randoms())
+    def test_one_key_whatever_the_insertion_order(self, fields, rnd):
+        items = list(fields.items())
+        rnd.shuffle(items)
+        want = key_outcome(oracle.canonical_key, fields)
+        if isinstance(want, tuple):  # a bad value: the first one inserted is named
+            return
+        assert key_outcome(canonical_key, fields) == want
+        assert key_outcome(canonical_key, dict(items)) == want
+
+    def test_keys_past_the_template_cache_cap_match_the_oracle(self):
+        records._templates.clear()
+        cap = records._TEMPLATE_CAP
+        maps = [{f"f{i}": i, "%s": "x", f"g{i % 7}": i / 3} for i in range(2 * cap + 5)]
+        for fields in maps + maps[::-1]:
+            assert canonical_key(fields) == oracle.canonical_key(fields)
+        assert 0 < len(records._templates) <= cap
 
     def test_two_bad_values_name_the_first_inserted(self):
         fields = {"z": None, "a": {"k": 1}}

@@ -33,6 +33,7 @@ from specguard.speccore.transforms import (
     ShiftGrid,
     Transformation,
 )
+from specguard.speclang.ast import Binary, Bool, Call, InputRef, Num, Str, Unary, to_source
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import GridType, NumberType, Schema
 
@@ -269,6 +270,40 @@ class TestStaticErrors:
             "expression",
             "necessary['pedestrian'][1]: abs() takes 1 argument(s), got 2 in 'abs(input.img, 1)'",
         ]
+
+    @pytest.mark.parametrize(
+        "condition,finding",
+        [
+            (Binary("%", Num(1.0), Str("a")), "unknown operator '%'"),
+            (Binary("&&", Binary("%", Num(1.0), Num(2.0)), Num(3.0)), "unknown operator '%'"),
+            (Binary("&&", Bool(True), 5), "not an expression node: 5"),
+            (Unary("!", None), "not an expression node: None"),
+            (Unary("~", Bool(False)), "unknown operator '~'"),
+            (Binary(">", Call("abs", (Num(1.0), [1])), Num(0.0)), "not an expression node: [1]"),
+            (Binary(">", Num("1"), Num(0.0)), "number literal holds '1'"),
+            (Binary("==", Str(5), Str("a")), "string literal holds 5"),
+            (Binary(">", Call("abs", None), Num(0.0)), "abs() arguments are not a sequence"),
+            (Binary(">", InputRef("img", 0, None), Num(0.0)), "malformed field reference"),
+            (Binary(">", InputRef("img", "0", 1), Num(0.0)), "malformed field reference"),
+            (Binary(">", InputRef(["height"]), Num(0.0)), "malformed field reference"),
+        ],
+        ids=repr,
+    )
+    def test_a_malformed_python_built_tree_is_a_finding_not_an_exception(
+        self, condition, finding
+    ):
+        for role in ("precondition", "postcondition"):
+            errors = static_errors(make_spec(**{role: condition}))
+            assert len(errors) == 1 and errors[0].startswith(f"{role}: {finding}")
+        errors = static_errors(make_spec(necessary={"pedestrian": (condition,)}))
+        assert errors[0].startswith(f"necessary['pedestrian'][0]: {finding}")
+
+    def test_an_infinite_literal_renders_in_findings(self):
+        errors = static_errors(make_spec(precondition=parse("1e999 + true")))
+        assert errors == [
+            "precondition: operator '+' needs numbers, right side is boolean in '1e999 + true'"
+        ]
+        assert parse("-1e999 < 1e999") == parse(to_source(parse("-1e999 < 1e999")))
 
     def test_each_expression_is_type_checked_in_one_pass(self, monkeypatch):
         # The module, not the function that speclang exports under its name.
