@@ -15,11 +15,10 @@ import datetime
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import dataset as ds
-from .errors import SpecGuardError
+from .errors import FormatError, SpecGuardError, read_json_file, read_json_lines
 from .monitor import (
     MonitorPolicy,
     PolicyAction,
@@ -45,7 +44,6 @@ from .process.safetycase import load_graph, trace_check
 from .speccore.classifiers import load_classifier
 from .speccore.records import record_from_json_dict
 from .speccore.spec import load_spec, load_spec_lenient, validate_spec
-from .errors import FormatError
 
 
 class _UsageError(Exception):
@@ -181,7 +179,7 @@ def _cmd_spec_validate(args) -> tuple[dict, str, int]:
     spec, findings = load_spec_lenient(spec_path)
     payload: dict = {"spec": str(spec_path), "findings": list(findings)}
     if spec is not None and args.samples:
-        samples = _read_records(args.samples)
+        samples = read_json_lines(args.samples, "records", record_from_json_dict)
         report = validate_spec(spec, samples)
         payload["samples_report"] = report.to_json_dict()
         findings = findings + [
@@ -198,12 +196,7 @@ def _cmd_spec_validate(args) -> tuple[dict, str, int]:
 
 
 def _policy_from_file(path: str) -> MonitorPolicy:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read policy {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"policy {path} is not valid JSON: {exc}") from exc
+    data = read_json_file(path, "policy")
     if not isinstance(data, dict):
         raise FormatError("policy file must be a JSON object")
     kwargs = {}
@@ -236,24 +229,6 @@ def _cmd_monitor_run(args) -> tuple[dict, str, int]:
         f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations
     ]
     return payload, "\n".join(lines), 1 if report.violations else 0
-
-
-def _read_records(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read records {path}: {exc}") from exc
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(record_from_json_dict(json.loads(line)))
-        except ValueError as exc:  # also an int of over 4300 digits
-            raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"{path}:{line_no}: {exc}") from exc
-    return records
 
 
 def _cmd_dataset_coverage(args) -> tuple[dict, str, int]:
@@ -314,7 +289,7 @@ def _cmd_dataset_split(args, seed: int) -> tuple[dict, str, int]:
 
 def _cmd_dataset_uncertainty(args) -> tuple[dict, str, int]:
     known = ds.read_dataset(args.known)
-    probes = _read_records(args.probes)
+    probes = read_json_lines(args.probes, "records", record_from_json_dict)
     spec = load_spec(args.spec)
     report = ds.categorize_uncertainty(
         known, probes, spec.transformations(), args.depth, spec.schema
@@ -329,7 +304,7 @@ def _cmd_dataset_uncertainty(args) -> tuple[dict, str, int]:
 
 def _cmd_patterns_simulate(args) -> tuple[dict, str, int]:
     subject = load_harness(args.harness)
-    domain = _read_records(args.domain)
+    domain = read_json_lines(args.domain, "records", record_from_json_dict)
     oracle = load_classifier(args.oracle)
     report = simulate(domain, oracle, subject)
     payload = report.to_json_dict()

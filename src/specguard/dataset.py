@@ -8,16 +8,35 @@ they sit from known data, and produce deterministic stratified splits.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from .errors import EvalError, FormatError, TransformError, TypeCheckError
-from .speccore.records import FeatureRecord, Prediction, canonical_key, conformance_errors
-from .speccore.spec import PartialSpec, check_pre
+from .errors import (
+    EvalError,
+    FormatError,
+    TransformError,
+    TypeCheckError,
+    read_json_file,
+    read_json_lines,
+)
+from .speccore.records import (
+    FeatureRecord,
+    Prediction,
+    canonical_key,
+    conformance_errors,
+    record_ref,
+)
+from .speccore.spec import (
+    PartialSpec,
+    check_pre,
+    necessary_fails,
+    require_well_formed,
+    spec_function,
+    sufficient_holds,
+)
 from .speccore.transforms import (
     Transformation,
     apply_output_transform,
@@ -114,9 +133,21 @@ class SplitSpec:
             raise FormatError(f"split ratios sum to {sum(self.ratios)}, not 1")
 
 
-def _record_ref(record: Union[LabeledRecord, FeatureRecord], index: int) -> str:
-    rid = record.input.id if isinstance(record, LabeledRecord) else record.id
-    return rid if rid is not None else f"#{index}"
+def _require_conforming(records: Sequence[FeatureRecord], schema: Schema, what: str) -> None:
+    """FormatError with the conformance_errors of the first record off the
+    schema. A generated guard passes records of exact builtin types first."""
+    guard = spec_function(PartialSpec(schema), "conforms", "fields", lambda emit: ["return True"])
+    for index, record in enumerate(records):
+        try:
+            if guard is not None and guard(record.fields):
+                continue
+        except Exception:  # conformance_errors below says what is wrong
+            pass
+        errors = conformance_errors(record.fields, schema)
+        if errors:
+            raise FormatError(
+                f"{what} {record_ref(record.id, index)} does not conform to the schema", errors
+            )
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +194,7 @@ def coverage_report(
     eval_errors: list[dict] = []
     counted = 0
     for index, record in enumerate(data):
-        ref = _record_ref(record, index)
+        ref = record_ref(record.input.id, index)
         memberships: list[list[str]] = []
         try:
             failed = False
@@ -274,7 +305,7 @@ def boundary_cases(
             if distance <= epsilon:
                 cases.append(
                     {
-                        "record": _record_ref(record, index),
+                        "record": record_ref(record.input.id, index),
                         "partition": partition.name,
                         "distance": distance,
                     }
@@ -301,7 +332,13 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
     key) are dropped. AUGMENTED records are not transformed again, which
     makes augmenting an already-augmented set idempotent. A transformation
     failure on a record is reported and that pair skipped.
+
+    A spec that static_errors rejects, or a record whose input does not
+    conform to the spec's schema, raises FormatError before anything is
+    transformed.
     """
+    require_well_formed(spec)
+    _require_conforming([r.input for r in data], spec.schema, "record")
     out = list(data)
     seen = {canonical_key(r.input.fields) for r in data}
     errors: list[dict] = []
@@ -312,7 +349,7 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
     for index, record in enumerate(data):
         if record.provenance.kind != COLLECTED:
             continue
-        ref = _record_ref(record, index)
+        ref = record_ref(record.input.id, index)
         for t, g in relations:
             try:
                 new_input = apply_transformation(t, record.input, spec.schema)
@@ -369,12 +406,16 @@ def categorize_uncertainty(
     a known input by at most max_depth transform applications (breadth-first;
     the shortest transform path is reported). UNKNOWN_UNKNOWN: neither.
     Transform failures prune that branch of the search. max_depth is capped
-    at 4: the closure grows exponentially in depth.
+    at 4: the closure grows exponentially in depth. A known input or probe
+    that does not conform to the schema raises FormatError before the
+    search.
     """
     if max_depth < 0:
         raise FormatError("max_depth must be >= 0")
     if max_depth > MAX_UNCERTAINTY_DEPTH:
         raise FormatError(f"max_depth is capped at {MAX_UNCERTAINTY_DEPTH}")
+    _require_conforming([r.input for r in known], schema, "known record")
+    _require_conforming(probes, schema, "probe")
     reached: dict[str, tuple[int, tuple[str, ...]]] = {}
     # Each frontier state carries the transform path that first reached it.
     frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []
@@ -403,7 +444,7 @@ def categorize_uncertainty(
     per_probe: list[dict] = []
     tally = {KNOWN: 0, KNOWN_UNKNOWN: 0, UNKNOWN_UNKNOWN: 0}
     for index, probe in enumerate(probes):
-        ref = probe.id if probe.id is not None else f"#{index}"
+        ref = record_ref(probe.id, index)
         hit = reached.get(canonical_key(probe.fields))
         if hit is None:
             entry = {"probe": ref, "category": UNKNOWN_UNKNOWN}
@@ -552,47 +593,36 @@ def verify_dataset(
     A record's label is inconsistent when (under a satisfied precondition)
     a different label's sufficient condition holds for its input, or one of
     its own label's necessary conditions fails. Passing requires every
-    sub-check to pass and no evaluation errors anywhere.
+    sub-check to pass and no evaluation errors anywhere. A spec that
+    static_errors rejects raises FormatError.
     """
+    require_well_formed(spec)
     coverage = coverage_report(data, reqs)
     schema_failures: list[dict] = []
     label_failures: list[dict] = []
     eval_errors: list[dict] = []
     for index, record in enumerate(data):
-        ref = _record_ref(record, index)
+        ref = record_ref(record.input.id, index)
         problems = conformance_errors(record.input.fields, spec.schema)
         if record.label not in spec.schema.labels:
             problems = problems + [f"label {record.label!r} is not in the alphabet"]
         if problems:
             schema_failures.append({"record": ref, "errors": problems})
             continue
+        fields = record.input.fields
         try:
-            if not check_pre(spec, record.input.fields):
+            if not check_pre(spec, fields):
                 continue
-            for label, exprs in spec.sufficient.items():
+            # Entries are kept as found: an EvalError ends the record, not them.
+            for label in spec.sufficient:
                 if label == record.label:
                     continue
-                for j, expr in enumerate(exprs):
-                    if evaluate_condition(expr, record.input.fields):
-                        label_failures.append(
-                            {
-                                "record": ref,
-                                "kind": "sufficient_conflict",
-                                "label": record.label,
-                                "conflicting_label": label,
-                                "index": j,
-                            }
-                        )
-            for j, expr in enumerate(spec.necessary.get(record.label, ())):
-                if not evaluate_condition(expr, record.input.fields):
-                    label_failures.append(
-                        {
-                            "record": ref,
-                            "kind": "necessary_violated",
-                            "label": record.label,
-                            "index": j,
-                        }
-                    )
+                for j in sufficient_holds(spec, label, fields):
+                    failure = {"record": ref, "kind": "sufficient_conflict", "label": record.label}
+                    label_failures.append({**failure, "conflicting_label": label, "index": j})
+            for j in necessary_fails(spec, record.label, fields):
+                failure = {"record": ref, "kind": "necessary_violated", "label": record.label}
+                label_failures.append({**failure, "index": j})
         except EvalError as exc:
             eval_errors.append({"record": ref, "error": str(exc)})
     passed = (
@@ -654,22 +684,7 @@ def read_dataset(path: Union[str, Path]) -> list[LabeledRecord]:
     """Read a JSON Lines data set. Data sets are curated artifacts, so any
     malformed line fails the whole read (unlike traces, which tolerate
     malformed lines as runtime evidence)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read data set {path}: {exc}") from exc
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(labeled_record_from_json_dict(json.loads(line)))
-        except ValueError as exc:  # also an int of over 4300 digits
-            raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"{path}:{line_no}: {exc}") from exc
-    return records
+    return read_json_lines(Path(path), "data set", labeled_record_from_json_dict)
 
 
 def _partition_from_json(data: Any, schema: Optional[Schema]) -> Partition:
@@ -705,13 +720,7 @@ def load_requirements(path: Union[str, Path]) -> DataSetRequirements:
     """Read a requirements file:
     {"schema": {...}, "partitionings": [...], "base_min_samples": n,
      "risk_multiplier": x, "infeasible_cells": [["p", "q"], ...]}"""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read requirements file {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"requirements file {path} is not valid JSON: {exc}") from exc
+    data = read_json_file(Path(path), "requirements file")
     if not isinstance(data, dict) or "schema" not in data:
         raise FormatError("requirements file needs a 'schema'")
     schema = schema_from_json_dict(data["schema"])
@@ -741,13 +750,7 @@ def load_requirements(path: Union[str, Path]) -> DataSetRequirements:
 def load_partitioning(path: Union[str, Path]) -> Partitioning:
     """Read a standalone partitioning file:
     {"schema": {...}, "name": "...", "partitions": [...]}"""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read partitioning file {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"partitioning file {path} is not valid JSON: {exc}") from exc
+    data = read_json_file(Path(path), "partitioning file")
     if not isinstance(data, dict):
         raise FormatError("partitioning file must be a JSON object")
     schema = schema_from_json_dict(data["schema"]) if "schema" in data else None

@@ -1,5 +1,12 @@
-"""Exception hierarchy shared by every specguard module."""
+"""Exception hierarchy shared by every specguard module, and the JSON file
+readers that turn an unreadable or malformed file into a FormatError."""
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class SpecGuardError(Exception):
@@ -75,3 +82,40 @@ class CycleError(SpecGuardError):
     def __init__(self, cycle: list[str]):
         super().__init__("cycle detected: " + " -> ".join(cycle))
         self.cycle = list(cycle)
+
+
+def read_json_file(path: Union[str, Path], what: str) -> Any:
+    """The JSON value in the file at path. FormatError names the file as
+    "{what} {path}", path as given, when it cannot be read or is not UTF-8
+    JSON (an int of over 4300 digits included)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # also not UTF-8, or a huge int
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> list[T]:
+    """build(value) for the JSON value on each non-blank line, in order.
+
+    Lines end at "\\n" (a "\\r" before it is dropped too), as JSON Lines
+    defines. A line that is not UTF-8 JSON, or on which build raises
+    FormatError, fails the whole read with a FormatError "{path}:{line}: ...";
+    an unreadable file as read_json_file's does.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    values = []
+    for line_no, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.removesuffix(b"\r").decode("utf-8")
+            if line.strip():
+                values.append(build(json.loads(line)))
+        except ValueError as exc:  # also not UTF-8, or a huge int
+            raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{path}:{line_no}: {exc}") from exc
+    return values

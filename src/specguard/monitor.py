@@ -40,6 +40,7 @@ from .speccore.records import (
     conformance_errors,
     prediction_errors,
     prediction_guard,
+    record_ref,
 )
 from .speccore.spec import (
     MeanConstraint,
@@ -49,6 +50,7 @@ from .speccore.spec import (
     check_post,
     check_pre,
     check_sufficient,
+    require_well_formed,
     spec_function,
 )
 from .speclang.ast import to_source
@@ -173,77 +175,47 @@ def check_sample(spec: PartialSpec, record: TraceRecord, policy: MonitorPolicy) 
     checks: their semantics are conditional on a precondition verdict that
     does not exist. Errors in later checks do not stop their siblings.
     """
-    violations: list[Violation] = []
-    fields = record.input.fields
+    rid, fields, predicted = record.id, record.input.fields, record.output
     try:
         pre_holds = check_pre(spec, fields)
     except EvalError as exc:
-        return [
-            Violation(record.id, ViolationKind.EVAL_ERROR, {"stage": "pre", "error": str(exc)})
-        ]
+        return [_eval_error(rid, "pre", exc)]
     if not pre_holds:
-        detail = {
-            "condition": to_source(spec.precondition),
-            "output_untrusted": True,
-        }
-        violations.append(Violation(record.id, ViolationKind.PRE, detail))
-        return violations
+        detail = {"condition": to_source(spec.precondition), "output_untrusted": True}
+        return [Violation(rid, ViolationKind.PRE, detail)]
+    violations: list[Violation] = []
     try:
-        if not check_post(spec, fields, record.output):
-            violations.append(
-                Violation(
-                    record.id,
-                    ViolationKind.POST,
-                    {
-                        "condition": to_source(spec.postcondition),
-                        "predicted": record.output.label,
-                    },
-                )
-            )
+        if not check_post(spec, fields, predicted):
+            detail = {"condition": to_source(spec.postcondition), "predicted": predicted.label}
+            violations.append(Violation(rid, ViolationKind.POST, detail))
     except EvalError as exc:
-        violations.append(
-            Violation(record.id, ViolationKind.EVAL_ERROR, {"stage": "post", "error": str(exc)})
-        )
+        violations.append(_eval_error(rid, "post", exc))
     try:
-        for label, index in check_sufficient(spec, fields, record.output):
-            violations.append(
-                Violation(
-                    record.id,
-                    ViolationKind.SUFFICIENT,
-                    {
-                        "label": label,
-                        "index": index,
-                        "condition": to_source(spec.sufficient[label][index]),
-                        "predicted": record.output.label,
-                    },
-                )
-            )
+        for label, index in check_sufficient(spec, fields, predicted):
+            detail = {
+                "label": label,
+                "index": index,
+                "condition": to_source(spec.sufficient[label][index]),
+                "predicted": predicted.label,
+            }
+            violations.append(Violation(rid, ViolationKind.SUFFICIENT, detail))
     except EvalError as exc:
-        violations.append(
-            Violation(
-                record.id, ViolationKind.EVAL_ERROR, {"stage": "sufficient", "error": str(exc)}
-            )
-        )
+        violations.append(_eval_error(rid, "sufficient", exc))
     try:
-        for label, index in check_necessary(spec, fields, record.output):
-            violations.append(
-                Violation(
-                    record.id,
-                    ViolationKind.NECESSARY,
-                    {
-                        "label": label,
-                        "index": index,
-                        "condition": to_source(spec.necessary[label][index]),
-                    },
-                )
-            )
+        for label, index in check_necessary(spec, fields, predicted):
+            detail = {
+                "label": label,
+                "index": index,
+                "condition": to_source(spec.necessary[label][index]),
+            }
+            violations.append(Violation(rid, ViolationKind.NECESSARY, detail))
     except EvalError as exc:
-        violations.append(
-            Violation(
-                record.id, ViolationKind.EVAL_ERROR, {"stage": "necessary", "error": str(exc)}
-            )
-        )
+        violations.append(_eval_error(rid, "necessary", exc))
     return violations
+
+
+def _eval_error(rid: Optional[str], stage: str, exc: EvalError) -> Violation:
+    return Violation(rid, ViolationKind.EVAL_ERROR, {"stage": stage, "error": str(exc)})
 
 
 def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Optional[bool]]]:
@@ -300,10 +272,9 @@ def check_batch_probabilistic(
         for index, record in enumerate(inputs):
             value = record.fields.get(constraint.field)
             if value is None or not is_number(value):
-                rid = record.id if record.id is not None else f"#{index}"
                 violations.append(
                     Violation(
-                        rid,
+                        record_ref(record.id, index),
                         ViolationKind.EVAL_ERROR,
                         {
                             "stage": "probabilistic",
@@ -383,7 +354,11 @@ def run_trace(
     has shown to conform skips the conformance checks, every other record
     gets them all (see the module docstring). The report is the one the
     exact checks alone would give.
+
+    A spec that static_errors rejects raises FormatError before the first
+    record is read (spec.require_well_formed).
     """
+    require_well_formed(spec)
     clean = clean_record_function(spec)
     all_violations: list[Violation] = []
     state = MonitorState.NOMINAL

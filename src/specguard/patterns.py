@@ -15,14 +15,13 @@ path's note. On every other record it returns None or raises: a record off
 the schema, one on which two sufficient conditions hold, one on which a
 condition fails to evaluate (division by zero, comparing an int literal
 with a float). Such a record goes through the exact path, so every
-PatternError text comes from it alone. A spec that fails static_errors,
-or holds a literal that is not exactly an int a float can hold, a float, a
-str or a bool, has no fast path. The spec is read once: after changing it,
-make a new config.
+PatternError text comes from it alone. A GatedConfig refuses a spec that
+fails static_errors; one that holds a literal that is not exactly an int a
+float can hold, a float, a str or a bool has no fast path. The spec is read
+once: after changing it, make a new config.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -34,6 +33,7 @@ from .errors import (
     FormatError,
     PatternConfigError,
     PatternError,
+    read_json_file,
 )
 from .monitor import TraceRecord
 from .speccore.classifiers import (
@@ -41,10 +41,19 @@ from .speccore.classifiers import (
     ExpressionClassifier,
     load_classifier,
 )
-from .speccore.records import FeatureRecord, Prediction
-from .speccore.spec import PartialSpec, load_spec, spec_function
+from .speccore.records import FeatureRecord, Prediction, record_ref
+from .speccore.spec import (
+    PartialSpec,
+    load_spec,
+    necessary_fails,
+    require_well_formed,
+    spec_function,
+    sufficient_holds,
+)
 from .speclang.codegen import Emitter
-from .speclang.evaluate import evaluate_condition
+# evaluate_condition is not called here; it stays a module attribute because
+# bench/tracer.py times the evaluation layer under this name in this module.
+from .speclang.evaluate import evaluate_condition  # noqa: F401
 from .speclang.schema import is_number
 
 
@@ -90,13 +99,15 @@ class SimplexConfig:
 
 @dataclass(frozen=True)
 class GatedConfig:
-    """The spec decides when it can, the ML member otherwise. The spec's
-    fast-path function is built here, once (see the module docstring)."""
+    """The spec decides when it can, the ML member otherwise. The spec is
+    checked (spec.require_well_formed) and its fast-path function built
+    here, once (see the module docstring)."""
 
     spec: PartialSpec
     ml: Classifier
 
     def __post_init__(self) -> None:
+        require_well_formed(self.spec)
         # Outside the dataclass fields: ==, hash and repr never see it.
         object.__setattr__(self, "_decide", gated_decide_function(self.spec))
 
@@ -279,11 +290,12 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
             return _consult_ml(config, fields, decided.note)
         return decided
     spec = config.spec
-    satisfied = []
     try:
-        for label, exprs in spec.sufficient.items():
-            if any(evaluate_condition(e, fields) for e in exprs):
-                satisfied.append(label)
+        satisfied = [
+            label
+            for label in spec.sufficient
+            if next(sufficient_holds(spec, label, fields), None) is not None
+        ]
     except EvalError as exc:
         raise PatternError(f"gated sufficient condition failed: {exc}") from exc
     if len(satisfied) > 1:
@@ -296,14 +308,12 @@ def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecis
         return GatedDecision(
             Prediction(satisfied[0], 1.0), DecisionSource.SPEC, mode="sufficient"
         )
-    remaining = []
     try:
-        for label in spec.schema.labels:
-            eliminated = any(
-                not evaluate_condition(e, fields) for e in spec.necessary.get(label, ())
-            )
-            if not eliminated:
-                remaining.append(label)
+        remaining = [
+            label
+            for label in spec.schema.labels
+            if next(necessary_fails(spec, label, fields), None) is None
+        ]
     except EvalError as exc:
         raise PatternError(f"gated necessary condition failed: {exc}") from exc
     if len(remaining) == 1:
@@ -430,7 +440,7 @@ def simulate(
     errors: list[dict] = []
     per_source: dict[str, dict[str, int]] = {}
     for index, record in enumerate(domain):
-        ref = record.id if record.id is not None else f"#{index}"
+        ref = record_ref(record.id, index)
         try:
             expected = oracle.classify(record.fields)
         except (ClassifierError, EvalError) as exc:
@@ -476,12 +486,7 @@ def load_harness(path: Union[str, Path]) -> Subject:
     {"pattern": "classifier", "classifier": c}
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read harness file {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"harness file {path} is not valid JSON: {exc}") from exc
+    data = read_json_file(path, "harness file")
     if not isinstance(data, dict):
         raise FormatError("harness must be a JSON object")
     base = path.parent

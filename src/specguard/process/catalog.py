@@ -10,14 +10,13 @@ specification to verify against, or a model too opaque to inspect.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from ..errors import CatalogError, FormatError
+from ..errors import CatalogError, FormatError, read_json_file
 
 
 class Asil(enum.Enum):
@@ -279,14 +278,7 @@ def catalog_from_json(data: object) -> tuple[Method, ...]:
 
 
 def load_catalog(path: Union[str, Path]) -> tuple[Method, ...]:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read catalog {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"catalog {path} is not valid JSON: {exc}") from exc
-    return catalog_from_json(data)
+    return catalog_from_json(read_json_file(Path(path), "catalog"))
 
 
 def packaged_catalog_path(name: str) -> Path:

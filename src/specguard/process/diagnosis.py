@@ -9,12 +9,11 @@ phase's questions to the front without reordering the rest.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from ..errors import FormatError
+from ..errors import FormatError, read_json_file
 
 
 class LifecyclePhase(enum.Enum):
@@ -225,11 +224,4 @@ def failure_from_json_dict(data: object) -> FailureRecord:
 
 
 def load_failure(path: Union[str, Path]) -> FailureRecord:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read failure record {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"failure record {path} is not valid JSON: {exc}") from exc
-    return failure_from_json_dict(data)
+    return failure_from_json_dict(read_json_file(Path(path), "failure record"))

@@ -9,12 +9,11 @@ can be split so that only a smaller part needs ML.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from ..errors import FormatError
+from ..errors import FormatError, read_json_file
 
 
 class GateVerdict(enum.Enum):
@@ -142,11 +141,4 @@ def questionnaire_from_json_dict(data: object) -> GateQuestionnaire:
 
 
 def load_questionnaire(path: Union[str, Path]) -> GateQuestionnaire:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read questionnaire {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"questionnaire {path} is not valid JSON: {exc}") from exc
-    return questionnaire_from_json_dict(data)
+    return questionnaire_from_json_dict(read_json_file(Path(path), "questionnaire"))

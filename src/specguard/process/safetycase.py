@@ -19,12 +19,11 @@ verdict does not depend on node or edge order.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..errors import CycleError, FormatError
+from ..errors import CycleError, FormatError, read_json_file
 
 
 class NodeKind(enum.Enum):
@@ -347,10 +346,5 @@ def load_graph(path: Union[str, Path]) -> SafetyCaseGraph:
     """Read a graph file; evidence artifact paths resolve relative to the
     file's own directory."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read safety case graph {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"safety case graph {path} is not valid JSON: {exc}") from exc
+    data = read_json_file(path, "safety case graph")
     return graph_from_json_dict(data, base_dir=path.resolve().parent)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..errors import ClassifierError, FormatError
+from ..errors import ClassifierError, FormatError, read_json_file
 from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
@@ -328,10 +328,4 @@ def _uncanonical(value: Any) -> Any:
 def load_classifier(path: Union[str, Path]) -> Classifier:
     """Read a classifier JSON file; subprocess commands resolve relative to it."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read classifier file {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"classifier file {path} is not valid JSON: {exc}") from exc
-    return classifier_from_json_dict(data, base_dir=path.parent)
+    return classifier_from_json_dict(read_json_file(path, "classifier file"), base_dir=path.parent)

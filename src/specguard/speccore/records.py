@@ -26,6 +26,12 @@ class Prediction:
     confidence: Optional[float] = None
 
 
+def record_ref(rid: Optional[str], index: int) -> str:
+    """How reports name a record: its id, or "#<index>" (its 0-based
+    position in its sequence) when it has none."""
+    return rid if rid is not None else f"#{index}"
+
+
 def conformance_errors(fields: Mapping[str, Any], schema: Schema) -> list[str]:
     """Every way the record fails its schema: missing fields, unknown fields,
     and per-field type violations. Empty when the record conforms."""

@@ -7,12 +7,11 @@ equivariants, and probabilistic constraints over batches of inputs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from ..errors import EvalError, FormatError, SpecSyntaxError, TypeCheckError
+from ..errors import EvalError, FormatError, SpecSyntaxError, TypeCheckError, read_json_file
 from ..speclang.ast import Bool, Expression, to_source
 from ..speclang.codegen import Emitter, Unsupported
 from ..speclang.evaluate import evaluate_condition
@@ -29,7 +28,7 @@ from ..speclang.schema import (
 # bench/tracer.py times the typecheck layer under both names in this module.
 from ..speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 from .classifiers import Classifier, classify
-from .records import FeatureRecord, Prediction, conformance_guard
+from .records import FeatureRecord, Prediction, conformance_guard, record_ref
 from .transforms import (
     OutputTransform,
     Transformation,
@@ -132,6 +131,15 @@ def static_errors(spec: PartialSpec) -> list[str]:
     return errors
 
 
+def require_well_formed(spec: PartialSpec) -> None:
+    """FormatError("spec is not well-formed", findings) when static_errors
+    finds anything: every entry point that evaluates a spec it is handed
+    checks a spec built in Python as load_spec checks a file."""
+    findings = static_errors(spec)
+    if findings:
+        raise FormatError("spec is not well-formed", findings)
+
+
 def spec_function(
     spec: PartialSpec, name: str, params: str, write: Callable[[Emitter], list[str]]
 ) -> Optional[Callable[..., Any]]:
@@ -179,19 +187,35 @@ def check_post(spec: PartialSpec, fields: Mapping[str, Any], prediction: Predict
     return evaluate_condition(spec.postcondition, fields, prediction)
 
 
+def sufficient_holds(spec: PartialSpec, label: str, fields: Mapping[str, Any]) -> Iterator[int]:
+    """Indices of the label's sufficient conditions that hold on the fields,
+    in declaration order. Lazy: a condition is evaluated only when the next
+    index is asked for, so ``next(gen, None) is not None`` stops at the
+    first that holds. EvalError propagates."""
+    for j, expr in enumerate(spec.sufficient.get(label, ())):
+        if evaluate_condition(expr, fields):
+            yield j
+
+
+def necessary_fails(spec: PartialSpec, label: str, fields: Mapping[str, Any]) -> Iterator[int]:
+    """Indices of the label's necessary conditions that fail on the fields,
+    in declaration order; lazy like sufficient_holds."""
+    for j, expr in enumerate(spec.necessary.get(label, ())):
+        if not evaluate_condition(expr, fields):
+            yield j
+
+
 def check_sufficient(
     spec: PartialSpec, fields: Mapping[str, Any], prediction: Prediction
 ) -> list[tuple[str, int]]:
     """(label, index) for every satisfied sufficient condition of a label the
     classifier did not predict: the input is definitely in that class."""
-    violated = []
-    for label in spec.sufficient:
-        if label == prediction.label:
-            continue
-        for j, expr in enumerate(spec.sufficient[label]):
-            if evaluate_condition(expr, fields):
-                violated.append((label, j))
-    return violated
+    return [
+        (label, j)
+        for label in spec.sufficient
+        if label != prediction.label
+        for j in sufficient_holds(spec, label, fields)
+    ]
 
 
 def check_necessary(
@@ -199,11 +223,8 @@ def check_necessary(
 ) -> list[tuple[str, int]]:
     """(label, index) for every violated necessary condition of the predicted
     label: the input is definitely not in the class the classifier chose."""
-    violated = []
-    for j, expr in enumerate(spec.necessary.get(prediction.label, ())):
-        if not evaluate_condition(expr, fields):
-            violated.append((prediction.label, j))
-    return violated
+    label = prediction.label
+    return [(label, j) for j in necessary_fails(spec, label, fields)]
 
 
 # --------------------------------------------------------------------------
@@ -279,48 +300,48 @@ class WellFormednessReport:
         }
 
 
-def _record_ref(record: FeatureRecord, index: int) -> str:
-    return record.id if record.id is not None else f"#{index}"
-
-
 def validate_spec(spec: PartialSpec, samples: Sequence[FeatureRecord] = ()) -> WellFormednessReport:
     """Check the spec statically and against sample inputs.
 
     Per sample satisfying the precondition: report label pairs whose
     sufficient conditions both hold (the spec forces two outputs at once) and
     labels whose sufficient condition holds while one of their own necessary
-    conditions fails (the spec admits no output at all).
+    conditions fails (the spec admits no output at all). A spec with static
+    errors is not evaluated: no sample is checked.
     """
     statics = tuple(static_errors(spec))
+    if statics:
+        return WellFormednessReport(statics, (), (), (), 0)
     conflicts: list[dict] = []
     admits_no_output: list[dict] = []
     eval_errors: list[dict] = []
     checked = 0
     for index, sample in enumerate(samples):
         checked += 1
-        ref = _record_ref(sample, index)
+        ref = record_ref(sample.id, index)
+        fields = sample.fields
         try:
-            if not check_pre(spec, sample.fields):
+            if not check_pre(spec, fields):
                 continue
-            satisfied: list[str] = []
-            for label, exprs in spec.sufficient.items():
-                if any(evaluate_condition(e, sample.fields) for e in exprs):
-                    satisfied.append(label)
+            satisfied = [
+                label
+                for label in spec.sufficient
+                if next(sufficient_holds(spec, label, fields), None) is not None
+            ]
             for i in range(len(satisfied)):
                 for j in range(i + 1, len(satisfied)):
                     conflicts.append(
                         {"record": ref, "labels": sorted([satisfied[i], satisfied[j]])}
                     )
             for label in satisfied:
-                for j, expr in enumerate(spec.necessary.get(label, ())):
-                    if not evaluate_condition(expr, sample.fields):
-                        admits_no_output.append(
-                            {"record": ref, "label": label, "necessary_index": j}
-                        )
+                for j in necessary_fails(spec, label, fields):
+                    admits_no_output.append(
+                        {"record": ref, "label": label, "necessary_index": j}
+                    )
         except EvalError as exc:
             eval_errors.append({"record": ref, "error": str(exc)})
     return WellFormednessReport(
-        statics, tuple(conflicts), tuple(admits_no_output), tuple(eval_errors), checked
+        (), tuple(conflicts), tuple(admits_no_output), tuple(eval_errors), checked
     )
 
 
@@ -494,14 +515,7 @@ def load_spec_lenient(path: Union[str, Path]) -> tuple[Optional[PartialSpec], li
     """Read a spec file, returning (spec, findings). Structural problems
     (unreadable file, bad JSON, wrong shapes) raise FormatError; expression
     and typing problems are returned as findings instead."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read spec file {path}: {exc}") from exc
-    except ValueError as exc:  # also an int of over 4300 digits
-        raise FormatError(f"spec file {path} is not valid JSON: {exc}") from exc
-    return spec_from_json_dict(data)
+    return spec_from_json_dict(read_json_file(Path(path), "spec file"))
 
 
 def load_spec(path: Union[str, Path]) -> PartialSpec:

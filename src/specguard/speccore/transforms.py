@@ -207,7 +207,8 @@ def apply_transformation(
 
     The result shares no mutable value with the original: ShiftGrid, Scale,
     AddOffset and SetField build a fresh value for their field and deep-copy
-    the others, FieldMap deep-copies the record before writing its results.
+    the others, FieldMap deep-copies the record and evaluates its assignments
+    on the copy.
 
     Raises TransformError when the record's shape defeats the operation (a
     missing field, a grid that is not rectangular or holds a cell that is
@@ -220,7 +221,7 @@ def apply_transformation(
         updates: dict[str, Any] = {}
         for field, expr in op.assignments:
             try:
-                result = evaluate(expr, record.fields)
+                result = evaluate(expr, fields)
             except Exception as exc:
                 raise TransformError(
                     f"transformation {t.name!r}, field {field!r}: {exc}"
@@ -278,7 +279,7 @@ def validate_output_transform(g: OutputTransform, schema: Schema) -> list[str]:
     for label in schema.labels:
         if label not in mapping:
             errors.append(f"label_map misses label {label!r}")
-    for src, dst in g.mapping:
+    for src, dst in mapping.items():
         if src not in schema.labels:
             errors.append(f"label_map maps unknown label {src!r}")
         if dst not in schema.labels:

@@ -454,39 +454,60 @@ class TestDatasetCommands:
 
 
     @pytest.mark.parametrize(
-        "bad_row", [[1, 1, 1], [0] * 7 + ["x"]], ids=["short_row", "string_cell"]
+        "bad_row, error",
+        [
+            ([1, 1, 1], "row 5 must have 8 cells"),
+            ([0] * 7 + ["x"], "cell [5][7] must be a finite number"),
+        ],
+        ids=["short_row", "string_cell"],
     )
-    def test_uncertainty_prunes_a_malformed_known_grid(self, capsys, files, bad_row):
+    def test_uncertainty_refuses_a_malformed_known_grid_or_probe(
+        self, capsys, files, bad_row, error
+    ):
         spec = files.write("grid_spec.json", GRID_SPEC)
         good = [[0] * 8 for _ in range(8)]
         good[3][3] = 1
         bad = [[0] * 8 for _ in range(8)]
         bad[5] = bad_row
         known = files.write(
-            "known.jsonl",
+            "known.jsonl", [{"id": "good", "input": {"img": good}, "label": "clear"}]
+        )
+        probes = [
+            {"id": "p1", "input": {"img": [[0] + row[:7] for row in good]}},
+            {"id": "p2", "input": {"img": [[9] * 8 for _ in range(8)]}},
+        ]
+
+        def uncertainty(known, probes):
+            return run(
+                capsys, "dataset", "uncertainty", "--known", known,
+                "--probes", files.write("grid_probes.jsonl", probes),
+                "--spec", spec, "--depth", "2",
+            )
+
+        code, out, err = uncertainty(known, probes)
+        assert code == 1 and err == ""
+        assert [(p["probe"], p["category"]) for p in json.loads(out)["per_probe"]] == [
+            ("p1", "KNOWN_UNKNOWN"),
+            ("p2", "UNKNOWN_UNKNOWN"),
+        ]
+        bad_known = files.write(
+            "bad_known.jsonl",
             [
                 {"id": "good", "input": {"img": good}, "label": "clear"},
                 {"id": "bad", "input": {"img": bad}, "label": "clear"},
             ],
         )
-        probes = files.write(
-            "grid_probes.jsonl",
-            [
-                {"id": "p1", "input": {"img": bad}},
-                {"id": "p2", "input": {"img": [[0] + row[:7] for row in good]}},
-                {"id": "p3", "input": {"img": [[9] * 8 for _ in range(8)]}},
-            ],
-        )
-        code, payload = run_json(
-            capsys, "dataset", "uncertainty", "--known", known,
-            "--probes", probes, "--spec", spec, "--depth", "2",
-        )
-        assert code == 1
-        assert [(p["probe"], p["category"]) for p in payload["per_probe"]] == [
-            ("p1", "KNOWN"),
-            ("p2", "KNOWN_UNKNOWN"),
-            ("p3", "UNKNOWN_UNKNOWN"),
-        ]
+        for args, ref in (
+            ((bad_known, probes), "known record bad"),
+            ((known, probes + [{"id": "p3", "input": {"img": bad}}]), "probe p3"),
+        ):
+            code, out, err = uncertainty(*args)
+            assert code == 2 and out == ""
+            detail = json.loads(err)
+            assert detail["error"] == "FormatError"
+            assert detail["detail"].startswith(f"{ref} does not conform to the schema: ")
+            assert error in detail["detail"]
+
 
 class TestPatternsSimulate:
     def classifier(self, files, name, threshold):

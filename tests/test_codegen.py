@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import tree_walk
 from test_evaluate import _cells, _typed_booleans, _typed_inputs, _typed_numbers, _untyped
 from specguard import monitor, patterns
-from specguard.errors import EvalError
+from specguard.errors import EvalError, FormatError
 from specguard.monitor import (
     MalformedLine,
     MonitorPolicy,
@@ -555,9 +555,13 @@ _gated_specs = st.builds(
 @settings(max_examples=400, deadline=None)
 @given(_gated_specs, _fields())
 def test_gated_decision_is_the_exact_one(spec, fields):
+    findings = static_errors(spec)  # never raises, even on the untyped conditions
+    if findings:
+        with pytest.raises(FormatError) as refused:
+            GatedConfig(spec, ML)
+        assert refused.value.errors == findings
+        return
     fast = GatedConfig(spec, ML)
-    if static_errors(spec):  # never raises, even on the untyped conditions
-        assert fast._decide is None
     want = _gated_outcome(_exact_config(spec), fields)
     assert _gated_outcome(fast, fields) == want
     if fast._decide is not None and isinstance(want, GatedDecision):
