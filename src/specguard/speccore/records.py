@@ -150,6 +150,38 @@ def _template(names: tuple) -> Optional[tuple[list, Callable[[list], Any]]]:
     return entry
 
 
+# Per grid cell value: its piece of a key. A lookup collapses exactly what
+# the key collapses (3 and 3.0, 0.0 and -0.0 are equal dict keys), and only
+# exact ints and floats are looked up, so a bool never meets its equal int.
+# Filled while it holds fewer than _CELL_CAP entries, a row at a time, and
+# never cleared (see canonical_key). An entry depends on its value alone, so
+# threads that race here only write the same piece twice.
+_CELL_CAP = 4096
+_NUMBERS = frozenset((int, float))
+_cells: dict[Any, str] = {}
+
+
+def _grid(rows: list) -> Optional[str]:
+    """The piece of a list of lists of exact ints and floats, else None."""
+    joined = []  # each row's cell pieces, comma-joined
+    for row in rows:
+        if row.__class__ is not list or not _NUMBERS.issuperset(map(type, row)):
+            return None
+        try:
+            joined.append(",".join(map(_cells.__getitem__, row)))
+        except KeyError:
+            pieces = ['["n","%.17g"]' % (v + 0.0) for v in row]
+            if len(_cells) < _CELL_CAP:
+                _cells.update(zip(row, pieces))
+            joined.append(",".join(pieces))
+    if not joined:
+        return '["l",[]]'
+    # Rows joined straight into the grid piece, not %-formatted one by one:
+    # fewer strings per key, and a grid piece built by % read about 0.3 MB
+    # more peak RSS on the grid_uncertainty benchmark workload (about 31 MB).
+    return "".join(('["l",[["l",[', ']],["l",['.join(joined), "]]]]"))
+
+
 def canonical_key(fields: Mapping[str, Any]) -> str:
     """A stable text identity for a record's input fields.
 
@@ -169,12 +201,20 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     ``split`` orders records by this string and table-classifier entries are
     looked up by it, so it must never change.
 
-    A record whose values are all exactly float, int, str or bool is keyed
-    from a template: the sorted, quoted names with a slot for each value,
-    cached per tuple of field names in insertion order. The cache holds at
-    most _TEMPLATE_CAP (256) name tuples and is emptied when full. Every
-    other record (a list value, a subclass, a bad value or name) is spliced
-    together piece by piece.
+    A record whose values are all exactly float, int, str or bool, or grids
+    (exact lists of exact lists of exact ints and floats, ragged or empty
+    ones included), is keyed from a template: the sorted, quoted names with
+    a slot for each value, cached per tuple of field names in insertion
+    order. The cache holds at most _TEMPLATE_CAP (256) name tuples and is
+    emptied when full. A grid's cells are read from a memo of cell pieces
+    keyed by value, where equal values (3 and 3.0, 0.0 and -0.0) share the
+    one piece the key gives them both. A row with a cell the memo lacks is
+    formatted inline and added whole while the memo holds fewer than
+    _CELL_CAP (4096) entries; the memo is never cleared, so once full it
+    serves the values it holds and a stream of distinct values costs an
+    inline format per row. Every other record (any other list, a subclass,
+    a bad value or name) is spliced together piece by piece, so keys and
+    exceptions do not depend on the path taken.
 
     Raises FormatError for a field name that is not a string and for a value
     that is none of the above (a dict, None, ...); fields are encoded in
@@ -195,6 +235,8 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
             values.append('["s",%s]' % _quote(value))
         elif kind is bool:
             values.append('["b",true]' if value else '["b",false]')
+        elif kind is list and (grid := _grid(value)) is not None:
+            values.append(grid)
         else:
             return _spliced_key(fields)
     # join, not %-formatting: a key built by % keeps the spare room its

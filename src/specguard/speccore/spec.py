@@ -30,6 +30,8 @@ from ..speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 from .classifiers import Classifier, classify
 from .records import FeatureRecord, Prediction, conformance_guard, record_ref
 from .transforms import (
+    IdentityOutput,
+    LabelMap,
     OutputTransform,
     Transformation,
     apply_output_transform,
@@ -83,8 +85,46 @@ class PartialSpec:
         return list(self.invariants) + [t for t, _ in self.equivariants]
 
 
+def _members(
+    items: Any, where: str, noun: str, fits: Callable[[Any], bool], errors: list[str]
+) -> list:
+    """The items of a tuple or list that fit, with a finding in errors for
+    each one that does not; none, and one finding, for any other container."""
+    if not isinstance(items, (tuple, list)):
+        errors.append(f"{where}: must be a tuple of {noun}s")
+        return []
+    kept = []
+    for i, item in enumerate(items):
+        if fits(item):
+            kept.append(item)
+        else:
+            errors.append(f"{where}[{i}]: must be a {noun}, not {type(item).__name__}")
+    return kept
+
+
+def _is_transformation(item: Any) -> bool:
+    return isinstance(item, Transformation)
+
+
+def _is_equivariant(item: Any) -> bool:
+    return (
+        isinstance(item, tuple)
+        and len(item) == 2
+        and isinstance(item[0], Transformation)
+        and isinstance(item[1], (IdentityOutput, LabelMap))
+    )
+
+
+def _is_constraint(item: Any) -> bool:
+    return isinstance(item, (RangeConstraint, MeanConstraint))
+
+
 def static_errors(spec: PartialSpec) -> list[str]:
-    """Everything statically wrong with a spec; empty when well-formed."""
+    """Everything statically wrong with a spec; empty when well-formed.
+
+    A spec built in Python whose containers are not the declared ones (a
+    label mapped to a bare expression, invariants that are not a tuple of
+    transformations, ...) gets a finding for each, not an exception."""
     errors: list[str] = []
 
     def check_boolean(expr: Expression, where: str, output_allowed: bool) -> None:
@@ -100,20 +140,39 @@ def static_errors(spec: PartialSpec) -> list[str]:
     if spec.postcondition is not None:
         check_boolean(spec.postcondition, "postcondition", output_allowed=True)
     for role, conditions in (("sufficient", spec.sufficient), ("necessary", spec.necessary)):
+        if not isinstance(conditions, Mapping):
+            errors.append(f"{role}: must be a dict from label to a tuple of expressions")
+            continue
         for label, exprs in conditions.items():
             if label not in spec.schema.labels:
                 errors.append(f"{role} label {label!r} is not in the alphabet")
+            if not isinstance(exprs, (tuple, list)):
+                errors.append(f"{role}[{label!r}]: must be a tuple of expressions")
+                continue
             for j, expr in enumerate(exprs):
                 check_boolean(expr, f"{role}[{label!r}][{j}]", output_allowed=False)
+    invariants = _members(
+        spec.invariants, "invariants", "transformation", _is_transformation, errors
+    )
+    equivariants = _members(
+        spec.equivariants,
+        "equivariants",
+        "(transformation, output transform) pair",
+        _is_equivariant,
+        errors,
+    )
     names: set[str] = set()
-    for t in spec.transformations():
+    for t in invariants + [t for t, _ in equivariants]:
         if t.name in names:
             errors.append(f"duplicate transformation name {t.name!r}")
         names.add(t.name)
         errors.extend(validate_transformation(t, spec.schema))
-    for _, g in spec.equivariants:
+    for _, g in equivariants:
         errors.extend(validate_output_transform(g, spec.schema))
-    for constraint in spec.probabilistic:
+    probabilistic = _members(
+        spec.probabilistic, "probabilistic", "probabilistic constraint", _is_constraint, errors
+    )
+    for constraint in probabilistic:
         ftype = spec.schema.fields.get(constraint.field)
         where = f"probabilistic constraint on {constraint.field!r}"
         if ftype is None:

@@ -16,7 +16,10 @@ Grammar, loosest binding first:
            | "output" "." ("label" | "confidence")
 
 Comparisons do not chain: a < b < c is a syntax error. "!" binds looser
-than comparisons, so !a < b reads as !(a < b).
+than comparisons, so !a < b reads as !(a < b). Parentheses, calls, "!" and
+unary "-" nest at most MAX_NESTING (64) deep: deeper input is a syntax
+error, not a RecursionError. (A long chain such as a && b && ... still
+makes a tree as deep as the chain is long.)
 """
 from __future__ import annotations
 
@@ -25,12 +28,14 @@ from . import lexer
 from .ast import Binary, Bool, Call, Expression, InputRef, Num, OutputRef, Str, Unary
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+MAX_NESTING = 64
 
 
 class _Parser:
     def __init__(self, tokens: list[lexer.Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses, calls, "!" and unary "-"
 
     def peek(self) -> lexer.Token:
         return self.tokens[self.pos]
@@ -56,6 +61,13 @@ class _Parser:
             raise self.error(f"expected {op!r}")
         return self.advance()
 
+    def nest(self, token: lexer.Token) -> None:
+        """Count one more level opened at token; the caller drops it when
+        the level's operand is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nests deeper than {MAX_NESTING} levels", token)
+
     def parse(self) -> Expression:
         expr = self.parse_or()
         token = self.peek()
@@ -76,9 +88,13 @@ class _Parser:
         return expr
 
     def parse_not(self) -> Expression:
-        if self.match_op("!"):
-            return Unary("!", self.parse_not())
-        return self.parse_cmp()
+        token = self.match_op("!")
+        if token is None:
+            return self.parse_cmp()
+        self.nest(token)
+        expr = Unary("!", self.parse_not())
+        self.depth -= 1
+        return expr
 
     def parse_cmp(self) -> Expression:
         expr = self.parse_sum()
@@ -108,9 +124,13 @@ class _Parser:
             expr = Binary(token.text, expr, self.parse_unary())
 
     def parse_unary(self) -> Expression:
-        if self.match_op("-"):
-            return Unary("-", self.parse_unary())
-        return self.parse_atom()
+        token = self.match_op("-")
+        if token is None:
+            return self.parse_atom()
+        self.nest(token)
+        expr = Unary("-", self.parse_unary())
+        self.depth -= 1
+        return expr
 
     def parse_atom(self) -> Expression:
         token = self.peek()
@@ -134,15 +154,18 @@ class _Parser:
             self.advance()
             if not self.match_op("("):
                 raise self.error(f"unknown name {token.text!r}", token)
+            self.nest(token)
             args = [self.parse_or()]
             while self.match_op(","):
                 args.append(self.parse_or())
             self.expect_op(")")
+            self.depth -= 1
             return Call(token.text, tuple(args))
         if token.kind == lexer.OP and token.text == "(":
-            self.advance()
+            self.nest(self.advance())
             expr = self.parse_or()
             self.expect_op(")")
+            self.depth -= 1
             return expr
         raise self.error("expected an expression")
 

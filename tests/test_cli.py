@@ -193,6 +193,35 @@ class TestSpecValidate:
         assert json.loads(err)["error"] == "usage"
 
 
+class TestDeepNesting:
+    """A precondition nested past the parser's cap is a syntax error: a
+    finding of `spec validate`, a usage error of every command that loads
+    the spec; never a RecursionError traceback."""
+
+    @pytest.mark.parametrize("levels", [150, 10_000])
+    def test_spec_validate_reports_the_cap(self, capsys, files, levels):
+        deep = "(" * levels + "input.height > 0" + ")" * levels
+        path = files.write("deep.json", dict(PED_SPEC, precondition=deep))
+        code, payload = run_json(capsys, "spec", "validate", path)
+        assert code == 1
+        assert payload["findings"] == [
+            "precondition: syntax error at 1:65: expression nests deeper than 64 levels"
+        ]
+
+    @pytest.mark.parametrize("levels", [150, 10_000])
+    def test_a_command_loading_the_spec_exits_two(self, capsys, files, levels):
+        deep = "!" * levels + "true"
+        path = files.write("deep.json", dict(PED_SPEC, precondition=deep))
+        code, out, err = run(capsys, "monitor", "run", "--spec", path, "--trace", files.trace)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "detail": f"spec file {path} is not well-formed: precondition: "
+            "syntax error at 1:65: expression nests deeper than 64 levels",
+        }
+
+
 class TestMonitorRun:
     def test_violating_trace_exits_one(self, capsys, files):
         code, payload = run_json(

@@ -296,6 +296,75 @@ def test_every_entry_point_refuses_a_spec_static_errors_rejects(condition, entry
     assert str(refused.value) == "spec is not well-formed: " + "; ".join(findings)
 
 
+NUDGE = Transformation("nudge", AddOffset("x", 1.0))
+# A Python-built spec whose containers are not the declared ones, and the
+# finding static_errors reports for it.
+MALFORMED = {
+    "sufficient: bare expression": (
+        {"sufficient": {"a": parse("input.x > 0")}},
+        "sufficient['a']: must be a tuple of expressions",
+    ),
+    "necessary: bare expression": (
+        {"necessary": {"b": parse("input.x > 0")}},
+        "necessary['b']: must be a tuple of expressions",
+    ),
+    "sufficient: not a dict": (
+        {"sufficient": [("a", parse("input.x > 0"))]},
+        "sufficient: must be a dict from label to a tuple of expressions",
+    ),
+    "invariants: bare expression": (
+        {"invariants": parse("input.x > 0")},
+        "invariants: must be a tuple of transformations",
+    ),
+    "invariants: not a transformation": (
+        {"invariants": (NUDGE, AddOffset("x", 2.0))},
+        "invariants[1]: must be a transformation, not AddOffset",
+    ),
+    "equivariants: unpaired": (
+        {"equivariants": (NUDGE,)},
+        "equivariants[0]: must be a (transformation, output transform) pair, "
+        "not Transformation",
+    ),
+    "equivariants: not an output transform": (
+        {"equivariants": ((NUDGE, 3),)},
+        "equivariants[0]: must be a (transformation, output transform) pair, not tuple",
+    ),
+    "probabilistic: int": (
+        {"probabilistic": 3},
+        "probabilistic: must be a tuple of probabilistic constraints",
+    ),
+    "probabilistic: not a constraint": (
+        {"probabilistic": ("x",)},
+        "probabilistic[0]: must be a probabilistic constraint, not str",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("container", sorted(MALFORMED))
+def test_every_entry_point_refuses_a_malformed_container(container, entry):
+    fields, finding = MALFORMED[container]
+    spec = PartialSpec(SCHEMA, **fields)
+    assert static_errors(spec) == [finding]
+    with pytest.raises(FormatError) as refused:
+        ENTRY_POINTS[entry](spec)
+    assert refused.value.errors == [finding]
+    assert validate_spec(spec, [FeatureRecord({"x": 1.0})]).static_errors == (finding,)
+
+
+def test_a_list_container_is_checked_like_a_tuple():
+    spec = PartialSpec(
+        SCHEMA,
+        sufficient={"a": [parse("input.x > 0"), parse("input.x")]},
+        invariants=[NUDGE, NUDGE],
+        probabilistic=[],
+    )
+    assert static_errors(spec) == [
+        "sufficient['a'][1]: must be boolean, is number ('input.x')",
+        "duplicate transformation name 'nudge'",
+    ]
+
+
 @pytest.mark.parametrize("condition", sorted(FOUND))
 def test_validate_spec_reports_static_errors_and_evaluates_no_sample(condition):
     spec = PartialSpec(SCHEMA, sufficient={"a": (FOUND[condition],), "b": (parse("true"),)})

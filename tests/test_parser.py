@@ -17,7 +17,7 @@ from specguard.speclang.ast import (
     Unary,
     to_source,
 )
-from specguard.speclang.parser import parse
+from specguard.speclang.parser import MAX_NESTING, parse
 
 
 def b(op, left, right):
@@ -227,3 +227,54 @@ def test_canonical_print_drops_redundant_parens():
     assert to_source(parse("1 + (2 + 3)")) == "1 + (2 + 3)"  # right assoc differs
     assert to_source(parse("!(1 < 2)")) == "!1 < 2"
     assert to_source(parse("(1 < 2) == true")) == "(1 < 2) == true"
+
+
+# ---------------------------------------------------------------------------
+# nesting cap: deeper input is a positioned syntax error, not a RecursionError
+
+NESTINGS = {
+    "parentheses": [("(", ")")],
+    "calls": [("abs(", ")")],
+    "not": [("!", "")],
+    "minus": [("-", "")],
+    "mixed": [("(", ")"), ("!", ""), ("-", ""), ("abs(", ")")],
+}
+
+
+def _nested(kind, levels):
+    """The openers of kind, cycled, levels deep around 1, then the closers."""
+    pairs = [NESTINGS[kind][i % len(NESTINGS[kind])] for i in range(levels)]
+    return "".join(o for o, _ in pairs) + "1" + "".join(c for _, c in reversed(pairs))
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_up_to_the_cap_parses_and_prints_back(kind):
+    assert MAX_NESTING == 64
+    tree = parse(_nested(kind, MAX_NESTING))
+    assert parse(to_source(tree)) == tree
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_past_the_cap_is_a_syntax_error_at_the_opening_token(kind):
+    source = _nested(kind, MAX_NESTING + 1)
+    with pytest.raises(SpecSyntaxError) as err:
+        parse(source)
+    assert str(err.value).endswith(f"expression nests deeper than {MAX_NESTING} levels")
+    opened = len(_nested(kind, MAX_NESTING).partition("1")[0])  # 64 levels' openers
+    assert (err.value.line, err.value.column) == (1, opened + 1)
+    assert source.startswith(err.value.token, opened)
+
+
+@pytest.mark.parametrize("levels", [150, 10_000])
+def test_far_past_the_cap_stops_at_the_first_level_too_deep(levels):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse("\n (" + "(" * (levels - 1) + "1" + ")" * levels)
+    assert (err.value.line, err.value.column, err.value.token) == (2, 2 + MAX_NESTING, "(")
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_sibling_levels_do_not_add_up(kind):
+    term = _nested(kind, MAX_NESTING // 2)
+    source = f"max({term}, {term})" + f" + min({term}, {term})" * (MAX_NESTING + 1)
+    tree = parse(source)
+    assert parse(to_source(tree)) == tree

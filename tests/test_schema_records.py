@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -235,6 +236,29 @@ KEY_LEAVES = st.one_of(
 KEY_VALUES = st.recursive(KEY_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
 
 
+EXACT_CELLS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2**53 + 1, 2**1024]),
+)
+GRID_CELLS = st.one_of(
+    EXACT_CELLS,
+    # Off the template path: the whole record is spliced.
+    st.sampled_from([True, False, Level.LOW, Reading(-0.0), Reading(2.5), "s", [1.0], None]),
+)
+GRID_ROWS = st.one_of(
+    st.lists(GRID_CELLS, max_size=4),
+    st.sampled_from([(1, 2), 3, "row", None]),  # not a list
+)
+GRIDS = st.one_of(
+    st.integers(0, 4).flatmap(  # rectangular, of exact numbers
+        lambda cols: st.lists(st.lists(EXACT_CELLS, min_size=cols, max_size=cols), max_size=4)
+    ),
+    st.lists(GRID_ROWS, max_size=4),  # ragged or empty rows, any cell or row
+)
+
+
 def key_outcome(key_fn, fields):
     try:
         return key_fn(fields)
@@ -273,6 +297,37 @@ class TestCanonicalKeyOracle:
         for fields in maps + maps[::-1]:
             assert canonical_key(fields) == oracle.canonical_key(fields)
         assert 0 < len(records._templates) <= cap
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(KEY_NAMES, st.one_of(GRIDS, KEY_LEAVES), max_size=4))
+    def test_grids_match_the_oracle(self, fields):
+        for order in (fields, dict(reversed(fields.items()))):
+            want = key_outcome(oracle.canonical_key, order)
+            records._templates.clear()
+            records._cells.clear()
+            assert key_outcome(canonical_key, order) == want  # cold memos
+            assert key_outcome(canonical_key, order) == want  # warm
+
+    def test_cell_memo_serves_equal_values_of_either_type(self):
+        records._cells.clear()
+        canonical_key({"g": [[0, 3, 2**53 + 1]]})
+        for grid in ([[-0.0, 3.0, 2.0**53]], [[0.0, 3, 2**53 + 1]], [[False, True]]):
+            assert canonical_key({"g": grid}) == oracle.canonical_key({"g": grid})
+
+    def test_cell_memo_stops_filling_at_its_cap(self):
+        records._cells.clear()
+        cap = records._CELL_CAP
+        rng = random.Random(3)
+        grids = [[[rng.random() for _ in range(8)] for _ in range(8)] for _ in range(cap // 32)]
+        for grid in grids:  # 2 * cap distinct cell values
+            fields = {"img": grid, "n": 1}
+            assert canonical_key(fields) == oracle.canonical_key(fields)
+            assert len(records._cells) <= cap + 8
+        full = dict(records._cells)
+        for grid in grids[::-1] + [[[0.5, -0.0, 7]], [[rng.random()]]]:
+            fields = {"img": grid}
+            assert canonical_key(fields) == oracle.canonical_key(fields)
+        assert records._cells == full
 
     def test_two_bad_values_name_the_first_inserted(self):
         fields = {"z": None, "a": {"k": 1}}
