@@ -225,9 +225,10 @@ def _cmd_monitor_run(args) -> tuple[dict, str, int]:
         f"records: {report.records_processed}",
         f"violations: {len(report.violations)}",
     ]
-    lines += [
-        f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations
-    ]
+    if getattr(args, "format", "json") == "text":
+        lines += [
+            f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations
+        ]
     return payload, "\n".join(lines), 1 if report.violations else 0
 
 

@@ -84,15 +84,48 @@ class CycleError(SpecGuardError):
         self.cycle = list(cycle)
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(text: str) -> Any:
+    """json.loads(text), with a value nested too deeply for the decoder
+    refused by a ValueError instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON value nests too deeply: {exc}") from None
+
+
+def json_line(line: str) -> Any:
+    """The JSON value of one line of text, as json.loads gives it.
+
+    A line holding exactly one value, with nothing before or after it, is
+    decoded by a single call of the decoder's scanner, without json.loads's
+    Python wrapper and its two whitespace matches. Any other line (blank,
+    padded, with a BOM or extra data, or not JSON at all), and a value the
+    scanner refuses, is decoded again by json.loads, so the value and every
+    error message are json.loads's. A ValueError says why the line is not
+    JSON; a value nested too deeply for the decoder is one too.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return _loads(line)
+
+
 def read_json_file(path: Union[str, Path], what: str) -> Any:
     """The JSON value in the file at path. FormatError names the file as
     "{what} {path}", path as given, when it cannot be read or is not UTF-8
-    JSON (an int of over 4300 digits included)."""
+    JSON (an int of over 4300 digits, or a value nested too deeply for the
+    decoder, included)."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return _loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # also not UTF-8, or a huge int
+    except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
         raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -113,8 +146,8 @@ def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]
         try:
             line = raw.removesuffix(b"\r").decode("utf-8")
             if line.strip():
-                values.append(build(json.loads(line)))
-        except ValueError as exc:  # also not UTF-8, or a huge int
+                values.append(build(json_line(line)))
+        except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
             raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc

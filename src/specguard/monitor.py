@@ -24,16 +24,25 @@ How much the fast path saves depends on the share of records it decides:
 about 91% on the benchmark's monitor_trace workload. A record it does not
 decide pays for the generated call and the exact checks; one that conforms
 skips conformance_errors and prediction_errors, which pays the call back.
+
+Reading. read_trace streams the file a line at a time. Each line is decoded
+by one call of the JSON scanner (errors.json_line), which falls back to
+json.loads, and so to its exact value and error text, on any line the
+scanner does not take whole. A record of the usual shape is built without
+the frozen dataclasses' __init__ (see _built_trace_record); every other
+value goes through the checks that name what is wrong with it. With the
+fast path deciding most records, decoding and building a line cost more
+than checking it, so each is kept to one call per line.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import EvalError, FormatError
+from .errors import EvalError, FormatError, json_line
 from .speccore.records import (
     FeatureRecord,
     Prediction,
@@ -430,6 +439,16 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     line. Blank lines are skipped. A line that is not UTF-8 or not a valid
     record comes back as a MalformedLine, so the monitor can log it and keep
     going. An unreadable file raises FormatError.
+
+    Each line is decoded by errors.json_line: one call of the JSON scanner,
+    or json.loads where the scanner does not take the whole line, so every
+    value and error text is json.loads's, and a value nested too deeply for
+    the decoder is a MalformedLine too. A record of the usual shape (an
+    object with a str id, an object input, and an object output with a str
+    label and a finite float confidence) is built without the dataclasses'
+    __init__ and keeps the decoded input dict; any other value takes the
+    checks that name what is wrong with it. Either way the items are equal
+    to what the constructors would build.
     """
     path = Path(path)
     try:
@@ -448,13 +467,20 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
             if not line.strip():
                 continue
             try:
-                yield _trace_record_from_json(json.loads(line))
+                yield _trace_record_from_json(json_line(line))
             except (ValueError, FormatError) as exc:
-                # ValueError: a JSONDecodeError, or an int with too many digits
+                # ValueError: not JSON, an int with too many digits, or a
+                # value nested too deeply (see errors.json_line)
                 yield MalformedLine(line_no, str(exc))
 
 
 def _trace_record_from_json(data: Any) -> TraceRecord:
+    if type(data) is dict:
+        rid, raw_input, raw_output = data.get("id"), data.get("input"), data.get("output")
+        if type(rid) is str and type(raw_input) is dict and type(raw_output) is dict:
+            label, confidence = raw_output.get("label"), raw_output.get("confidence")
+            if type(label) is str and type(confidence) is float and math.isfinite(confidence):
+                return _built_trace_record(rid, raw_input, label, confidence)
     if not isinstance(data, dict):
         raise FormatError("trace record must be a JSON object")
     rid = data.get("id")
@@ -474,3 +500,28 @@ def _trace_record_from_json(data: Any) -> TraceRecord:
         FeatureRecord(dict(raw_input), rid),
         Prediction(raw_output["label"], None if confidence is None else float(confidence)),
     )
+
+
+def _built_trace_record(
+    rid: str, fields: dict, label: str, confidence: float
+) -> TraceRecord:
+    """TraceRecord(rid, FeatureRecord(fields, rid), Prediction(label,
+    confidence)), built without the dataclasses' frozen __init__.
+
+    That __init__ sets each field through object.__setattr__, which costs
+    about as much per trace line as decoding the line; none of the three
+    classes has a __post_init__ to skip. Each __dict__ is filled in declared
+    field order, so the records are equal and repr-equal to the
+    constructor-built ones, hash as they do, and refuse assignment as they
+    do. The caller has checked every value; fields is the freshly decoded
+    dict, which nothing else holds, so it is kept uncopied.
+    """
+    record, features, prediction = (
+        object.__new__(TraceRecord),
+        object.__new__(FeatureRecord),
+        object.__new__(Prediction),
+    )
+    features.__dict__.update(fields=fields, id=rid)
+    prediction.__dict__.update(label=label, confidence=confidence)
+    record.__dict__.update(id=rid, input=features, output=prediction)
+    return record

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..errors import ClassifierError, FormatError, read_json_file
+from ..errors import ClassifierError, FormatError, json_line, read_json_file
 from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
@@ -133,8 +133,8 @@ class SubprocessClassifier:
             raise ClassifierError(f"subprocess refused the request: {exc}") from exc
         line = self._read_line()
         try:
-            data = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # also not UTF-8, or an int of over 4300 digits
+            data = json_line(line.decode("utf-8"))
+        except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
             self.close()
             raise ClassifierError(f"subprocess sent malformed JSON: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("label"), str):

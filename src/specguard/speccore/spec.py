@@ -163,9 +163,10 @@ def static_errors(spec: PartialSpec) -> list[str]:
     )
     names: set[str] = set()
     for t in invariants + [t for t, _ in equivariants]:
-        if t.name in names:
-            errors.append(f"duplicate transformation name {t.name!r}")
-        names.add(t.name)
+        if isinstance(t.name, str):
+            if t.name in names:
+                errors.append(f"duplicate transformation name {t.name!r}")
+            names.add(t.name)
         errors.extend(validate_transformation(t, spec.schema))
     for _, g in equivariants:
         errors.extend(validate_output_transform(g, spec.schema))
@@ -173,8 +174,19 @@ def static_errors(spec: PartialSpec) -> list[str]:
         spec.probabilistic, "probabilistic", "probabilistic constraint", _is_constraint, errors
     )
     for constraint in probabilistic:
-        ftype = spec.schema.fields.get(constraint.field)
         where = f"probabilistic constraint on {constraint.field!r}"
+        if not isinstance(constraint.field, str):
+            errors.append(f"{where}: field must be a string")
+            continue
+        if isinstance(constraint, RangeConstraint):
+            numbers = (constraint.lo, constraint.hi, constraint.max_violation_fraction)
+            named = "lo, hi and max_violation_fraction"
+        else:
+            numbers, named = (constraint.expected, constraint.tolerance), "expected and tolerance"
+        if not all(map(is_number, numbers)):
+            errors.append(f"{where}: {named} must be numbers")
+            continue
+        ftype = spec.schema.fields.get(constraint.field)
         if ftype is None:
             errors.append(f"{where}: unknown field")
         elif not isinstance(ftype, (NumberType, IntegerType)):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..errors import FormatError, TransformError, TypeCheckError
 from ..speclang.ast import Expression, to_source
@@ -87,8 +87,50 @@ _TAG_OF_FIELD = {
 }
 
 
+def _is_pairs(items: Any, second: type) -> bool:
+    """True for a tuple or list of (str, second) tuples."""
+    return isinstance(items, (tuple, list)) and all(
+        isinstance(pair, tuple)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and isinstance(pair[1], second)
+        for pair in items
+    )
+
+
+def _shape_error(t: Transformation) -> Optional[str]:
+    """What makes t no transformation at all (a Python-built one whose
+    parts have the wrong types), or None. transformation_from_json_dict
+    never builds one."""
+    op = t.op
+    if not isinstance(t.name, str):
+        return f"transformation {t.name!r}: name must be a string"
+    if isinstance(op, FieldMap):
+        if not _is_pairs(op.assignments, object):
+            return (
+                f"transformation {t.name!r}: field_map must be a tuple of "
+                "(field, expression) pairs"
+            )
+        return None
+    if not isinstance(op, (ShiftGrid, Scale, AddOffset, SetField)):
+        return (
+            f"transformation {t.name!r}: op must be a ShiftGrid, Scale, AddOffset, SetField "
+            f"or FieldMap, not {type(op).__name__}"
+        )
+    if not isinstance(op.field, str):
+        return f"transformation {t.name!r}: field must be a string, not {op.field!r}"
+    if isinstance(op, ShiftGrid) and not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in (op.dx, op.dy)
+    ):
+        return f"shift_grid in {t.name!r} needs integer dx and dy"
+    return None
+
+
 def validate_transformation(t: Transformation, schema: Schema) -> list[str]:
     """Every way t fails to fit schema; empty when valid."""
+    shape = _shape_error(t)
+    if shape is not None:
+        return [shape]
     errors: list[str] = []
     op = t.op
     if isinstance(op, (ShiftGrid, Scale, AddOffset, SetField)):
@@ -274,8 +316,11 @@ OutputTransform = Union[IdentityOutput, LabelMap]
 def validate_output_transform(g: OutputTransform, schema: Schema) -> list[str]:
     if isinstance(g, IdentityOutput):
         return []
+    pairs = list(g.mapping.items()) if isinstance(g.mapping, Mapping) else g.mapping
+    if not _is_pairs(pairs, str):
+        return ["label_map must map labels to labels"]
     errors = []
-    mapping = dict(g.mapping)
+    mapping = dict(pairs)
     for label in schema.labels:
         if label not in mapping:
             errors.append(f"label_map misses label {label!r}")

@@ -137,6 +137,20 @@ class TestSubprocessClassifier:
             with pytest.raises(ClassifierError, match="malformed JSON"):
                 clf.classify({"x": 1})
 
+    def test_a_reply_nested_too_deeply_is_malformed_json(self, tmp_path):
+        deep = tmp_path / "deep.py"
+        deep.write_text(
+            'import sys\nsys.stdin.readline()\nprint("[" * 100000, flush=True)\n'
+            "import time\ntime.sleep(5)\n",
+            "utf-8",
+        )
+        with SubprocessClassifier([sys.executable, str(deep)], timeout=2.0) as clf:
+            with pytest.raises(ClassifierError) as refused:
+                clf.classify({"x": 1})
+        assert str(refused.value).startswith(
+            "subprocess sent malformed JSON: JSON value nests too deeply: "
+        )
+
     def test_missing_label_is_reported(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(

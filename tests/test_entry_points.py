@@ -31,7 +31,9 @@ from specguard.patterns import GatedConfig, GatedDecision, _consult_ml, gated_cl
 from specguard.speccore.classifiers import TableClassifier
 from specguard.speccore.records import FeatureRecord, Prediction, record_ref
 from specguard.speccore.spec import (
+    MeanConstraint,
     PartialSpec,
+    RangeConstraint,
     check_necessary,
     check_sufficient,
     necessary_fails,
@@ -42,6 +44,8 @@ from specguard.speccore.spec import (
 from specguard.speccore.transforms import (
     AddOffset,
     FieldMap,
+    LabelMap,
+    ShiftGrid,
     Transformation,
     apply_transformation,
 )
@@ -337,6 +341,47 @@ MALFORMED = {
         {"probabilistic": ("x",)},
         "probabilistic[0]: must be a probabilistic constraint, not str",
     ),
+    "invariants: op is no transformation kind": (
+        {"invariants": (Transformation("n", parse("input.x")),)},
+        "transformation 'n': op must be a ShiftGrid, Scale, AddOffset, SetField or FieldMap, "
+        "not InputRef",
+    ),
+    "invariants: field_map of an int": (
+        {"invariants": (Transformation("n", FieldMap(3)),)},
+        "transformation 'n': field_map must be a tuple of (field, expression) pairs",
+    ),
+    "invariants: field_map of a non-pair": (
+        {"invariants": (Transformation("n", FieldMap((("x",),))),)},
+        "transformation 'n': field_map must be a tuple of (field, expression) pairs",
+    ),
+    "invariants: name not a string": (
+        {"invariants": (Transformation(["n"], AddOffset("x", 1.0)),)},
+        "transformation ['n']: name must be a string",
+    ),
+    "invariants: field not a string": (
+        {"invariants": (Transformation("n", AddOffset(["x"], 1.0)),)},
+        "transformation 'n': field must be a string, not ['x']",
+    ),
+    "invariants: shift_grid by a string": (
+        {"invariants": (Transformation("n", ShiftGrid("x", "1")),)},
+        "shift_grid in 'n' needs integer dx and dy",
+    ),
+    "equivariants: label_map of an int": (
+        {"equivariants": ((NUDGE, LabelMap(3)),)},
+        "label_map must map labels to labels",
+    ),
+    "probabilistic: range bound not a number": (
+        {"probabilistic": (RangeConstraint("x", "a", 1.0),)},
+        "probabilistic constraint on 'x': lo, hi and max_violation_fraction must be numbers",
+    ),
+    "probabilistic: mean not a number": (
+        {"probabilistic": (MeanConstraint("x", "a", 1.0),)},
+        "probabilistic constraint on 'x': expected and tolerance must be numbers",
+    ),
+    "probabilistic: field not a string": (
+        {"probabilistic": (RangeConstraint(["x"], 0.0, 1.0),)},
+        "probabilistic constraint on ['x']: field must be a string",
+    ),
 }
 
 
@@ -587,6 +632,7 @@ CASES = {
     "not utf-8": b'{"a": "\xff"}\n',
     "broken json": b'{"a": \n',
     "5000-digit int": b"1" * 5000 + b"\n",
+    "deep nesting": b"[" * 100_000 + b"\n",
 }
 
 
@@ -614,6 +660,8 @@ def test_every_file_loader_fails_with_one_json_error_line(tmp_path, capsys, load
         assert error["detail"].startswith(f"{bad}:1: not valid JSON: ")
     else:
         assert error["detail"].startswith(f"{noun} {bad} is not valid JSON: ")
+    if case == "deep nesting":
+        assert "JSON value nests too deeply: maximum recursion depth" in error["detail"]
 
 
 # --------------------------------------------------------------------------
@@ -633,6 +681,16 @@ def test_only_the_reader_module_reads_whole_files():
         if re.search(r"\.read_(text|bytes)\(|\.splitlines\(", text)
     ]
     assert offenders == []
+
+
+def test_only_the_reader_module_decodes_json_text():
+    calls = [
+        (str(name), call)
+        for name, text in _sources(excluding="errors.py")
+        for call in re.findall(r"json\.loads?\([^)]*\)|JSONDecoder|scan_once", text)
+    ]
+    # a table classifier's own canonical keys, not text read from outside
+    assert calls == [("speccore/classifiers.py", "json.loads(key)")]
 
 
 def test_only_record_ref_spells_a_positional_reference():
