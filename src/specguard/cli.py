@@ -76,6 +76,11 @@ def _add_globals(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _wants_text(args: argparse.Namespace) -> bool:
+    """True when the command's output is printed as text, not JSON."""
+    return getattr(args, "format", "json") == "text"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="specguard", description=__doc__)
     _add_globals(parser)
@@ -225,7 +230,7 @@ def _cmd_monitor_run(args) -> tuple[dict, str, int]:
         f"records: {report.records_processed}",
         f"violations: {len(report.violations)}",
     ]
-    if getattr(args, "format", "json") == "text":
+    if _wants_text(args):
         lines += [
             f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations
         ]
@@ -415,7 +420,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return 2
-    if getattr(args, "format", "json") == "text":
+    if _wants_text(args):
         print(text)
     else:
         if getattr(args, "timestamps", False):

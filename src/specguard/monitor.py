@@ -28,15 +28,14 @@ skips conformance_errors and prediction_errors, which pays the call back.
 Reading. read_trace streams the file a line at a time. Each line is decoded
 by one call of the JSON scanner (errors.json_line), which falls back to
 json.loads, and so to its exact value and error text, on any line the
-scanner does not take whole. A record of the usual shape is built without
-the frozen dataclasses' __init__ (see _built_trace_record); every other
-value goes through the checks that name what is wrong with it. With the
-fast path deciding most records, decoding and building a line cost more
-than checking it, so each is kept to one call per line.
+scanner does not take whole. A value that passes the record checks is
+built without the frozen dataclasses' __init__ (see _built_trace_record);
+the checks name what is wrong with any other value. With the fast path
+deciding most records, decoding and building a line cost more than
+checking it, so each is kept to one call per line.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -443,12 +442,9 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     Each line is decoded by errors.json_line: one call of the JSON scanner,
     or json.loads where the scanner does not take the whole line, so every
     value and error text is json.loads's, and a value nested too deeply for
-    the decoder is a MalformedLine too. A record of the usual shape (an
-    object with a str id, an object input, and an object output with a str
-    label and a finite float confidence) is built without the dataclasses'
-    __init__ and keeps the decoded input dict; any other value takes the
-    checks that name what is wrong with it. Either way the items are equal
-    to what the constructors would build.
+    the decoder is a MalformedLine too. A value that passes the record
+    checks is built without the dataclasses' __init__ and keeps the decoded
+    input dict; the items are equal to what the constructors would build.
     """
     path = Path(path)
     try:
@@ -475,12 +471,8 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
 
 
 def _trace_record_from_json(data: Any) -> TraceRecord:
-    if type(data) is dict:
-        rid, raw_input, raw_output = data.get("id"), data.get("input"), data.get("output")
-        if type(rid) is str and type(raw_input) is dict and type(raw_output) is dict:
-            label, confidence = raw_output.get("label"), raw_output.get("confidence")
-            if type(label) is str and type(confidence) is float and math.isfinite(confidence):
-                return _built_trace_record(rid, raw_input, label, confidence)
+    """The TraceRecord of one freshly decoded trace line; FormatError says
+    what is wrong with any other value."""
     if not isinstance(data, dict):
         raise FormatError("trace record must be a JSON object")
     rid = data.get("id")
@@ -495,15 +487,13 @@ def _trace_record_from_json(data: Any) -> TraceRecord:
     confidence = raw_output.get("confidence")
     if confidence is not None and not is_number(confidence):
         raise FormatError(f"trace record {rid!r} confidence must be a number")
-    return TraceRecord(
-        rid,
-        FeatureRecord(dict(raw_input), rid),
-        Prediction(raw_output["label"], None if confidence is None else float(confidence)),
+    return _built_trace_record(
+        rid, raw_input, raw_output["label"], None if confidence is None else float(confidence)
     )
 
 
 def _built_trace_record(
-    rid: str, fields: dict, label: str, confidence: float
+    rid: str, fields: dict, label: str, confidence: Optional[float]
 ) -> TraceRecord:
     """TraceRecord(rid, FeatureRecord(fields, rid), Prediction(label,
     confidence)), built without the dataclasses' frozen __init__.

@@ -183,7 +183,7 @@ def static_errors(spec: PartialSpec) -> list[str]:
             named = "lo, hi and max_violation_fraction"
         else:
             numbers, named = (constraint.expected, constraint.tolerance), "expected and tolerance"
-        if not all(map(is_number, numbers)):
+        if not all(map(_is_real, numbers)):
             errors.append(f"{where}: {named} must be numbers")
             continue
         ftype = spec.schema.fields.get(constraint.field)
@@ -200,6 +200,13 @@ def static_errors(spec: PartialSpec) -> list[str]:
             if constraint.tolerance < 0:
                 errors.append(f"{where}: tolerance < 0")
     return errors
+
+
+def _is_real(value: Any) -> bool:
+    """True for any float and for an int a float can hold, bool excluded.
+    An infinite bound, as in a one-sided range built in Python, counts;
+    load_spec's is_number refuses one in a spec file."""
+    return isinstance(value, float) or is_number(value)
 
 
 def require_well_formed(spec: PartialSpec) -> None:

@@ -88,9 +88,10 @@ _TAG_OF_FIELD = {
 
 
 def _is_pairs(items: Any, second: type) -> bool:
-    """True for a tuple or list of (str, second) tuples."""
+    """True for a tuple or list of (str, second) pairs, each a tuple or a
+    list."""
     return isinstance(items, (tuple, list)) and all(
-        isinstance(pair, tuple)
+        isinstance(pair, (tuple, list))
         and len(pair) == 2
         and isinstance(pair[0], str)
         and isinstance(pair[1], second)

@@ -5,6 +5,7 @@ set inputs."""
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,7 @@ from specguard.dataset import (
     verify_dataset,
 )
 from specguard.errors import EvalError, FormatError, PatternError
-from specguard.monitor import TraceRecord, run_trace
+from specguard.monitor import MonitorPolicy, TraceRecord, ViolationKind, run_trace
 from specguard.patterns import GatedConfig, GatedDecision, _consult_ml, gated_classify
 from specguard.speccore.classifiers import TableClassifier
 from specguard.speccore.records import FeatureRecord, Prediction, record_ref
@@ -378,6 +379,14 @@ MALFORMED = {
         {"probabilistic": (MeanConstraint("x", "a", 1.0),)},
         "probabilistic constraint on 'x': expected and tolerance must be numbers",
     ),
+    "probabilistic: mean too large for a float": (
+        {"probabilistic": (MeanConstraint("x", 10**400, 1.0),)},
+        "probabilistic constraint on 'x': expected and tolerance must be numbers",
+    ),
+    "probabilistic: bool bound": (
+        {"probabilistic": (RangeConstraint("x", 0.0, 1.0, False),)},
+        "probabilistic constraint on 'x': lo, hi and max_violation_fraction must be numbers",
+    ),
     "probabilistic: field not a string": (
         {"probabilistic": (RangeConstraint(["x"], 0.0, 1.0),)},
         "probabilistic constraint on ['x']: field must be a string",
@@ -431,6 +440,60 @@ def test_a_well_formed_python_spec_passes_every_gate():
     assert gated_classify(GatedConfig(spec, ML), {"x": 1.0}).mode == "sufficient"
     assert verify_dataset([_record()], EVERYTHING, spec).passed
     assert len(augment([_record()], spec).records) == 2
+
+
+def _outcomes(spec):
+    trace = [
+        TraceRecord(rid, FeatureRecord({"x": x}, rid), Prediction("a", 0.9))
+        for rid, x in (("t", 1.0), ("u", 2.0))
+    ]
+    report = run_trace(spec, trace, MonitorPolicy(probabilistic_window=2))
+    return {
+        # a violation's detail repeats the bounds, which differ by design
+        "run_trace": [(v.kind, v.record_id) for v in report.violations],
+        "GatedConfig": gated_classify(GatedConfig(spec, ML), {"x": 1.0}),
+        "verify_dataset": verify_dataset([_record()], EVERYTHING, spec).to_json_dict(),
+        "augment": augment([_record()], spec),
+    }
+
+
+# A Python-built spec the gate lets through although it is not spelt as
+# declared, and one spelt as declared that every entry point treats alike.
+LOOSE = {
+    "field_map of list pairs": (
+        {"invariants": (Transformation("n", FieldMap([["x", parse("input.x + 1")]])),)},
+        {"invariants": (Transformation("n", FieldMap((("x", parse("input.x + 1")),))),)},
+    ),
+    "label_map of list pairs": (
+        {"equivariants": ((NUDGE, LabelMap([["a", "b"], ["b", "a"], ["c", "c"]])),)},
+        {"equivariants": ((NUDGE, LabelMap((("a", "b"), ("b", "a"), ("c", "c")))),)},
+    ),
+    "one-sided range": (
+        {"probabilistic": (RangeConstraint("x", 0.0, math.inf, 0.0),)},
+        {"probabilistic": (RangeConstraint("x", 0.0, 3.0, 0.0),)},
+    ),
+    "range below minus infinity": (
+        {"probabilistic": (RangeConstraint("x", -math.inf, 1.5, 0.0),)},
+        {"probabilistic": (RangeConstraint("x", -3.0, 1.5, 0.0),)},
+    ),
+    "int mean bounds": (
+        {"probabilistic": (MeanConstraint("x", 1, 2),)},
+        {"probabilistic": (MeanConstraint("x", 1.0, 2.0),)},
+    ),
+}
+
+
+@pytest.mark.parametrize("loose", sorted(LOOSE))
+def test_list_pairs_and_infinite_bounds_pass_every_gate(loose):
+    fields, declared = LOOSE[loose]
+    spec = PartialSpec(SCHEMA, **fields)
+    assert static_errors(spec) == []
+    assert validate_spec(spec, [FeatureRecord({"x": 1.0})]).static_errors == ()
+    outcomes = _outcomes(spec)
+    assert outcomes == _outcomes(PartialSpec(SCHEMA, **declared))
+    assert outcomes["run_trace"] == (
+        [(ViolationKind.PROBABILISTIC, None)] if loose == "range below minus infinity" else []
+    )
 
 
 # --------------------------------------------------------------------------

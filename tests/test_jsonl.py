@@ -187,13 +187,16 @@ def test_a_fast_built_record_is_the_constructor_built_one():
     assert fast.output.label == "a"
 
 
-def test_a_well_formed_line_takes_the_built_record(tmp_path):
+def test_every_well_formed_line_takes_the_built_record(tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_bytes(GOOD + b"\n" + GOOD.replace(b"0.5}", b"1}") + b"\n")
+    lines = [GOOD, GOOD.replace(b"0.5}", b"1}"), GOOD.replace(b', "confidence": 0.5', b"")]
+    assert len(set(lines)) == 3
+    path.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
     with mock.patch.object(monitor, "_built_trace_record", wraps=_built_trace_record) as built:
         items = list(read_trace(path))
-    assert built.call_count == 1  # an int confidence takes the checks
+    assert built.call_count == 3  # the int and the missing confidence too
     assert items == jsonl_oracle.read_trace(path)
+    assert [type(item.output.confidence) for item in items[:3]] == [float, float, type(None)]
 
 
 SPEC = {
