@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import dataset as ds
-from .errors import FormatError, SpecGuardError, read_json_file, read_json_lines
+from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file, read_json_lines
 from .monitor import (
     MonitorPolicy,
     PolicyAction,
@@ -309,10 +309,21 @@ def _cmd_dataset_uncertainty(args) -> tuple[dict, str, int]:
 
 
 def _cmd_patterns_simulate(args) -> tuple[dict, str, int]:
+    """Loads the oracle, then streams the domain into simulate, so the
+    domain never sits in memory beside the oracle's decoded file.
+
+    Errors keep the order of reading everything first: harness, domain
+    file, oracle file, the oracle on a record. So on any later error the
+    rest of the domain is read, and a bad domain file is reported instead.
+    """
     subject = load_harness(args.harness)
-    domain = read_json_lines(args.domain, "records", record_from_json_dict)
-    oracle = load_classifier(args.oracle)
-    report = simulate(domain, oracle, subject)
+    domain = iter_json_lines(args.domain, "records", record_from_json_dict)
+    try:
+        report = simulate(domain, load_classifier(args.oracle), subject)
+    except SpecGuardError:
+        for _ in domain:
+            pass
+        raise
     payload = report.to_json_dict()
     text = (
         f"records: {report.total}  mismatches: {len(report.mismatches)}  "
@@ -419,6 +430,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as exc:
         _emit_error("io", str(exc))
+        return 2
+    except RecursionError as exc:
+        # Last resort for an input chained or nested too deeply for a pass
+        # that still recurses: exit 1 would read as a verdict.
+        _emit_error("RecursionError", f"input nests or chains too deeply: {exc}")
         return 2
     if _wants_text(args):
         print(text)

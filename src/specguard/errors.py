@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, TypeVar, Union
+from typing import Any, Callable, Iterator, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -129,26 +129,35 @@ def read_json_file(path: Union[str, Path], what: str) -> Any:
         raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> list[T]:
-    """build(value) for the JSON value on each non-blank line, in order.
+def iter_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> Iterator[T]:
+    """build(value) for the JSON value on each non-blank line, in order,
+    read one line at a time: the file is opened on the first next() and
+    only the current line and its value are held.
 
     Lines end at "\\n" (a "\\r" before it is dropped too), as JSON Lines
     defines. A line that is not UTF-8 JSON, or on which build raises
-    FormatError, fails the whole read with a FormatError "{path}:{line}: ...";
-    an unreadable file as read_json_file's does.
+    FormatError, stops the read with a FormatError "{path}:{line}: ...";
+    an unreadable file raises read_json_file's FormatError. The values of
+    the lines before a bad one have been yielded by then.
     """
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                try:
+                    line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+                    if not line.strip():
+                        continue
+                    value = build(json_line(line))
+                except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
+                    raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+                except FormatError as exc:
+                    raise FormatError(f"{path}:{line_no}: {exc}") from exc
+                yield value
     except OSError as exc:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
-    values = []
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw.removesuffix(b"\r").decode("utf-8")
-            if line.strip():
-                values.append(build(json_line(line)))
-        except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
-            raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"{path}:{line_no}: {exc}") from exc
-    return values
+
+
+def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> list[T]:
+    """Every value iter_json_lines yields, as a list; a bad line or an
+    unreadable file fails the whole read with its FormatError."""
+    return list(iter_json_lines(path, what, build))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
     ClassifierError,
@@ -428,9 +428,13 @@ class ErrorReport:
 
 
 def simulate(
-    domain: Sequence[FeatureRecord], oracle: Classifier, subject: Subject
+    domain: Iterable[FeatureRecord], oracle: Classifier, subject: Subject
 ) -> ErrorReport:
     """Compare the subject against the oracle on every record of the domain.
+
+    The domain may be any iterable, a generator included. It is read once,
+    in order, and no record is kept once it is classified, so a streamed
+    domain costs the memory of one record; total counts the records read.
 
     The oracle is ground truth: its failure on any record aborts the run. A
     subject failure counts as a mismatch (a wrong answer is a wrong answer)
@@ -439,7 +443,9 @@ def simulate(
     mismatches: list[dict] = []
     errors: list[dict] = []
     per_source: dict[str, dict[str, int]] = {}
+    total = 0
     for index, record in enumerate(domain):
+        total += 1
         ref = record_ref(record.id, index)
         try:
             expected = oracle.classify(record.fields)
@@ -468,7 +474,7 @@ def simulate(
                     "expected": expected.label,
                 }
             )
-    return ErrorReport(len(domain), mismatches, per_source, errors)
+    return ErrorReport(total, mismatches, per_source, errors)
 
 
 # --------------------------------------------------------------------------

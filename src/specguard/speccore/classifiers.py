@@ -197,11 +197,20 @@ def _prediction_from_json(data: Any, context: str) -> Prediction:
 
 
 def classifier_from_json_dict(data: Any, base_dir: Union[str, Path, None] = None) -> Classifier:
-    """Build a classifier from its JSON form.
+    """Build a classifier from its JSON form; data is not changed.
 
     base_dir resolves relative subprocess command paths (harness files refer
     to scripts that live next to them).
     """
+    if isinstance(data, dict) and isinstance(data.get("entries"), list):
+        data = {**data, "entries": data["entries"].copy()}
+    return _classifier_from_owned_json(data, base_dir)
+
+
+def _classifier_from_owned_json(data: Any, base_dir: Union[str, Path, None]) -> Classifier:
+    """classifier_from_json_dict on a value the caller gives up: each item
+    of a table's entries list is set to None once it is keyed, so the
+    decoded entries are freed while the table grows."""
     if not isinstance(data, dict):
         raise FormatError("classifier must be a JSON object")
     kind = data.get("kind")
@@ -218,6 +227,7 @@ def classifier_from_json_dict(data: Any, base_dir: Union[str, Path, None] = None
             except (FormatError, OverflowError) as exc:
                 raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
             entries[key] = _prediction_from_json(entry, f"table entry {i}")
+            raw_entries[i] = None
         default = data.get("default")
         return TableClassifier(
             entries,
@@ -328,4 +338,4 @@ def _uncanonical(value: Any) -> Any:
 def load_classifier(path: Union[str, Path]) -> Classifier:
     """Read a classifier JSON file; subprocess commands resolve relative to it."""
     path = Path(path)
-    return classifier_from_json_dict(read_json_file(path, "classifier file"), base_dir=path.parent)
+    return _classifier_from_owned_json(read_json_file(path, "classifier file"), path.parent)

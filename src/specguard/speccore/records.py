@@ -107,8 +107,8 @@ def _items(values: list) -> list[str]:
     ]
 
 
-def _encode(value: Any) -> str:
-    """One value's piece of a canonical key; see canonical_key."""
+def _scalar(value: Any) -> str:
+    """The piece of a value that is not a list; see canonical_key."""
     kind = type(value)
     if kind is float or kind is int:
         # %.17g round-trips every float; +0.0 so -0.0 and 0.0 collapse.
@@ -117,13 +117,42 @@ def _encode(value: Any) -> str:
         return '["s",%s]' % _quote(value)
     if kind is bool:
         return '["b",true]' if value else '["b",false]'
-    if isinstance(value, list):
-        return '["l",[%s]]' % ",".join(_items(value))
     if isinstance(value, (int, float)):
         return '["n","%.17g"]' % (float(value) + 0.0)
     if isinstance(value, str):
         return '["s",%s]' % _quote(value)
     raise FormatError(f"value {value!r} cannot appear in a record")
+
+
+def _encode(value: Any) -> str:
+    """One value's piece of a canonical key; see canonical_key.
+
+    Nested lists are walked with an explicit stack of item iterators, not
+    by recursion, so a list nested as deeply as the JSON decoder allows is
+    keyed too. A list that contains itself raises FormatError.
+    """
+    if not isinstance(value, list):
+        return _scalar(value)
+    pieces = ['["l",[']
+    stack = [(id(value), iter(value))]
+    walking = {id(value)}  # the lists on the stack; one met again is a cycle
+    while stack:
+        for item in stack[-1][1]:
+            if isinstance(item, list):
+                if id(item) in walking:
+                    raise FormatError("a list that contains itself cannot appear in a record")
+                walking.add(id(item))
+                stack.append((id(item), iter(item)))
+                pieces.append('["l",[')
+                break
+            pieces += (_scalar(item), ",")
+        else:
+            walking.discard(stack.pop()[0])
+            if pieces[-1] == ",":
+                pieces.pop()
+            pieces += ("]]", ",")
+    pieces.pop()  # the comma after the outer list
+    return "".join(pieces)
 
 
 # Per tuple of field names, in insertion order: the key's text as a list
@@ -219,7 +248,8 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     Raises FormatError for a field name that is not a string and for a value
     that is none of the above (a dict, None, ...); fields are encoded in
     insertion order, so the error names the first such field or value. A
-    huge int that no float can hold raises OverflowError.
+    huge int that no float can hold raises OverflowError. Lists of any depth
+    are keyed; a list that contains itself raises FormatError.
     """
     names = tuple(fields)
     entry = _templates.get(names) or _template(names)

@@ -1,9 +1,10 @@
 """Reference readers for specguard's JSON Lines files.
 
-monitor.read_trace and errors.read_json_lines decode a line with one call
-of the JSON scanner and build a well-formed trace record without the
-dataclasses' __init__. These readers do neither: json.loads on every line
-and records built by their constructors, with the input dict copied. They
+monitor.read_trace and errors.iter_json_lines decode a line with one call
+of the JSON scanner, stream the file, and build a well-formed trace record
+without the dataclasses' __init__. These readers do none of that: the
+whole file read and split, json.loads on every line and records built by
+their constructors, with the input dict copied. They
 define the items, values and error texts the fast readers must keep, a
 value nested too deeply for the decoder included. test_jsonl.py checks the
 two against each other on random files.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, TypeVar, Union
+from typing import Any, Callable, Iterator, TypeVar, Union
 
 from specguard.errors import FormatError
 from specguard.monitor import MalformedLine, TraceRecord
@@ -71,15 +72,19 @@ def read_trace(path: Union[str, Path]) -> list[Union[TraceRecord, MalformedLine]
     return items
 
 
-def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> list[T]:
-    values = []
+def iter_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> Iterator[T]:
     for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
             line = raw.removesuffix(b"\r").decode("utf-8")
-            if line.strip():
-                values.append(build(loads(line)))
+            if not line.strip():
+                continue
+            value = build(loads(line))
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc
-    return values
+        yield value
+
+
+def read_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> list[T]:
+    return list(iter_json_lines(path, what, build))

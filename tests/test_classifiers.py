@@ -1,6 +1,7 @@
 """Table, expression, and subprocess classifiers, plus their JSON forms."""
 from __future__ import annotations
 
+import copy
 import json
 import sys
 import textwrap
@@ -232,6 +233,25 @@ class TestJsonForms:
         entries = [{"input": {"x": 1}, "label": "a"}, {"input": {"x": value}, "label": "b"}]
         with pytest.raises(FormatError, match=f"table entry 1 input cannot be keyed: {message}"):
             classifier_from_json_dict({"kind": "table", "entries": entries})
+
+    def test_table_from_a_dict_leaves_it_unchanged_and_equals_the_loaded_one(self, tmp_path):
+        data = {
+            "kind": "table",
+            "entries": [
+                {"input": {"x": 1, "g": [[0.5, -0.0]]}, "label": "yes", "confidence": 0.9},
+                {"input": {"x": 2.0, "s": "a"}, "label": "no"},
+                {"input": {"x": 3}, "label": "yes"},
+            ],
+            "default": "no",
+        }
+        path = tmp_path / "clf.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        before = copy.deepcopy(data)
+        built = classifier_from_json_dict(data)
+        assert data == before
+        loaded = load_classifier(path)
+        assert built == loaded
+        assert list(built.entries) == list(loaded.entries)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "clf.json"

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,17 @@ class TestDeepNesting:
             "detail": f"spec file {path} is not well-formed: precondition: "
             "syntax error at 1:65: expression nests deeper than 64 levels",
         }
+
+
+    def test_a_chain_too_long_for_a_recursive_pass_exits_two(self, capsys, files):
+        # typecheck still recurses down a chain's left spine, so cli.main's
+        # last resort turns the RecursionError into an invocation error.
+        chain = " && ".join(["input.height > 0"] * 600)
+        path = files.write("chain.json", dict(PED_SPEC, precondition=chain))
+        code, out, err = run(capsys, "spec", "validate", path)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "RecursionError"
 
 
 class TestMonitorRun:
@@ -665,6 +677,138 @@ class TestPatternsSimulate:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "FormatError"
         assert "table entry 1 input cannot be keyed" in err
+
+
+    def test_a_list_nested_past_the_recursion_limit_is_keyed(self, capsys, files):
+        harness, _, oracle = self.gated_files(files)
+        zone = 1.0
+        for _ in range(700):
+            zone = [zone]
+        domain = files.write("deep.jsonl", [{"id": "deep", "input": {"height": 1.0, "zone": zone}}])
+        code, out, err = run(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "PatternError",
+            "detail": "oracle failed on record deep: "
+            "table classifier has no entry for this input and no default",
+        }
+
+    def test_memory_stays_flat_as_the_domain_grows(self, capsys, files):
+        """The domain is streamed: 18k more records cost under 1 MB of peak
+        traced heap. The subject is the oracle, so the report stays small."""
+        oracle = self.classifier(files, "oracle.json", 8)
+        self.classifier(files, "subject.json", 8)
+        harness = files.write(
+            "harness.json", {"pattern": "classifier", "classifier": "subject.json"}
+        )
+        peaks = {}
+        for size in (2_000, 2_000, 20_000):  # the first run warms one-time caches
+            domain = files.dir / f"domain{size}.jsonl"
+            domain.write_text(
+                "".join(
+                    json.dumps({"id": f"r{i}", "input": {"height": i % 16 + 0.5}}) + "\n"
+                    for i in range(size)
+                ),
+                encoding="utf-8",
+            )
+            argv = ["patterns", "simulate", "--harness", harness,
+                    "--domain", str(domain), "--oracle", oracle]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, capsys.readouterr().err) == (0, "")
+        assert peaks[20_000] < peaks[2_000] + 2**20
+
+
+class TestSimulateErrorOrder:
+    """patterns simulate streams its domain but reports errors in the order
+    of reading everything first: harness, domain file, oracle file, then the
+    oracle on a record. Each case pins the file or record named and the exit
+    code."""
+
+    SIZE = 60
+
+    @pytest.fixture
+    def case(self, files):
+        good = [{"id": f"d{i}", "input": {"height": float(i)}} for i in range(self.SIZE)]
+        entries = [
+            {"input": r["input"], "label": "low" if r["input"]["height"] < 30 else "high"}
+            for r in good
+        ]
+        rule = {"condition": "input.height < 30", "label": "low"}
+        files.write("subject.json", {"kind": "expression", "rules": [rule], "default": "high"})
+        lines = [json.dumps(r) for r in good]
+        malformed = lines.copy()
+        malformed[50] = "{not json"  # line 51
+        unknown = [json.dumps({"id": "u", "input": {"height": -1.0}})] + lines
+        paths = {
+            ("harness", "good"): files.write(
+                "harness.json", {"pattern": "classifier", "classifier": "subject.json"}
+            ),
+            ("harness", "bad"): files.write("bad_harness.json", {"pattern": "nope"}),
+            ("oracle", "good"): files.write("oracle.json", {"kind": "table", "entries": entries}),
+            ("oracle", "short"): files.write(
+                "short.json", {"kind": "table", "entries": entries[:20]}
+            ),
+            ("oracle", "missing"): str(files.dir / "no_oracle.json"),
+            ("domain", "missing"): str(files.dir / "no_domain.jsonl"),
+        }
+        for name, text in [("malformed", malformed), ("good", lines), ("unknown", unknown)]:
+            path = files.dir / f"{name}.jsonl"
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+            paths["domain", name] = str(path)
+        path = files.dir / "malformed_oracle.json"
+        path.write_text('{"kind": "table", "entries": [', encoding="utf-8")
+        paths["oracle", "malformed"] = str(path)
+        return paths
+
+    @staticmethod
+    def expected(paths, harness, domain, oracle):
+        """(error kind, start of its detail) by the read-everything-first order."""
+        if harness == "bad":
+            return "FormatError", "harness has unknown pattern 'nope'"
+        if domain == "missing":
+            return "FormatError", f"cannot read records {paths['domain', domain]}: "
+        if domain == "malformed":
+            return "FormatError", f"{paths['domain', domain]}:51: not valid JSON: "
+        if oracle == "missing":
+            return "FormatError", f"cannot read classifier file {paths['oracle', oracle]}: "
+        if oracle == "malformed":
+            return "FormatError", f"classifier file {paths['oracle', oracle]} is not valid JSON: "
+        missing_entry = ": table classifier has no entry for this input and no default"
+        if domain == "unknown":
+            return "PatternError", "oracle failed on record u" + missing_entry
+        if oracle == "short":
+            return "PatternError", "oracle failed on record d20" + missing_entry
+        return None
+
+    @pytest.mark.parametrize("harness", ["good", "bad"])
+    @pytest.mark.parametrize("domain", ["good", "malformed", "unknown", "missing"])
+    @pytest.mark.parametrize("oracle", ["good", "malformed", "short", "missing"])
+    def test_the_first_error_in_reading_order_is_reported(
+        self, capsys, case, harness, domain, oracle
+    ):
+        code, out, err = run(
+            capsys, "patterns", "simulate", "--harness", case["harness", harness],
+            "--domain", case["domain", domain], "--oracle", case["oracle", oracle],
+        )
+        want = self.expected(case, harness, domain, oracle)
+        if want is None:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["total"] == self.SIZE
+            return
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == want[0]
+        assert error["detail"].startswith(want[1])
 
 
 class TestProcessCommands:

@@ -1,5 +1,6 @@
-"""The JSON Lines read path: errors.json_line, monitor.read_trace and
-errors.read_json_lines against the reference readers in jsonl_oracle.py,
+"""The JSON Lines read path: errors.json_line, monitor.read_trace,
+errors.iter_json_lines and errors.read_json_lines against the reference
+readers in jsonl_oracle.py,
 and the trace records read_trace builds without their __init__."""
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import jsonl_oracle
 from specguard import monitor
 from specguard.cli import main
-from specguard.errors import FormatError, json_line, read_json_lines
+from specguard.errors import FormatError, iter_json_lines, json_line, read_json_lines
 from specguard.monitor import TraceRecord, _built_trace_record, read_trace
 from specguard.speccore.records import FeatureRecord, Prediction, record_from_json_dict
 
@@ -137,6 +138,42 @@ def test_read_json_lines_gives_the_oracles_values_or_error(tmp_path, data, build
     assert _outcome(read_json_lines, path, build) == _outcome(
         jsonl_oracle.read_json_lines, path, build
     )
+
+
+def _stream(iterate, path, build):
+    """The values an iterator yields, in order, then the error it stops with."""
+    values, error = [], None
+    try:
+        for value in iterate(path, "records", build):
+            values.append(value)
+    except FormatError as exc:
+        error = str(exc)
+    return repr(values), error
+
+
+@_SETTINGS
+@given(data=_FILES, build=st.sampled_from([lambda value: value, record_from_json_dict]))
+def test_iter_json_lines_yields_the_oracles_values_then_its_error(tmp_path, data, build):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data)
+    assert _stream(iter_json_lines, path, build) == _stream(
+        jsonl_oracle.iter_json_lines, path, build
+    )
+
+
+def test_iter_json_lines_reads_one_line_per_value(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"id": "a"}\n\n{"id": "b"}\n{oops\n')
+    lines = iter_json_lines(path, "records", record_from_json_dict)
+    path.unlink()  # opened on the first next(), not before
+    with pytest.raises(FormatError, match="cannot read records"):
+        next(lines)
+    path.write_bytes(b'{"id": "a"}\n\n{"id": "b"}\n{oops\n')
+    lines = iter_json_lines(path, "records", record_from_json_dict)
+    assert next(lines).id == "a"
+    assert next(lines).id == "b"
+    with pytest.raises(FormatError, match=r"records\.jsonl:4: not valid JSON"):
+        next(lines)
 
 
 @pytest.mark.parametrize("line", ADVERSARIAL, ids=range(len(ADVERSARIAL)))

@@ -333,6 +333,27 @@ class TestSimulate:
         report = simulate(self.domain(), height_rule(), height_rule(6.0))
         json.dumps(report.to_json_dict())
 
+    def test_a_generator_is_read_one_record_at_a_time(self):
+        events = []
+
+        def domain():
+            for record in self.domain():
+                events.append(("pulled", record.id))
+                yield record
+
+        class Oracle:
+            def classify(self, fields):
+                events.append(("oracle", f"h{fields['height']:.0f}"))
+                return height_rule().classify(fields)
+
+        report = simulate(domain(), Oracle(), height_rule(6.0))
+        ids = [f"h{h}" for h in range(12)]
+        assert events == [event for rid in ids for event in (("pulled", rid), ("oracle", rid))]
+        assert report.total == 12
+        assert report.to_json_dict() == simulate(
+            self.domain(), height_rule(), height_rule(6.0)
+        ).to_json_dict()
+
 
 class TestLoadHarness:
     def write(self, tmp_path, name, data):

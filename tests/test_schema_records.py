@@ -336,6 +336,51 @@ class TestCanonicalKeyOracle:
         assert key_outcome(canonical_key, fields) == key_outcome(oracle.canonical_key, fields)
 
 
+@st.composite
+def deep_lists(draw, max_depth=200):
+    """A list nested up to max_depth levels, built from the inside out: each
+    level holds the deeper list among siblings (leaves, small lists, empty
+    lists), so the nesting is ragged at every level."""
+    value = draw(st.one_of(KEY_LEAVES, st.just([])))
+    for _ in range(draw(st.integers(1, max_depth))):
+        left = draw(st.lists(st.one_of(KEY_LEAVES, st.lists(KEY_LEAVES, max_size=2)), max_size=2))
+        right = draw(st.lists(st.one_of(KEY_LEAVES, st.just([[]])), max_size=2))
+        value = [*left, value, *right]
+    return value
+
+
+class TestDeepLists:
+    """canonical_key walks nested lists with an explicit stack: any depth
+    is keyed, with the oracle's key or exception."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(KEY_NAMES, st.one_of(deep_lists(), KEY_LEAVES), max_size=3))
+    def test_deep_and_ragged_lists_match_the_oracle(self, fields):
+        want = key_outcome(oracle.canonical_key, fields)
+        records._templates.clear()
+        assert key_outcome(canonical_key, fields) == want
+        assert key_outcome(canonical_key, fields) == want
+
+    @pytest.mark.parametrize("depth", [700, 100_000])
+    def test_nesting_past_the_recursion_limit_is_keyed(self, depth):
+        value = [2.5]
+        for _ in range(depth - 1):
+            value = [value]
+        want = "{" + '"zone":' + '["l",[' * depth + '["n","2.5"]' + "]]" * depth + "}"
+        assert canonical_key({"zone": value}) == want
+
+    def test_a_shared_list_is_not_a_cycle(self):
+        row = [1, [2]]
+        fields = {"g": [row, [row, row], "s"]}
+        assert canonical_key(fields) == oracle.canonical_key(fields)
+
+    def test_a_list_that_contains_itself_is_refused(self):
+        loop: list = [1]
+        loop.append([loop])
+        with pytest.raises(FormatError, match="a list that contains itself"):
+            canonical_key({"x": loop})
+
+
 class TestRecordJson:
     def test_round_trip(self):
         record = FeatureRecord({"height": 1.5}, "r1")
