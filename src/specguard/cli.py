@@ -22,9 +22,11 @@ from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file
 from .monitor import (
     MonitorPolicy,
     PolicyAction,
-    read_trace,
     run_trace,
 )
+# read_trace is not called here; bench/tracer.py wraps it under this name in
+# this module, as it wraps run_trace and json.
+from .monitor import read_trace  # noqa: F401
 from .patterns import load_harness, simulate
 from .process.catalog import (
     Asil,
@@ -223,7 +225,7 @@ def _policy_from_file(path: str) -> MonitorPolicy:
 def _cmd_monitor_run(args) -> tuple[dict, str, int]:
     spec = load_spec(args.spec)
     policy = _policy_from_file(args.policy) if args.policy else MonitorPolicy()
-    report = run_trace(spec, read_trace(args.trace), policy)
+    report = run_trace(spec, args.trace, policy)
     payload = report.to_json_dict()
     lines = [
         f"final state: {report.final_state.value}",

@@ -5,18 +5,23 @@ PartialSpec. Per-sample checks produce violations; a policy maps violation
 kinds to state transitions NOMINAL -> DEGRADED -> FAILSAFE (never backward).
 Probabilistic constraints run on tumbling windows of inputs.
 
-Fast path. run_trace first hands each record to one Python function
-generated for the spec (clean_record_function). It answers True only when
-the exact checks would find nothing: the record conforms to the schema and
-the prediction to the label alphabet, and check_sample reports no
-violation. Such a record only joins the probabilistic window. It answers
-False only when the record and prediction conform but a condition may
-fail: such a record goes to check_sample, which reports what fails. Every
-other record, including one on which the generated function raises, goes
-through conformance_errors, prediction_errors and check_sample exactly as
-it would without the fast path. So every violation, its detail, its error
-text and the order of the checks come from those functions alone. A spec
-the generator does not take (one that fails static_errors, or holds a
+Fast path. run_trace generates two Python functions for the spec, from one
+static_errors pass and one compile (clean_functions). clean takes a
+record's fields and prediction. It answers True only when the exact checks
+would find nothing: the record conforms to the schema and the prediction
+to the label alphabet, and check_sample reports no violation. Such a
+record only joins the probabilistic window. It answers False only when the
+record and prediction conform but a condition may fail: such a record goes
+to check_sample, which reports what fails. Every other record, including
+one on which the generated function raises, goes through
+conformance_errors, prediction_errors and check_sample exactly as it would
+without the fast path. clean_line runs the same tests on a trace line's
+decoded JSON value. Where clean would answer True on the record read_trace
+builds from the line, it returns the floats the window needs, and the line
+never becomes a TraceRecord. Any other line becomes read_trace's item and
+takes the record step above. So every violation, its detail, its error
+text and the order of the checks come from the exact functions alone. A
+spec the generator does not take (one that fails static_errors, or holds a
 literal that is not exactly an int a float can hold, a float, a str or a
 bool) has no fast path.
 
@@ -25,17 +30,22 @@ about 91% on the benchmark's monitor_trace workload. A record it does not
 decide pays for the generated call and the exact checks; one that conforms
 skips conformance_errors and prediction_errors, which pays the call back.
 
-Reading. read_trace streams the file a line at a time. Each line is decoded
-by one call of the JSON scanner (errors.json_line), which falls back to
-json.loads, and so to its exact value and error text, on any line the
-scanner does not take whole. A value that passes the record checks is
-built without the frozen dataclasses' __init__ (see _built_trace_record);
-the checks name what is wrong with any other value. With the fast path
-deciding most records, decoding and building a line cost more than
-checking it, so each is kept to one call per line.
+Reading. run_trace takes either the path of a JSON Lines trace file or an
+iterable of items, such as read_trace(path) gives. Both read the file a
+line at a time. Each line is decoded by one call of the JSON scanner
+(errors.json_line), which falls back to json.loads, and so to its exact
+value and error text, on any line the scanner does not take whole. From a
+path, the decoded value goes to clean_line first. read_trace, and the path
+form for a line clean_line does not decide, build a value that passes the
+record checks without the frozen dataclasses' __init__ (see
+_built_trace_record); the checks name what is wrong with any other value.
+With the fast path deciding most lines, decoding a line costs more than
+checking it, so it is kept to one call per line, and a clean line read
+from a path costs no record at all.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -59,7 +69,7 @@ from .speccore.spec import (
     check_pre,
     check_sufficient,
     require_well_formed,
-    spec_function,
+    spec_functions,
 )
 from .speclang.ast import to_source
 from .speclang.codegen import Emitter
@@ -226,29 +236,40 @@ def _eval_error(rid: Optional[str], stage: str, exc: EvalError) -> Violation:
     return Violation(rid, ViolationKind.EVAL_ERROR, {"stage": stage, "error": str(exc)})
 
 
-def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Optional[bool]]]:
-    """One generated function clean(fields, prediction) for the spec, or
-    None when the spec has no fast path (see the module docstring).
+def clean_functions(
+    spec: PartialSpec,
+) -> tuple[Optional[Callable[..., Any]], Optional[Callable[..., Any]]]:
+    """The generated functions (clean, clean_line) of the spec, built from
+    one static_errors pass and one compile, or (None, None) when the spec
+    has no fast path (see the module docstring).
 
-    clean returns True only when the fields are a dict that conforms to the
-    schema with exact builtin types (float, int, str, bool, lists of rows),
-    the label is a str in the alphabet, the confidence is a float in [0, 1],
-    the precondition and postcondition hold, no sufficient condition of
-    another label holds and every necessary condition of the predicted
-    label holds. It returns False when the record and prediction conform
-    that way but a condition fails, and None (or raises) otherwise. It
-    never returns True where the exact checks find something, nor False
-    where conformance_errors or prediction_errors do; it may return None
-    or raise on a record that conforms. The spec is read once, here: build
-    a new function after changing it.
+    clean(fields, prediction) returns True only when the fields are a dict
+    that conforms to the schema with exact builtin types (float, int, str,
+    bool, lists of rows), the label is a str in the alphabet, the confidence
+    is a float in [0, 1], the precondition and postcondition hold, no
+    sufficient condition of another label holds and every necessary
+    condition of the predicted label holds. It returns False when the record
+    and prediction conform that way but a condition fails, and None (or
+    raises) otherwise. It never returns True where the exact checks find
+    something, nor False where conformance_errors or prediction_errors do;
+    it may return None or raise on a record that conforms.
 
-    The conformance part is written by records.conformance_guard,
-    records.prediction_guard and schema.value_guard, next to the exact
-    rules it must agree with; the conditions' part by speclang.codegen.
+    clean_line(data) takes the decoded JSON value of one trace line and runs
+    the same tests on its "input" and its "output" object's "label" and
+    "confidence". Where clean would return True on the TraceRecord that
+    read_trace builds from the line, and the value is an object with a str
+    "id", it returns a tuple: the floats of the probabilistic constraints'
+    fields, in constraint order (an empty tuple, still not None or False,
+    for a spec with none). Any other answer, or an exception, leaves the
+    line to the exact path.
+
+    The spec is read once, here: build new functions after changing it. The
+    conformance part is written by records.conformance_guard,
+    records.prediction_guard and schema.value_guard, next to the exact rules
+    it must agree with; the conditions' part by speclang.codegen.
     """
 
-    def write(emit: Emitter) -> list[str]:
-        body = prediction_guard(spec.schema, emit.constant)
+    def write(emit: Emitter, guard: list[str]) -> dict[str, list[str]]:
         conditions = [spec.precondition]
         if spec.postcondition is not None:
             conditions.append(spec.postcondition)
@@ -259,11 +280,123 @@ def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Op
         for label, exprs in spec.necessary.items():
             if exprs:
                 tests.append(f"label == {emit.constant(label)} and not {emit.all_of(exprs)}")
+        checks = []
         for test in tests:
-            body += [f"if {test}:", "    return False"]
-        return body + ["return True"]
+            checks += [f"if {test}:", "    return False"]
+        floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
+        schema = spec.schema
+        record = guard + prediction_guard(
+            schema, emit.constant, "prediction.label", "prediction.confidence"
+        )
+        line = [
+            "if data.__class__ is not dict or data['id'].__class__ is not str:",
+            "    return None",
+            "fields, output = data['input'], data['output']",
+            "if output.__class__ is not dict:",
+            "    return None",
+            *guard,
+        ]
+        line += prediction_guard(schema, emit.constant, "output['label']", "output['confidence']")
+        return {
+            "clean(fields, prediction)": record + checks + ["return True"],
+            "clean_line(data)": line + checks + [f"return ({floats})"],
+        }
 
-    return spec_function(spec, "clean", "fields, prediction", write)
+    functions = spec_functions(spec, write)
+    return (None, None) if functions is None else functions
+
+
+def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Optional[bool]]]:
+    """clean of clean_functions(spec): the record form of the fast path."""
+    return clean_functions(spec)[0]
+
+
+class _Window:
+    """One tumbling window of the spec's probabilistic constraints.
+
+    rows holds one tuple per record, in record order: the floats of the
+    constraints' fields, in constraint order, None where the field holds no
+    number. The EVAL_ERROR violation of each such record is kept per
+    constraint. A clean line's row is clean_line's tuple, appended as is.
+    """
+
+    def __init__(self, constraints: Sequence[Any]) -> None:
+        self.constraints = constraints
+        self.rows: list[tuple[Optional[float], ...]] = []
+        self.errors: list[list[Violation]] = [[] for _ in constraints]
+
+    def add(self, record: FeatureRecord) -> None:
+        row: list[Optional[float]] = []
+        for constraint, errors in zip(self.constraints, self.errors):
+            value = record.fields.get(constraint.field)
+            if value is None or not is_number(value):
+                errors.append(
+                    Violation(
+                        record_ref(record.id, len(self.rows)),
+                        ViolationKind.EVAL_ERROR,
+                        {
+                            "stage": "probabilistic",
+                            "field": constraint.field,
+                            "error": f"field {constraint.field!r} missing or not a number",
+                        },
+                    )
+                )
+                row.append(None)
+            else:
+                row.append(float(value))
+        self.rows.append(tuple(row))
+
+    def close(self) -> list[Violation]:
+        """The window's violations, constraint by constraint: its records'
+        EVAL_ERRORs, then the statistic's, computed over the constraint's
+        floats in record order. The window is empty afterwards."""
+        violations: list[Violation] = []
+        columns = zip(*self.rows)
+        for constraint, column, errors in zip(self.constraints, columns, self.errors):
+            violations += errors
+            errors.clear()
+            values = [v for v in column if v is not None]
+            if not values:
+                continue
+            if isinstance(constraint, RangeConstraint):
+                outside = sum(1 for v in values if not constraint.lo <= v <= constraint.hi)
+                fraction = outside / len(values)
+                if fraction > constraint.max_violation_fraction:
+                    violations.append(
+                        Violation(
+                            None,
+                            ViolationKind.PROBABILISTIC,
+                            {
+                                "field": constraint.field,
+                                "constraint": "range",
+                                "lo": constraint.lo,
+                                "hi": constraint.hi,
+                                "observed_fraction": fraction,
+                                "allowed_fraction": constraint.max_violation_fraction,
+                                "samples": len(values),
+                            },
+                        )
+                    )
+            else:
+                assert isinstance(constraint, MeanConstraint)
+                mean = sum(values) / len(values)
+                if abs(mean - constraint.expected) > constraint.tolerance:
+                    violations.append(
+                        Violation(
+                            None,
+                            ViolationKind.PROBABILISTIC,
+                            {
+                                "field": constraint.field,
+                                "constraint": "mean",
+                                "expected": constraint.expected,
+                                "tolerance": constraint.tolerance,
+                                "observed_mean": mean,
+                                "samples": len(values),
+                            },
+                        )
+                    )
+        self.rows.clear()
+        return violations
 
 
 def check_batch_probabilistic(
@@ -274,65 +407,10 @@ def check_batch_probabilistic(
     Records missing the constrained field (or holding a non-number) yield
     EVAL_ERROR violations and are excluded from the statistics.
     """
-    violations: list[Violation] = []
-    for constraint in spec.probabilistic:
-        values: list[float] = []
-        for index, record in enumerate(inputs):
-            value = record.fields.get(constraint.field)
-            if value is None or not is_number(value):
-                violations.append(
-                    Violation(
-                        record_ref(record.id, index),
-                        ViolationKind.EVAL_ERROR,
-                        {
-                            "stage": "probabilistic",
-                            "field": constraint.field,
-                            "error": f"field {constraint.field!r} missing or not a number",
-                        },
-                    )
-                )
-                continue
-            values.append(float(value))
-        if not values:
-            continue
-        if isinstance(constraint, RangeConstraint):
-            outside = sum(1 for v in values if not constraint.lo <= v <= constraint.hi)
-            fraction = outside / len(values)
-            if fraction > constraint.max_violation_fraction:
-                violations.append(
-                    Violation(
-                        None,
-                        ViolationKind.PROBABILISTIC,
-                        {
-                            "field": constraint.field,
-                            "constraint": "range",
-                            "lo": constraint.lo,
-                            "hi": constraint.hi,
-                            "observed_fraction": fraction,
-                            "allowed_fraction": constraint.max_violation_fraction,
-                            "samples": len(values),
-                        },
-                    )
-                )
-        else:
-            assert isinstance(constraint, MeanConstraint)
-            mean = sum(values) / len(values)
-            if abs(mean - constraint.expected) > constraint.tolerance:
-                violations.append(
-                    Violation(
-                        None,
-                        ViolationKind.PROBABILISTIC,
-                        {
-                            "field": constraint.field,
-                            "constraint": "mean",
-                            "expected": constraint.expected,
-                            "tolerance": constraint.tolerance,
-                            "observed_mean": mean,
-                            "samples": len(values),
-                        },
-                    )
-                )
-    return violations
+    window = _Window(spec.probabilistic)
+    for record in inputs:
+        window.add(record)
+    return window.close()
 
 
 def _action_for(kind: ViolationKind, policy: MonitorPolicy) -> PolicyAction:
@@ -344,12 +422,96 @@ def _action_for(kind: ViolationKind, policy: MonitorPolicy) -> PolicyAction:
     return PolicyAction.DEGRADE
 
 
+class _Run:
+    """One run of the monitor: the spec's fast paths, the state machine, the
+    tumbling window and every violation so far. run_trace drives it over an
+    iterable of trace items (take) or over the lines of a trace file
+    (take_lines); a line clean_line does not decide becomes the item
+    read_trace gives and takes the same step."""
+
+    def __init__(self, spec: PartialSpec, policy: MonitorPolicy) -> None:
+        require_well_formed(spec)
+        self.spec, self.policy = spec, policy
+        self.clean, self.clean_line = clean_functions(spec)
+        self.violations: list[Violation] = []
+        self.state = MonitorState.NOMINAL
+        self.processed = 0
+        self.window = _Window(spec.probabilistic)
+        self.window_index = 0
+
+    def report(self) -> MonitorReport:
+        return MonitorReport(self.violations, self.state, self.processed)
+
+    def absorb(self, violations: list[Violation], window_label: Optional[int] = None) -> None:
+        already_failsafe = self.state is MonitorState.FAILSAFE
+        for violation in violations:
+            if already_failsafe:
+                violation.post_failsafe = True
+            if window_label is not None:
+                violation.detail.setdefault("window", window_label)
+            next_state = _ACTION_STATE[_action_for(violation.kind, self.policy)]
+            if _STATE_RANK[next_state] > _STATE_RANK[self.state]:
+                self.state = next_state
+            self.violations.append(violation)
+
+    def take(self, item: Union[TraceRecord, MalformedLine]) -> None:
+        """The record step: check one item, then add its input to the window."""
+        self.processed += 1
+        if isinstance(item, MalformedLine):
+            detail = {"stage": "trace", "line": item.line, "error": item.error}
+            self.absorb([Violation(None, ViolationKind.EVAL_ERROR, detail)])
+            return
+        try:
+            verdict = None if self.clean is None else self.clean(item.input.fields, item.output)
+        except Exception:  # the exact checks below say what is wrong
+            verdict = None
+        if verdict is not True:
+            structural: list[str] = []
+            if verdict is None:
+                structural = conformance_errors(item.input.fields, self.spec.schema)
+                structural += prediction_errors(item.output, self.spec.schema)
+            if structural:
+                detail = {"stage": "conformance", "errors": structural}
+                self.absorb([Violation(item.id, ViolationKind.EVAL_ERROR, detail)])
+                return
+            self.absorb(check_sample(self.spec, item, self.policy))
+        self.window.add(item.input)
+        self._tumble()
+
+    def take_lines(self, path: Union[str, os.PathLike]) -> None:
+        """Each line of the trace file at path, in order. A line clean_line
+        decides clean only adds its floats to the window; every other line
+        takes the record step as the item read_trace gives for it."""
+        clean_line, rows = self.clean_line, self.window.rows
+        full = self.policy.probabilistic_window
+        for line_no, data in _decoded_lines(path):
+            try:
+                floats = None if clean_line is None else clean_line(data)
+            except Exception:  # the record step says what is wrong
+                floats = None
+            if floats.__class__ is tuple:
+                self.processed += 1
+                rows.append(floats)
+                if len(rows) == full:
+                    self._tumble()
+            else:
+                self.take(_trace_item(line_no, data))
+
+    def _tumble(self) -> None:
+        """Check and empty the window once it is full."""
+        if len(self.window.rows) == self.policy.probabilistic_window:
+            self.absorb(self.window.close(), window_label=self.window_index)
+            self.window_index += 1
+
+
 def run_trace(
     spec: PartialSpec,
-    trace: Iterable[Union[TraceRecord, MalformedLine]],
+    trace: Union[str, os.PathLike, Iterable[Union[TraceRecord, MalformedLine]]],
     policy: MonitorPolicy = MonitorPolicy(),
 ) -> MonitorReport:
-    """Run the monitor over a whole trace.
+    """Run the monitor over a whole trace: the path of a JSON Lines trace
+    file (a str or os.PathLike, read as read_trace reads it), or an
+    iterable of TraceRecord and MalformedLine items.
 
     Records arriving after the state machine reached FAILSAFE are still
     checked and logged, flagged post_failsafe (the violations that caused the
@@ -357,76 +519,27 @@ def run_trace(
     tumbling window of probabilistic_window records; a trailing partial
     window is not checked.
 
-    The spec's fast-path function is generated once per call, before the
-    first record; a record it calls clean skips the exact checks, one it
-    has shown to conform skips the conformance checks, every other record
-    gets them all (see the module docstring). The report is the one the
-    exact checks alone would give.
+    The spec's fast-path functions are generated once per call, before the
+    first record (see the module docstring). From a file, a line clean_line
+    calls clean never becomes a TraceRecord; every other line becomes the
+    item read_trace gives for it. An item clean calls clean skips the exact
+    checks, one it has shown to conform skips the conformance checks, every
+    other item gets them all. The report is the one the exact checks alone
+    would give on read_trace's items, and the same for a path and for
+    read_trace(path).
 
     A spec that static_errors rejects raises FormatError before the first
-    record is read (spec.require_well_formed).
+    record is read (spec.require_well_formed); an unreadable trace file
+    raises read_trace's FormatError.
     """
-    require_well_formed(spec)
-    clean = clean_record_function(spec)
-    all_violations: list[Violation] = []
-    state = MonitorState.NOMINAL
-    processed = 0
-    window: list[FeatureRecord] = []
-    window_index = 0
-
-    def absorb(violations: list[Violation], window_label: Optional[int] = None) -> None:
-        nonlocal state
-        already_failsafe = state is MonitorState.FAILSAFE
-        for violation in violations:
-            if already_failsafe:
-                violation.post_failsafe = True
-            if window_label is not None:
-                violation.detail.setdefault("window", window_label)
-            next_state = _ACTION_STATE[_action_for(violation.kind, policy)]
-            if _STATE_RANK[next_state] > _STATE_RANK[state]:
-                state = next_state
-            all_violations.append(violation)
-
-    for item in trace:
-        processed += 1
-        if isinstance(item, MalformedLine):
-            absorb(
-                [
-                    Violation(
-                        None,
-                        ViolationKind.EVAL_ERROR,
-                        {"stage": "trace", "line": item.line, "error": item.error},
-                    )
-                ]
-            )
-            continue
-        try:
-            verdict = None if clean is None else clean(item.input.fields, item.output)
-        except Exception:  # the exact checks below say what is wrong
-            verdict = None
-        if verdict is not True:
-            structural: list[str] = []
-            if verdict is None:
-                structural = conformance_errors(item.input.fields, spec.schema)
-                structural += prediction_errors(item.output, spec.schema)
-            if structural:
-                absorb(
-                    [
-                        Violation(
-                            item.id,
-                            ViolationKind.EVAL_ERROR,
-                            {"stage": "conformance", "errors": structural},
-                        )
-                    ]
-                )
-                continue
-            absorb(check_sample(spec, item, policy))
-        window.append(item.input)
-        if len(window) == policy.probabilistic_window:
-            absorb(check_batch_probabilistic(spec, window), window_label=window_index)
-            window = []
-            window_index += 1
-    return MonitorReport(all_violations, state, processed)
+    run = _Run(spec, policy)
+    if isinstance(trace, (str, os.PathLike)):
+        run.take_lines(trace)
+    else:
+        take = run.take
+        for item in trace:
+            take(item)
+    return run.report()
 
 
 def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedLine]]:
@@ -446,6 +559,14 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     checks is built without the dataclasses' __init__ and keeps the decoded
     input dict; the items are equal to what the constructors would build.
     """
+    for line_no, data in _decoded_lines(path):
+        yield _trace_item(line_no, data)
+
+
+def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded JSON value) of each non-blank line of the trace
+    file, read as read_trace describes; a MalformedLine stands in for the
+    value of a line that is not UTF-8 JSON."""
     path = Path(path)
     try:
         handle = path.open("rb")
@@ -456,18 +577,28 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                yield MalformedLine(line_no, f"line is not UTF-8: {exc}")
+                yield line_no, MalformedLine(line_no, f"line is not UTF-8: {exc}")
                 continue
             if line.endswith("\n"):
                 line = line[:-2] if line.endswith("\r\n") else line[:-1]
             if not line.strip():
                 continue
             try:
-                yield _trace_record_from_json(json_line(line))
-            except (ValueError, FormatError) as exc:
-                # ValueError: not JSON, an int with too many digits, or a
-                # value nested too deeply (see errors.json_line)
-                yield MalformedLine(line_no, str(exc))
+                data = json_line(line)
+            except ValueError as exc:  # not JSON, an int with too many digits,
+                # or a value nested too deeply (see errors.json_line)
+                data = MalformedLine(line_no, str(exc))
+            yield line_no, data
+
+
+def _trace_item(line_no: int, data: Any) -> Union[TraceRecord, MalformedLine]:
+    """read_trace's item for one line's decoded value (or MalformedLine)."""
+    if isinstance(data, MalformedLine):
+        return data
+    try:
+        return _trace_record_from_json(data)
+    except FormatError as exc:
+        return MalformedLine(line_no, str(exc))
 
 
 def _trace_record_from_json(data: Any) -> TraceRecord:

@@ -79,18 +79,21 @@ def conformance_guard(
     return lines
 
 
-def prediction_guard(schema: Schema, constant: Callable[[Any], str]) -> list[str]:
-    """Python source lines, for a generated function with a parameter
-    prediction, that return None or raise unless the prediction has a str
-    label on which prediction_errors finds nothing and a float confidence.
+def prediction_guard(
+    schema: Schema, constant: Callable[[Any], str], label: str, confidence: str
+) -> list[str]:
+    """Python source lines, for a generated function, that return None or
+    raise unless the prediction read by the source expressions label and
+    confidence has a str label on which prediction_errors finds nothing and
+    a float confidence.
 
     Afterwards the locals label and confidence hold the prediction's.
     """
     return [
-        "label = prediction.label",
+        f"label = {label}",
         f"if label.__class__ is not str or label not in {constant(frozenset(schema.labels))}:",
         "    return None",
-        "confidence = prediction.confidence",
+        f"confidence = {confidence}",
         "if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:",
         "    return None",
     ]

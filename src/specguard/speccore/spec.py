@@ -218,19 +218,20 @@ def require_well_formed(spec: PartialSpec) -> None:
         raise FormatError("spec is not well-formed", findings)
 
 
-def spec_function(
-    spec: PartialSpec, name: str, params: str, write: Callable[[Emitter], list[str]]
-) -> Optional[Callable[..., Any]]:
-    """Compile ``def name(params)``, a fast path over the spec's records, or
-    return None when the spec has none: it fails static_errors (or is too
-    malformed to check), or holds what the Emitter does not translate (a
-    literal that is not exactly an int a float can hold, a float, a str or
-    a bool; nesting deeper than Python compiles).
+def spec_functions(
+    spec: PartialSpec, write: Callable[[Emitter, list[str]], dict[str, list[str]]]
+) -> Optional[tuple[Callable[..., Any], ...]]:
+    """Compile the fast paths over the spec's records that write(emit, guard)
+    defines, as {"name(params)": body lines}, from one static_errors pass and
+    one compile; or return None when the spec has none: it fails
+    static_errors (or is too malformed to check), or holds what the Emitter
+    does not translate (a literal that is not exactly an int a float can
+    hold, a float, a str or a bool; nesting deeper than Python compiles).
 
-    The body opens with records.conformance_guard, so the function returns
-    None or raises unless its parameter fields is a dict that conforms to
-    the schema with exact builtin types. write(emit) gives the lines after
-    that guard; emit knows the local that holds each field's value.
+    guard is records.conformance_guard over the local fields: a body that
+    runs it returns None or raises unless fields is a dict that conforms to
+    the schema with exact builtin types. After it, emit knows the local that
+    holds each field's value.
     """
     try:
         if static_errors(spec):
@@ -240,11 +241,20 @@ def spec_function(
     names = {field_name: f"x{i}" for i, field_name in enumerate(spec.schema.fields)}
     emit = Emitter(spec.schema, names)
     try:
-        body = conformance_guard(spec.schema, names, emit.constant)
-        return emit.function(name, params, body + write(emit))
+        guard = conformance_guard(spec.schema, names, emit.constant)
+        return emit.functions(write(emit, guard))
     except (Unsupported, TypeError, RecursionError, SyntaxError):
         # TypeError: a field type value_guard does not know
         return None
+
+
+def spec_function(
+    spec: PartialSpec, name: str, params: str, write: Callable[[Emitter], list[str]]
+) -> Optional[Callable[..., Any]]:
+    """The one function ``def name(params)`` of spec_functions whose body is
+    the conformance guard, then write(emit); its first parameter is fields."""
+    functions = spec_functions(spec, lambda emit, guard: {f"{name}({params})": guard + write(emit)})
+    return None if functions is None else functions[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Python source for well-typed condition expressions.
 
-The monitor compiles each spec into one Python function that decides, for a
+The monitor compiles each spec into Python functions that decide, for a
 record already checked against the schema, whether every condition comes
-out clean (monitor.clean_record_function). This module writes the
-expressions' part of that source and compiles the result.
+out clean (monitor.clean_functions). This module writes the expressions'
+part of that source and compiles the result.
 
 An Emitter is only given expressions that typecheck against its schema, and
 the emitted source only ever sees field values that conform to it, held in
@@ -183,12 +183,17 @@ class Emitter:
             return f"_{name}({source})", NUMBER
         raise Unsupported(f"call {name!r} with {len(expr.args)} argument(s)")
 
-    def function(self, name: str, params: str, body: list[str]) -> Callable[..., Any]:
-        """Compile ``def name(params): body`` with the constants bound."""
+    def functions(self, defs: Mapping[str, list[str]]) -> tuple[Callable[..., Any], ...]:
+        """Compile ``def signature: body`` for each item of defs, in one
+        source and one compile, with the constants bound; the functions come
+        back in the order of defs."""
         names = "".join(f"k{i}, " for i in range(len(self.constants)))
-        lines = ["def _make(_k):", f"    {names}= _k", f"    def {name}({params}):"]
-        lines += [f"        {line}" for line in body]
-        lines.append(f"    return {name}")
+        lines = ["def _make(_k):", f"    {names}= _k"]
+        for signature, body in defs.items():
+            lines.append(f"    def {signature}:")
+            lines += [f"        {line}" for line in body]
+        made = [signature.partition("(")[0] for signature in defs]
+        lines.append(f"    return {', '.join(made)},")
         namespace = dict(_NAMESPACE)
-        exec(compile("\n".join(lines), f"<generated {name}>", "exec"), namespace)
+        exec(compile("\n".join(lines), f"<generated {', '.join(made)}>", "exec"), namespace)
         return namespace["_make"](tuple(self.constants))

@@ -1,13 +1,15 @@
-"""The generated fast paths of the monitor (monitor.clean_record_function)
-and of the gated pattern (patterns.gated_decide_function), and the
-expression emitter behind both (speclang.codegen).
+"""The generated fast paths of the monitor (monitor.clean_functions) and of
+the gated pattern (patterns.gated_decide_function), and the expression
+emitter behind both (speclang.codegen).
 
 The monitor's contract under test: when the generated function says a
 record is clean (True), the exact checks (conformance_errors,
 prediction_errors, check_sample) find nothing; when it says False,
 conformance_errors and prediction_errors find nothing; on records of exact
 builtin types the converse holds too, so the fast path is not vacuous; and
-run_trace reports the same with and without it. The gated pattern's:
+run_trace reports the same with and without it, from a trace file's path,
+from read_trace's items, and from the reference reader's items with no
+generated function at all. The gated pattern's:
 gated_classify gives the same decision or the same PatternError with and
 without its generated function, which decides every conforming record of
 exact builtin types on which the exact path decides."""
@@ -23,20 +25,25 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jsonl_oracle
 import tree_walk
 from test_evaluate import _cells, _typed_booleans, _typed_inputs, _typed_numbers, _untyped
+from test_jsonl import DEEP
 from specguard import monitor, patterns
 from specguard.errors import EvalError, FormatError
 from specguard.monitor import (
     MalformedLine,
     MonitorPolicy,
+    PolicyAction,
     TraceRecord,
     ViolationKind,
     check_sample,
+    clean_functions,
     clean_record_function,
+    read_trace,
     run_trace,
 )
 from specguard.patterns import GatedConfig, GatedDecision, gated_classify
@@ -47,7 +54,13 @@ from specguard.speccore.records import (
     conformance_errors,
     prediction_errors,
 )
-from specguard.speccore.spec import PartialSpec, RangeConstraint, static_errors
+from specguard.speccore import spec as spec_module
+from specguard.speccore.spec import (
+    MeanConstraint,
+    PartialSpec,
+    RangeConstraint,
+    static_errors,
+)
 from specguard.speclang import codegen
 from specguard.speclang.ast import Binary, Bool, Call, InputRef, Num, OutputRef, Str, Unary
 from specguard.speclang.codegen import Emitter
@@ -204,6 +217,11 @@ def test_clean_means_the_exact_checks_find_nothing(spec, fields, prediction):
             assert decided is (not findings)
 
 
+def _without_fast_paths():
+    """No generated function at all: every item takes the exact checks."""
+    return mock.patch.object(monitor, "clean_functions", lambda spec: (None, None))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_specs, st.lists(st.tuples(_fields(), _predictions), max_size=8))
 def test_run_trace_reports_the_same_without_the_fast_path(spec, rows):
@@ -214,9 +232,159 @@ def test_run_trace_reports_the_same_without_the_fast_path(spec, rows):
     ]
     policy = MonitorPolicy(probabilistic_window=3)
     fast = run_trace(spec, trace, policy).to_json_dict()
-    with mock.patch.object(monitor, "clean_record_function", lambda spec: None):
+    with _without_fast_paths():
         exact = run_trace(spec, trace, policy).to_json_dict()
     assert json.dumps(fast, sort_keys=True) == json.dumps(exact, sort_keys=True)
+
+
+_constraints = st.lists(
+    st.sampled_from(
+        [
+            RangeConstraint("height", -1.0, 1.0),
+            RangeConstraint("count", 0, 2, 0.5),
+            MeanConstraint("height", 0.0, 1.0),
+            MeanConstraint("count", 1.0, 0.5),
+        ]
+    ),
+    max_size=3,
+).map(tuple)
+_confidences = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 1),
+    st.sampled_from([0, 1, math.nan, 1.5, -0.25, True, None, "0.5"]),
+)
+# What a trace line can get wrong besides its fields: a key missing, a key
+# of the wrong type, or one too many.
+_OFF_RECORD = {
+    "no id": lambda r: r.pop("id"),
+    "int id": lambda r: r.update(id=7),
+    "no input": lambda r: r.pop("input"),
+    "input list": lambda r: r.update(input=[1.0]),
+    "output str": lambda r: r.update(output="pedestrian"),
+    "no label": lambda r: r["output"].pop("label"),
+    "no confidence": lambda r: r["output"].pop("confidence"),
+    "extra key": lambda r: r.update(extra=1),
+    "extra output key": lambda r: r["output"].update(extra=[1]),
+}
+_NOT_RECORDS = [b"[1, 2]", b'"r"', b"3", b"null", b"{", b"not json", b'{"id": "r\xff"}', DEEP]
+
+
+@st.composite
+def _trace_line(draw) -> bytes:
+    kind = draw(st.sampled_from(["record"] * 8 + ["blank", "not a record"]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b"  ", b"\t"]))
+    if kind == "not a record":
+        return draw(st.sampled_from(_NOT_RECORDS))
+    fields = draw(st.one_of(_typed_inputs, _fields()))
+    if "height" in fields and draw(st.booleans()):
+        fields["height"] = draw(st.integers(-3, 3))  # an int in a number field
+    if "count" in fields and draw(st.integers(0, 9)) == 0:
+        fields["count"] = draw(st.booleans())
+    record = {
+        "id": draw(st.sampled_from(["a", "b", "r1"])),
+        "input": fields,
+        "output": {
+            "label": draw(st.sampled_from(LABELS + ("bicycle",))),
+            "confidence": draw(_confidences),
+        },
+    }
+    if draw(st.integers(0, 4)) == 0:
+        _OFF_RECORD[draw(st.sampled_from(sorted(_OFF_RECORD)))](record)
+    return json.dumps(record).encode("utf-8")
+
+
+_trace_files = st.tuples(
+    st.lists(st.tuples(_trace_line(), st.sampled_from([b"\n", b"\r\n"])), max_size=12),
+    st.sampled_from([b"", b"\n"]),
+).map(lambda parts: b"".join(line + end for line, end in parts[0]) + parts[1])
+_policies = st.builds(
+    MonitorPolicy,
+    on_pre_violation=st.sampled_from(list(PolicyAction)),
+    on_post_class_violation=st.sampled_from([PolicyAction.DEGRADE, PolicyAction.FAILSAFE]),
+    probabilistic_window=st.integers(1, 5),
+)
+
+
+def _outcome(spec, trace, policy):
+    try:
+        return json.dumps(run_trace(spec, trace, policy).to_json_dict(), sort_keys=True)
+    except FormatError as exc:  # a spec the gate refuses, on every path alike
+        return str(exc)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(st.just(PartialSpec(schema=SCHEMA)), _specs), _constraints, _trace_files, _policies
+)
+def test_a_trace_file_reports_the_same_on_every_path(tmp_path, spec, constraints, data, policy):
+    spec = dataclasses.replace(spec, probabilistic=constraints)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    from_lines = _outcome(spec, path, policy)
+    assert _outcome(spec, read_trace(path), policy) == from_lines
+    with _without_fast_paths():
+        assert _outcome(spec, jsonl_oracle.read_trace(path), policy) == from_lines
+
+
+def _one_line_trace(tmp_path, fields):
+    path = tmp_path / "trace.jsonl"
+    output = {"label": "pedestrian", "confidence": 0.5}
+    path.write_text(json.dumps({"id": "r", "input": fields, "output": output}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("form", ["list", "str", "Path"])
+def test_one_run_checks_the_spec_twice_in_every_form(tmp_path, form):
+    # once at the gate, once for the one compile of both generated functions
+    path = _one_line_trace(tmp_path, CONFORMING)
+    trace = {"list": list(read_trace(path)), "str": str(path), "Path": path}[form]
+    spec = PartialSpec(schema=SCHEMA, probabilistic=(RangeConstraint("height", -1.0, 1.0),))
+    with mock.patch.object(spec_module, "static_errors", wraps=static_errors) as checked:
+        assert run_trace(spec, trace).violations == []
+    assert checked.call_count == 2
+
+
+@pytest.mark.parametrize("probabilistic", [(), (MeanConstraint("count", 1.0, 0.0),) * 2])
+def test_a_clean_line_never_becomes_a_trace_record(tmp_path, probabilistic):
+    spec = PartialSpec(
+        schema=SCHEMA, precondition=parse("input.height > 0"), probabilistic=probabilistic
+    )
+    clean_line = clean_functions(spec)[1]
+    assert clean_line(json.loads(_one_line_trace(tmp_path, CONFORMING).read_text())) == (
+        (1.0,) * len(probabilistic)
+    )
+    for fields, built in [(CONFORMING, 0), ({**CONFORMING, "height": -1.0}, 1)]:
+        path = _one_line_trace(tmp_path, fields)
+        with mock.patch.object(
+            monitor, "_built_trace_record", wraps=monitor._built_trace_record
+        ) as record:
+            report = run_trace(spec, path, MonitorPolicy(probabilistic_window=1))
+        assert record.call_count == built
+        assert report.records_processed == 1
+        assert [v.kind.value for v in report.violations] == ["PRE"] * built
+
+
+def test_a_clean_line_that_raises_takes_the_exact_path(tmp_path):
+    spec = PartialSpec(schema=SCHEMA, necessary={"pedestrian": (parse("input.height > 2"),)})
+    clean, _ = clean_functions(spec)
+
+    def raising(data):
+        raise RuntimeError("not decided here")
+
+    output = {"label": "pedestrian", "confidence": 0.5}
+    lines = [
+        json.dumps({"id": f"r{i}", "input": {**CONFORMING, "height": height}, "output": output})
+        for i, height in enumerate((1.0, 3.0))
+    ]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(monitor, "clean_functions", lambda spec: (clean, raising)):
+        report = run_trace(spec, path)
+    assert [(v.record_id, v.kind.value) for v in report.violations] == [("r0", "NECESSARY")]
+    assert report.to_json_dict() == run_trace(spec, read_trace(path)).to_json_dict()
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,7 +398,7 @@ def test_emitted_expression_matches_tree_walk(expr, inputs, output):
     emit = Emitter(SCHEMA, names)
     source, _ = emit.expression(expr)
     params = ", ".join([*names.values(), "label", "confidence"])
-    run = emit.function("run", params, [f"return {source}"])
+    (run,) = emit.functions({f"run({params})": [f"return {source}"]})
     numbers = ("height", "count")
     args = [float(inputs[n]) if n in numbers else inputs[n] for n in SCHEMA.fields]
     args += [output.label, output.confidence]
@@ -262,9 +430,8 @@ def test_emitted_expression_matches_tree_walk(expr, inputs, output):
 def test_emitted_examples(source, expected):
     names = {name: f"v_{name}" for name in SCHEMA.fields}
     emit = Emitter(SCHEMA, names)
-    run = emit.function("run", ", ".join([*names.values(), "label", "confidence"]), [
-        f"return {emit.condition(parse(source))}"
-    ])
+    params = ", ".join([*names.values(), "label", "confidence"])
+    (run,) = emit.functions({f"run({params})": [f"return {emit.condition(parse(source))}"]})
     assert run(0.1, 2.0, False, "lane", [[1, 0.5], [2, 0]], "cyclist", 0.2) is expected
 
 
@@ -321,7 +488,7 @@ FIELD_TYPES = [NumberType(), IntegerType(), BooleanType(), CategoryType(("", "la
 def test_value_guard_agrees_with_value_errors(ftype, value):
     emit = Emitter(Schema({}, LABELS), {})
     lines = value_guard(ftype, "x", emit.constant) + ["return [x]"]
-    guard = emit.function("guard", "x", lines)
+    (guard,) = emit.functions({"guard(x)": lines})
     try:
         kept = guard(value)
     except Exception:  # the record falls back to the exact path

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from specguard.cli import main
 from specguard.errors import FormatError
 from specguard.monitor import (
     MalformedLine,
@@ -23,7 +24,12 @@ from specguard.monitor import (
     run_trace,
 )
 from specguard.speccore.records import FeatureRecord, Prediction
-from specguard.speccore.spec import MeanConstraint, PartialSpec, RangeConstraint
+from specguard.speccore.spec import (
+    MeanConstraint,
+    PartialSpec,
+    RangeConstraint,
+    spec_to_json_dict,
+)
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import NumberType, Schema
 
@@ -348,6 +354,59 @@ class TestReadTrace:
         path.write_bytes(text.encode("utf-8"))
         items = list(read_trace(path))
         assert [item.id for item in items] == ["a\u2028b", "a\u2028b"]
+
+    def _golden_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "id": r.id,
+                        "input": r.input.fields,
+                        "output": {"label": r.output.label, "confidence": r.output.confidence},
+                    }
+                )
+                + "\n"
+                for r in GOLDEN_TRACE
+            ),
+            encoding="utf-8",
+        )
+        return path
+
+    def test_a_str_path_and_a_path_give_the_report_of_the_items(self, tmp_path):
+        path = self._golden_file(tmp_path)
+        policy = MonitorPolicy(on_pre_violation=PolicyAction.FAILSAFE)
+        want = run_trace(make_spec(), GOLDEN_TRACE, policy).to_json_dict()
+        for trace in (path, str(path), read_trace(path), iter(GOLDEN_TRACE)):
+            assert run_trace(make_spec(), trace, policy).to_json_dict() == want
+
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_an_unreadable_path_raises_the_readers_error(self, tmp_path, case):
+        path = tmp_path / "trace.jsonl"
+        if case == "directory":
+            path.mkdir()
+        with pytest.raises(FormatError) as from_items:
+            run_trace(make_spec(), read_trace(path))
+        for trace in (path, str(path)):
+            with pytest.raises(FormatError) as from_path:
+                run_trace(make_spec(), trace)
+            assert str(from_path.value) == str(from_items.value)
+        assert str(from_items.value).startswith(f"cannot read trace file {path}: ")
+
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_monitor_run_on_an_unreadable_trace_exits_two(self, tmp_path, capsys, case):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_to_json_dict(make_spec())), encoding="utf-8")
+        path = tmp_path / "trace.jsonl"
+        if case == "directory":
+            path.mkdir()
+        code = main(["monitor", "run", "--spec", str(spec), "--trace", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "FormatError"
+        assert error["detail"].startswith(f"cannot read trace file {path}: ")
 
     def test_report_json_shape(self):
         report = run_trace(make_spec(), GOLDEN_TRACE)
