@@ -7,11 +7,18 @@ found something (violations, gaps, insufficient coverage), 2 means the
 invocation itself failed (usage, missing file, parse error). All errors go
 to stderr as a JSON object {"error", "detail"}. Output is byte-identical
 across identical invocations unless --timestamps is given.
+
+A JSON report is written as json.dumps(payload, sort_keys=True, indent=2)
+and a newline would give it, but in batches of the encoder's chunks, so the
+whole report text never exists at once. A report that cannot be written
+(an OSError from stdout, such as a full disk) exits 2 with an "io" error;
+part of the report may then already be on stdout.
 """
 from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -391,29 +398,31 @@ def _cmd_safetycase_check(args) -> tuple[dict, str, int]:
     return payload, text, 0 if report.ok else 1
 
 
+_HANDLERS = {
+    ("spec", "validate"): _cmd_spec_validate,
+    ("monitor", "run"): _cmd_monitor_run,
+    ("dataset", "coverage"): _cmd_dataset_coverage,
+    ("dataset", "augment"): _cmd_dataset_augment,
+    ("dataset", "uncertainty"): _cmd_dataset_uncertainty,
+    ("patterns", "simulate"): _cmd_patterns_simulate,
+    ("catalog", "score"): _cmd_catalog_score,
+    ("catalog", "impact"): _cmd_catalog_impact,
+    ("gate", "assess"): _cmd_gate_assess,
+    ("safetycase", "check"): _cmd_safetycase_check,
+}
+
+
 def _dispatch(args) -> tuple[dict, str, int]:
     seed = getattr(args, "seed", 0)
     command = getattr(args, "command", None)
     subcommand = getattr(args, "subcommand", None)
-    table = {
-        ("spec", "validate"): _cmd_spec_validate,
-        ("monitor", "run"): _cmd_monitor_run,
-        ("dataset", "coverage"): _cmd_dataset_coverage,
-        ("dataset", "augment"): _cmd_dataset_augment,
-        ("dataset", "uncertainty"): _cmd_dataset_uncertainty,
-        ("patterns", "simulate"): _cmd_patterns_simulate,
-        ("catalog", "score"): _cmd_catalog_score,
-        ("catalog", "impact"): _cmd_catalog_impact,
-        ("gate", "assess"): _cmd_gate_assess,
-        ("safetycase", "check"): _cmd_safetycase_check,
-    }
     if command is None:
         raise _UsageError("a command is required (see --help)")
     if command == "diagnose":
         return _cmd_diagnose(args)
     if command == "dataset" and subcommand == "split":
         return _cmd_dataset_split(args, seed)
-    handler = table.get((command, subcommand))
+    handler = _HANDLERS.get((command, subcommand))
     if handler is None:
         raise _UsageError(f"a {command} subcommand is required (see '{command} --help')")
     return handler(args)
@@ -438,16 +447,41 @@ def main(argv: Optional[list[str]] = None) -> int:
         # that still recurses: exit 1 would read as a verdict.
         _emit_error("RecursionError", f"input nests or chains too deeply: {exc}")
         return 2
-    if _wants_text(args):
-        print(text)
-    else:
-        if getattr(args, "timestamps", False):
-            payload = {
-                **payload,
-                "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        if _wants_text(args):
+            print(text)
+        else:
+            if getattr(args, "timestamps", False):
+                payload = {
+                    **payload,
+                    "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                }
+            _write_json(payload, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        _emit_error("io", f"cannot write the report: {exc}")
+        return 2
     return code
+
+
+# Encoder chunks joined per write: a few tens of kB of text at a time.
+_JSON_BATCH = 4096
+
+
+def _write_json(payload, out) -> None:
+    """Write json.dumps(payload, sort_keys=True, indent=2) and a newline to
+    out, joined in batches of _JSON_BATCH encoder chunks.
+
+    With indent set, json.dumps runs the same pure-Python iterencode and
+    joins the list of all its chunks, so the text is identical; only one
+    batch is held here at a time. The encoder is reached as cli.json's
+    JSONEncoder because the benchmark's tracer replaces the json name of
+    this module with a view of json.__all__.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    for chunk in chunks:
+        out.write(chunk + "".join(itertools.islice(chunks, _JSON_BATCH - 1)))
+    out.write("\n")
 
 
 def _emit_error(kind: str, detail: str) -> None:

@@ -311,92 +311,41 @@ def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Op
     return clean_functions(spec)[0]
 
 
-class _Window:
-    """One tumbling window of the spec's probabilistic constraints.
-
-    rows holds one tuple per record, in record order: the floats of the
-    constraints' fields, in constraint order, None where the field holds no
-    number. The EVAL_ERROR violation of each such record is kept per
-    constraint. A clean line's row is clean_line's tuple, appended as is.
-    """
-
-    def __init__(self, constraints: Sequence[Any]) -> None:
-        self.constraints = constraints
-        self.rows: list[tuple[Optional[float], ...]] = []
-        self.errors: list[list[Violation]] = [[] for _ in constraints]
-
-    def add(self, record: FeatureRecord) -> None:
-        row: list[Optional[float]] = []
-        for constraint, errors in zip(self.constraints, self.errors):
-            value = record.fields.get(constraint.field)
-            if value is None or not is_number(value):
-                errors.append(
-                    Violation(
-                        record_ref(record.id, len(self.rows)),
-                        ViolationKind.EVAL_ERROR,
-                        {
-                            "stage": "probabilistic",
-                            "field": constraint.field,
-                            "error": f"field {constraint.field!r} missing or not a number",
-                        },
-                    )
-                )
-                row.append(None)
-            else:
-                row.append(float(value))
-        self.rows.append(tuple(row))
-
-    def close(self) -> list[Violation]:
-        """The window's violations, constraint by constraint: its records'
-        EVAL_ERRORs, then the statistic's, computed over the constraint's
-        floats in record order. The window is empty afterwards."""
-        violations: list[Violation] = []
-        columns = zip(*self.rows)
-        for constraint, column, errors in zip(self.constraints, columns, self.errors):
-            violations += errors
-            errors.clear()
-            values = [v for v in column if v is not None]
-            if not values:
-                continue
-            if isinstance(constraint, RangeConstraint):
-                outside = sum(1 for v in values if not constraint.lo <= v <= constraint.hi)
-                fraction = outside / len(values)
-                if fraction > constraint.max_violation_fraction:
-                    violations.append(
-                        Violation(
-                            None,
-                            ViolationKind.PROBABILISTIC,
-                            {
-                                "field": constraint.field,
-                                "constraint": "range",
-                                "lo": constraint.lo,
-                                "hi": constraint.hi,
-                                "observed_fraction": fraction,
-                                "allowed_fraction": constraint.max_violation_fraction,
-                                "samples": len(values),
-                            },
-                        )
-                    )
-            else:
-                assert isinstance(constraint, MeanConstraint)
-                mean = sum(values) / len(values)
-                if abs(mean - constraint.expected) > constraint.tolerance:
-                    violations.append(
-                        Violation(
-                            None,
-                            ViolationKind.PROBABILISTIC,
-                            {
-                                "field": constraint.field,
-                                "constraint": "mean",
-                                "expected": constraint.expected,
-                                "tolerance": constraint.tolerance,
-                                "observed_mean": mean,
-                                "samples": len(values),
-                            },
-                        )
-                    )
-        self.rows.clear()
-        return violations
+def _statistic(
+    constraint: Union[RangeConstraint, MeanConstraint], values: list[float]
+) -> Optional[Violation]:
+    """The PROBABILISTIC violation of one constraint over a window's floats
+    of its field, in record order, or None when it holds or has no values."""
+    if not values:
+        return None
+    if isinstance(constraint, RangeConstraint):
+        outside = sum(1 for v in values if not constraint.lo <= v <= constraint.hi)
+        fraction = outside / len(values)
+        if fraction <= constraint.max_violation_fraction:
+            return None
+        detail = {
+            "field": constraint.field,
+            "constraint": "range",
+            "lo": constraint.lo,
+            "hi": constraint.hi,
+            "observed_fraction": fraction,
+            "allowed_fraction": constraint.max_violation_fraction,
+            "samples": len(values),
+        }
+    else:
+        assert isinstance(constraint, MeanConstraint)
+        mean = sum(values) / len(values)
+        if abs(mean - constraint.expected) <= constraint.tolerance:
+            return None
+        detail = {
+            "field": constraint.field,
+            "constraint": "mean",
+            "expected": constraint.expected,
+            "tolerance": constraint.tolerance,
+            "observed_mean": mean,
+            "samples": len(values),
+        }
+    return Violation(None, ViolationKind.PROBABILISTIC, detail)
 
 
 def check_batch_probabilistic(
@@ -404,13 +353,29 @@ def check_batch_probabilistic(
 ) -> list[Violation]:
     """Evaluate the spec's probabilistic constraints on one batch of inputs.
 
-    Records missing the constrained field (or holding a non-number) yield
-    EVAL_ERROR violations and are excluded from the statistics.
+    Constraint by constraint: an EVAL_ERROR for each record missing the
+    constrained field (or holding a non-number), which is excluded from the
+    statistic, then the statistic's violation over the remaining records.
     """
-    window = _Window(spec.probabilistic)
-    for record in inputs:
-        window.add(record)
-    return window.close()
+    violations: list[Violation] = []
+    for constraint in spec.probabilistic:
+        values: list[float] = []
+        for index, record in enumerate(inputs):
+            value = record.fields.get(constraint.field)
+            if value is None or not is_number(value):
+                detail = {
+                    "stage": "probabilistic",
+                    "field": constraint.field,
+                    "error": f"field {constraint.field!r} missing or not a number",
+                }
+                ref = record_ref(record.id, index)
+                violations.append(Violation(ref, ViolationKind.EVAL_ERROR, detail))
+            else:
+                values.append(float(value))
+        found = _statistic(constraint, values)
+        if found is not None:
+            violations.append(found)
+    return violations
 
 
 def _action_for(kind: ViolationKind, policy: MonitorPolicy) -> PolicyAction:
@@ -436,7 +401,11 @@ class _Run:
         self.violations: list[Violation] = []
         self.state = MonitorState.NOMINAL
         self.processed = 0
-        self.window = _Window(spec.probabilistic)
+        # The tumbling window: one row per record, the floats of the
+        # constraints' fields in constraint order (a clean line's row is
+        # clean_line's tuple). A record reaches it only once it conforms,
+        # and static_errors makes every constrained field a number.
+        self.rows: list[tuple[float, ...]] = []
         self.window_index = 0
 
     def report(self) -> MonitorReport:
@@ -475,14 +444,15 @@ class _Run:
                 self.absorb([Violation(item.id, ViolationKind.EVAL_ERROR, detail)])
                 return
             self.absorb(check_sample(self.spec, item, self.policy))
-        self.window.add(item.input)
+        fields = item.input.fields
+        self.rows.append(tuple([float(fields[c.field]) for c in self.spec.probabilistic]))
         self._tumble()
 
     def take_lines(self, path: Union[str, os.PathLike]) -> None:
         """Each line of the trace file at path, in order. A line clean_line
         decides clean only adds its floats to the window; every other line
         takes the record step as the item read_trace gives for it."""
-        clean_line, rows = self.clean_line, self.window.rows
+        clean_line, rows = self.clean_line, self.rows
         full = self.policy.probabilistic_window
         for line_no, data in _decoded_lines(path):
             try:
@@ -499,8 +469,14 @@ class _Run:
 
     def _tumble(self) -> None:
         """Check and empty the window once it is full."""
-        if len(self.window.rows) == self.policy.probabilistic_window:
-            self.absorb(self.window.close(), window_label=self.window_index)
+        rows = self.rows
+        if len(rows) == self.policy.probabilistic_window:
+            found = [
+                _statistic(constraint, list(column))
+                for constraint, column in zip(self.spec.probabilistic, zip(*rows))
+            ]
+            rows.clear()
+            self.absorb([v for v in found if v is not None], window_label=self.window_index)
             self.window_index += 1
 
 

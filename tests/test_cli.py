@@ -2,8 +2,11 @@
 the error channel."""
 from __future__ import annotations
 
+import errno
 import importlib.metadata
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,8 +15,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specguard
+from specguard import cli
 from specguard.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -980,6 +986,86 @@ class TestProcessCommands:
         assert json.loads(err)["error"] == "CycleError"
 
 
+def every_command(files):
+    """One argv per command main dispatches: each (command, subcommand) of
+    cli._HANDLERS, plus diagnose and dataset split."""
+    from specguard.process.catalog import packaged_catalog_path
+
+    subject = {
+        "kind": "expression",
+        "rules": [{"condition": "input.height < 8", "label": "pedestrian", "confidence": 1.0}],
+        "default": {"label": "not_pedestrian", "confidence": 1.0},
+    }
+    files.write("subject.json", subject)
+    gate = {
+        "completely_specifiable": False,
+        "strengthenable": True,
+        "strengthened_functionality_acceptable": True,
+        "splittable": False,
+    }
+    graph = {
+        "nodes": [
+            {"id": "H1", "kind": "HAZARD"},
+            {"id": "G1", "kind": "SAFETY_GOAL", "asil": "D"},
+            {"id": "R1", "kind": "REQUIREMENT", "asil": "D"},
+        ],
+        "edges": [
+            {"kind": "mitigates", "source": "G1", "target": "H1"},
+            {"kind": "refines", "source": "R1", "target": "G1"},
+        ],
+    }
+    probes = [{"id": "p", "input": {"height": 3.0}}, {"id": "q", "input": {"height": 99.0}}]
+    catalog = str(packaged_catalog_path("full"))
+    return {
+        ("spec", "validate"): ["spec", "validate", files.spec],
+        ("monitor", "run"): ["monitor", "run", "--spec", files.spec, "--trace", files.trace],
+        ("dataset", "coverage"): [
+            "dataset", "coverage", "--data", files.data, "--requirements", files.reqs,
+        ],
+        ("dataset", "augment"): ["dataset", "augment", "--spec", files.spec, "--data", files.data],
+        ("dataset", "uncertainty"): [
+            "dataset", "uncertainty", "--known", files.data,
+            "--probes", files.write("probes.jsonl", probes), "--spec", files.spec,
+        ],
+        ("dataset", "split"): ["dataset", "split", "--data", files.data, "--ratios", "0.6,0.2,0.2"],
+        ("patterns", "simulate"): [
+            "patterns", "simulate",
+            "--harness", files.write(
+                "harness.json", {"pattern": "classifier", "classifier": "subject.json"}
+            ),
+            "--domain", files.data, "--oracle", files.write("oracle.json", subject),
+        ],
+        ("catalog", "score"): ["catalog", "score", "--catalog", catalog, "--condition", "no-spec"],
+        ("catalog", "impact"): ["catalog", "impact", "--catalog", catalog],
+        ("gate", "assess"): [
+            "gate", "assess", "--questionnaire", files.write("gate.json", gate),
+        ],
+        ("safetycase", "check"): [
+            "safetycase", "check", "--graph", files.write("case.json", graph),
+        ],
+        ("diagnose", None): [
+            "diagnose", "--failure", files.write("failure.json", {"description": "missed"}),
+        ],
+    }
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose write (or flush) fails as on a full disk."""
+
+    def __init__(self, failing: str) -> None:
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestOutputDiscipline:
     def test_no_command_is_a_usage_error(self, capsys):
         code, out, err = run(capsys)
@@ -1007,9 +1093,31 @@ class TestOutputDiscipline:
         assert "/nope.json" in report["detail"]
 
     def test_json_output_is_canonical(self, capsys, files):
-        code, out, err = run(capsys, "spec", "validate", files.spec)
-        payload = json.loads(out)
-        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        commands = every_command(files)
+        assert set(commands) == set(cli._HANDLERS) | {("diagnose", None), ("dataset", "split")}
+        for command, argv in commands.items():
+            for extra in ([], ["--timestamps"]):
+                code, out, err = run(capsys, *extra, *argv)
+                assert (code in (0, 1), err) == (True, ""), command
+                payload = json.loads(out)
+                assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n", command
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_report_that_cannot_be_written_exits_two(
+        self, capsys, files, monkeypatch, fmt, failing
+    ):
+        argv = ["--format", fmt, *every_command(files)["safetycase", "check"]]
+        monkeypatch.setattr(sys, "stdout", FailingStdout(failing))
+        code = main(argv)
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "io",
+            "detail": "cannot write the report: [Errno 28] No space left on device",
+        }
 
     def test_text_format(self, capsys, files):
         code, out, err = run(capsys, "--format", "text", "spec", "validate", files.spec)
@@ -1055,3 +1163,88 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+
+class CountingSink:
+    """A text sink that keeps only the number and the largest size of writes."""
+
+    def __init__(self) -> None:
+        self.chars = self.writes = self.largest = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
+
+
+BATCH = cli._JSON_BATCH
+# A list of n ints encodes as n + 2 chunks (one per item, the first with
+# the "[", then the closing newline and "]"), so these lists straddle one
+# and two batches.
+BATCH_EDGE_SIZES = [count - 2 for count in (BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1)]
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64 - 2, max_value=2**70),
+    st.floats(),  # NaN, infinities and -0.0 among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\b\f\n\r\t']),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6), st.dictionaries(st.text(max_size=8), inner, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+def _nested(depth: int):
+    value: object = {}
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value, "": []}
+    return value
+
+
+_payloads = st.one_of(
+    _json_values,
+    st.integers(min_value=0, max_value=300).map(_nested),
+    st.sampled_from(BATCH_EDGE_SIZES).map(lambda n: list(range(n))),
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_payloads)
+    def test_the_text_is_the_indented_dump(self, payload):
+        out = io.StringIO()
+        cli._write_json(payload, out)
+        assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("size", BATCH_EDGE_SIZES)
+    def test_chunks_are_written_in_batches(self, size):
+        payload = list(range(size))
+        sink = CountingSink()
+        cli._write_json(payload, sink)
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+        assert sum(1 for _ in chunks) == size + 2
+        assert sink.writes == -(-(size + 2) // BATCH) + 1  # the batches, then "\n"
+
+    def test_memory_stays_bounded_by_one_batch(self):
+        payload = [
+            {"id": f"r{i}", "kind": "EVAL_ERROR", "detail": {"line": i, "stage": "trace"}}
+            for i in range(50_000)
+        ]
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            cli._write_json(payload, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 5_000_000
+        assert peak < sink.chars / 10
+        assert sink.largest < 256 * 1024
