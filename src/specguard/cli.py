@@ -17,12 +17,13 @@ part of the report may then already be on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import itertools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import dataset as ds
 from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file, read_json_lines
@@ -183,7 +184,21 @@ def build_parser() -> _Parser:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (payload dict, text rendering, exit code)
+# handlers: each returns (payload dict, text rendering, exit code); a
+# handler may return no payload under --format text
+
+
+@contextlib.contextmanager
+def _read_first(lines: Iterator) -> Iterator[None]:
+    """On a SpecGuardError in the block, read the rest of the streamed file
+    lines before raising it, so a bad line there is reported instead, as
+    reading the whole file before the block would."""
+    try:
+        yield
+    except SpecGuardError:
+        for _ in lines:
+            pass
+        raise
 
 
 def _cmd_spec_validate(args) -> tuple[dict, str, int]:
@@ -229,11 +244,11 @@ def _policy_from_file(path: str) -> MonitorPolicy:
     return MonitorPolicy(**kwargs)
 
 
-def _cmd_monitor_run(args) -> tuple[dict, str, int]:
+def _cmd_monitor_run(args) -> tuple[Optional[dict], str, int]:
     spec = load_spec(args.spec)
     policy = _policy_from_file(args.policy) if args.policy else MonitorPolicy()
     report = run_trace(spec, args.trace, policy)
-    payload = report.to_json_dict()
+    payload = None if _wants_text(args) else report.to_json_dict()
     lines = [
         f"final state: {report.final_state.value}",
         f"records: {report.records_processed}",
@@ -247,9 +262,11 @@ def _cmd_monitor_run(args) -> tuple[dict, str, int]:
 
 
 def _cmd_dataset_coverage(args) -> tuple[dict, str, int]:
-    data = ds.read_dataset(args.data)
-    reqs = ds.load_requirements(args.requirements)
-    report = ds.coverage_report(data, reqs)
+    """Loads the requirements, then streams the data set into the report.
+    Errors keep the order of reading the data set first (see _read_first)."""
+    data = iter_json_lines(args.data, "data set", ds.labeled_record_from_json_dict)
+    with _read_first(data):
+        report = ds.coverage_report(data, ds.load_requirements(args.requirements))
     payload = report.to_json_dict()
     lines = [
         f"passed: {report.passed}",
@@ -319,20 +336,15 @@ def _cmd_dataset_uncertainty(args) -> tuple[dict, str, int]:
 
 def _cmd_patterns_simulate(args) -> tuple[dict, str, int]:
     """Loads the oracle, then streams the domain into simulate, so the
-    domain never sits in memory beside the oracle's decoded file.
+    domain never sits in memory beside the oracle.
 
     Errors keep the order of reading everything first: harness, domain
-    file, oracle file, the oracle on a record. So on any later error the
-    rest of the domain is read, and a bad domain file is reported instead.
+    file, oracle file, the oracle on a record (see _read_first).
     """
     subject = load_harness(args.harness)
     domain = iter_json_lines(args.domain, "records", record_from_json_dict)
-    try:
+    with _read_first(domain):
         report = simulate(domain, load_classifier(args.oracle), subject)
-    except SpecGuardError:
-        for _ in domain:
-            pass
-        raise
     payload = report.to_json_dict()
     text = (
         f"records: {report.total}  mismatches: {len(report.mismatches)}  "
@@ -412,7 +424,7 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args) -> tuple[dict, str, int]:
+def _dispatch(args) -> tuple[Optional[dict], str, int]:
     seed = getattr(args, "seed", 0)
     command = getattr(args, "command", None)
     subcommand = getattr(args, "subcommand", None)

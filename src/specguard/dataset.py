@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from .errors import (
     EvalError,
@@ -177,9 +177,10 @@ class CoverageReport:
 
 
 def coverage_report(
-    data: Sequence[LabeledRecord], reqs: DataSetRequirements
+    data: Iterable[LabeledRecord], reqs: DataSetRequirements
 ) -> CoverageReport:
-    """Count samples per coverage cell and judge each cell's requirement.
+    """Count samples per coverage cell and judge each cell's requirement,
+    in one pass over data, which may be an iterator.
 
     A record in no partition of some partitioning is a cover failure and
     counts toward no cell; a record in several partitions of one partitioning

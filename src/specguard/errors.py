@@ -1,10 +1,12 @@
 """Exception hierarchy shared by every specguard module, and the JSON file
-readers that turn an unreadable or malformed file into a FormatError."""
+readers that turn an unreadable or malformed file into a FormatError (or,
+read_json_streamed, hand such a file back to read_json_file)."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -127,6 +129,108 @@ def read_json_file(path: Union[str, Path], what: str) -> Any:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
         raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+_whitespace = json.decoder.WHITESPACE.match
+# What may follow a list item: a comma and the whitespace after it, or the
+# closing bracket; one match, where two whitespace matches would cost twice.
+_separator = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])").match
+# A value whose text is shorter than twice this, or holds fewer brackets,
+# nests less deeply than this. json.loads decodes the same value a few
+# recursion levels deeper than read_json_streamed (its own frames, the
+# object and the list), so a value nested near the limit could pass here
+# and fail there: a deeper value is left to json.loads's own verdict.
+_SHALLOW = 100
+
+
+def _shallow(text: str, start: int, end: int) -> bool:
+    return end - start < 2 * _SHALLOW or (
+        text.count("[", start, end) + text.count("{", start, end) < _SHALLOW
+    )
+
+
+def _stream_items(text: str, end: int, each: Callable[[Any], None]) -> Optional[int]:
+    """Where the JSON list at text[end:] ends, after each(item) was called
+    on its items in order; None when it is no list, an item nests deeply or
+    each raises. Scanner errors propagate."""
+    if text[end:end + 1] != "[":
+        return None
+    end = _whitespace(text, end + 1).end()
+    if text[end:end + 1] == "]":
+        return end + 1
+    while True:
+        item, stop = _scan_once(text, end)
+        if stop - end >= 2 * _SHALLOW and not _shallow(text, end, stop):  # short: no call
+            return None
+        try:
+            each(item)
+        except Exception:  # the whole-file read raises it again, in its place
+            return None
+        end = stop + 2
+        # json.dumps's ", " with no more whitespace after it is taken without a call
+        if text[stop:end] != ", " or text[end:end + 1] in " \t\n\r":
+            separator = _separator(text, stop)
+            if separator is None:
+                return None
+            end = separator.end()
+            if text[end - 1] == "]":
+                return end
+
+
+def read_json_streamed(
+    path: Union[str, Path], member: str, each: Callable[[Any], None]
+) -> Optional[dict]:
+    """The JSON object in the file at path without its member member, after
+    each(item) was called on the items of that member's list, in order, one
+    decoded item at a time: the list itself is never built.
+
+    None when the text is not one json.loads decodes to an object holding
+    member exactly once, as a list (a BOM, a trailing comma, extra data, a
+    huge int or an unreadable file included), when a value nests deeply,
+    or when each raises. Nothing is decided then: read_json_file gives the
+    file's value or its error. So this accepts no text that json.loads
+    rejects, and gives up whenever it is unsure. Another member that is
+    repeated keeps its last value, as with json.loads.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError):
+        return None
+    members: dict = {}
+    streamed = False
+    try:
+        end = _whitespace(text, 0).end()
+        if text[end:end + 1] != "{":
+            return None
+        end = _whitespace(text, end + 1).end()
+        while True:
+            if text[end:end + 1] != '"':
+                return None
+            name, end = json.decoder.scanstring(text, end + 1)
+            end = _whitespace(text, end).end()
+            if text[end:end + 1] != ":" or (name == member and streamed):
+                return None
+            start = _whitespace(text, end + 1).end()
+            if name == member:
+                stop = _stream_items(text, start, each)
+                if stop is None:
+                    return None
+                streamed = True
+            else:
+                members[name], stop = _scan_once(text, start)
+                if not _shallow(text, start, stop):
+                    return None
+            end = _whitespace(text, stop).end()
+            if text[end:end + 1] == "}":
+                break
+            if text[end:end + 1] != ",":
+                return None
+            end = _whitespace(text, end + 1).end()
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if not streamed or _whitespace(text, end + 1).end() != len(text):
+        return None
+    return members
 
 
 def iter_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> Iterator[T]:

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..errors import ClassifierError, FormatError, json_line, read_json_file
+from ..errors import (
+    ClassifierError,
+    FormatError,
+    json_line,
+    read_json_file,
+    read_json_streamed,
+)
 from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
@@ -29,6 +35,8 @@ class TableClassifier:
 
     Keys are canonical_key() renderings: fields sorted by name, numbers
     written with 17 significant digits, so lookups survive reserialization.
+    In a table built from JSON (load_classifier streams a file's entries
+    into it), entries with equal label and confidence share one Prediction.
     """
 
     entries: dict[str, Prediction] = field(default_factory=dict)
@@ -185,15 +193,57 @@ def classify(classifier: Classifier, record: Union[FeatureRecord, Mapping[str, A
     return classifier.classify(fields)
 
 
-def _prediction_from_json(data: Any, context: str) -> Prediction:
+def _prediction_from_json(
+    data: Any, context: str, shared: Optional[dict[tuple, Prediction]] = None
+) -> Prediction:
+    """The prediction data names. With shared, the one shared already holds
+    for an equal label and confidence, which a new one is added to."""
     if isinstance(data, str):
-        return Prediction(data)
-    if not isinstance(data, dict) or not isinstance(data.get("label"), str):
-        raise FormatError(f"{context} must be a label string or an object with 'label'")
-    confidence = data.get("confidence")
-    if confidence is not None and not is_number(confidence):
-        raise FormatError(f"{context} confidence must be a number")
-    return Prediction(data["label"], None if confidence is None else float(confidence))
+        label, confidence = data, None
+    else:
+        if not isinstance(data, dict) or not isinstance(data.get("label"), str):
+            raise FormatError(f"{context} must be a label string or an object with 'label'")
+        label, confidence = data["label"], data.get("confidence")
+        if confidence is not None:
+            if not is_number(confidence):
+                raise FormatError(f"{context} confidence must be a number")
+            confidence = float(confidence)
+    if shared is None:
+        return Prediction(label, confidence)
+    # is_number let no NaN through. No confidence and a zero are keyed by
+    # their text, so -0.0 and 0.0 stay apart.
+    answer = (label, confidence or repr(confidence))
+    prediction = shared.get(answer)
+    if prediction is None:
+        prediction = shared[answer] = Prediction(label, confidence)
+    return prediction
+
+
+class _Table:
+    """A table classifier built one entry at a time, in file order; entries
+    with equal answers share one Prediction."""
+
+    def __init__(self) -> None:
+        self.entries: dict[str, Prediction] = {}
+        self.shared: dict[tuple, Prediction] = {}
+        self.count = 0
+
+    def add(self, entry: Any) -> None:
+        i = self.count
+        if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
+            raise FormatError(f"table entry {i} needs an 'input' object")
+        try:
+            key = canonical_key(entry["input"])
+        except (FormatError, OverflowError) as exc:
+            raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
+        self.entries[key] = _prediction_from_json(entry, f"table entry {i}", self.shared)
+        self.count = i + 1
+
+    def classifier(self, default: Any) -> TableClassifier:
+        return TableClassifier(
+            self.entries,
+            None if default is None else _prediction_from_json(default, "table default"),
+        )
 
 
 def classifier_from_json_dict(data: Any, base_dir: Union[str, Path, None] = None) -> Classifier:
@@ -218,21 +268,11 @@ def _classifier_from_owned_json(data: Any, base_dir: Union[str, Path, None]) -> 
         raw_entries = data.get("entries")
         if not isinstance(raw_entries, list):
             raise FormatError("table classifier needs an 'entries' list")
-        entries: dict[str, Prediction] = {}
+        table = _Table()
         for i, entry in enumerate(raw_entries):
-            if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
-                raise FormatError(f"table entry {i} needs an 'input' object")
-            try:
-                key = canonical_key(entry["input"])
-            except (FormatError, OverflowError) as exc:
-                raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
-            entries[key] = _prediction_from_json(entry, f"table entry {i}")
+            table.add(entry)
             raw_entries[i] = None
-        default = data.get("default")
-        return TableClassifier(
-            entries,
-            None if default is None else _prediction_from_json(default, "table default"),
-        )
+        return table.classifier(data.get("default"))
     if kind == "expression":
         raw_rules = data.get("rules")
         if not isinstance(raw_rules, list):
@@ -329,13 +369,26 @@ def _uncanonical(value: Any) -> Any:
         return value[1]
     if tag == "n":
         number = float(value[1])
-        return int(number) if number == int(number) and abs(number) < 1e15 else number
+        return int(number) if number.is_integer() and abs(number) < 1e15 else number
     if tag == "s":
         return value[1]
     return [_uncanonical(v) for v in value[1]]
 
 
 def load_classifier(path: Union[str, Path]) -> Classifier:
-    """Read a classifier JSON file; subprocess commands resolve relative to it."""
+    """Read a classifier JSON file; subprocess commands resolve relative to it.
+
+    A table's entries are streamed: each is decoded and keyed in turn, so
+    the decoded file never exists at once, and entries with equal answers
+    share one Prediction. A file the stream does not take (see
+    errors.read_json_streamed), or one of another kind, is read whole,
+    which gives every error and the order they are checked in: JSON syntax,
+    then the kind, then the entries in order.
+    """
     path = Path(path)
+    table = _Table()
+    data = read_json_streamed(path, "entries", table.add)
+    if data is not None and data.get("kind") == "table":
+        return table.classifier(data.get("default"))
+    del table  # the entries keyed before the stream gave up
     return _classifier_from_owned_json(read_json_file(path, "classifier file"), path.parent)

@@ -3,12 +3,19 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
+import tempfile
 import textwrap
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from specguard.errors import ClassifierError, FormatError
+from specguard import errors
+from specguard.errors import ClassifierError, FormatError, read_json_file
 from specguard.speccore.classifiers import (
     ExpressionClassifier,
     SubprocessClassifier,
@@ -258,3 +265,237 @@ class TestJsonForms:
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(FormatError, match="not valid JSON"):
             load_classifier(path)
+
+    def test_table_round_trip_with_non_finite_and_huge_inputs(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, 1e300]
+        data = {
+            "kind": "table",
+            "entries": [{"input": {"x": v}, "label": f"l{i}"} for i, v in enumerate(values)],
+        }
+        built = classifier_from_json_dict(data)
+        dumped = classifier_to_json_dict(built)
+        out = [entry["input"]["x"] for entry in dumped["entries"]]
+        assert math.isnan(out[0]) and out[1:] == [math.inf, -math.inf, 1e300]
+        assert type(out[3]) is float
+        again = classifier_from_json_dict(dumped)
+        assert list(again.entries.items()) == list(built.entries.items())
+        path = tmp_path / "clf.json"
+        path.write_text(json.dumps(dumped), encoding="utf-8")
+        loaded = load_classifier(path)
+        assert list(loaded.entries.items()) == list(built.entries.items())
+        for i, value in enumerate(values):
+            assert loaded.classify({"x": value}) == Prediction(f"l{i}")
+
+
+def _whole_file(path: Path):
+    """The classifier in the file, read whole and decoded by json.loads."""
+    return classifier_from_json_dict(read_json_file(path, "classifier file"), path.parent)
+
+
+def _outcome(load, path: Path, probes: list):
+    """What load makes of the file: the classifier's entries in order, its
+    default and its answers on probes (confidence signs included), or the
+    exception's type and text."""
+    try:
+        clf = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if not isinstance(clf, TableClassifier):
+        return repr(clf)
+
+    def answer(prediction):
+        return prediction and (prediction.label, repr(prediction.confidence))
+
+    def classified(fields):
+        try:
+            return answer(clf.classify(fields))
+        except ClassifierError as exc:
+            return str(exc)
+
+    return (
+        [(key, answer(prediction)) for key, prediction in clf.entries.items()],
+        answer(clf.default),
+        [classified(fields) for fields in probes],
+    )
+
+
+_VALUES = ["1", "1.0", "2", "-0.0", "0", "1e2", "NaN", "Infinity", '"s"', "[1, [2.5]]", "true"]
+_CONFIDENCES = ["0.5", "1", "0", "-0.0", "0.0"]
+_DEFAULTS = ['"a"', '{"label": "b", "confidence": -0.0}', '{"label": "a", "note": DEEP}', "null"]
+# Each file has at most two flaws, so that they decide what load makes of it.
+_FLAWS = {
+    "value": ["null", "1" * 400, "1" * 5000],
+    "confidence": ["NaN", "Infinity", "true", '"x"', "1e400"],
+    "label": ["5", "null"],
+    "entry": ["[]", '{"input": 3}', '{"input": {"x": 1}}', "7"],
+    "kind": ['"expression"', '"tab"', "3"],
+    "entries": ["{}", "3", '"entries"', "null"],
+    "default": ['{"label": 3}', '{"label": "a", "confidence": true}'],
+    "list comma": [","],
+    "object comma": [","],
+    "repeat": ['"entries": [{"input": {"x": 1}, "label": "b"}]', '"entries": []', '"kind": "tab"',
+               '"kind": "table"', '"default": "b"'],
+    "bom": ["\ufeff"],
+    "extra": ["{}", "x", "]", "}", '"a"'],
+    "cut": [""],
+}
+
+
+@st.composite
+def _table_texts(draw):
+    """The text of a table classifier file, well-formed or with one or two
+    of the flaws a hand-written or truncated file can have. DEEP stands for a nested list
+    (see test_a_streamed_table_equals_the_whole_file_one)."""
+    ws = st.sampled_from(["", " ", "\n", "\r\n", "\t", " \r\n  "])
+    flaws = st.lists(st.sampled_from(sorted(_FLAWS)), min_size=1, max_size=2, unique=True)
+    bad = {flaw: draw(st.sampled_from(_FLAWS[flaw])) for flaw in draw(st.just([]) | flaws)}
+    count = draw(st.integers(0, 6))
+    flawed = draw(st.integers(0, max(count - 1, 0)))
+
+    def entry(i):
+        if "entry" in bad and i == flawed:
+            return bad["entry"]
+        names = draw(st.lists(st.sampled_from("xyz"), max_size=2, unique=True))
+        values = [draw(st.sampled_from(_VALUES + ["DEEP"])) for _ in names]
+        if "value" in bad and i == flawed:
+            names, values = names + ["w"], values + [bad["value"]]
+        fields = [f'"{name}":{draw(ws)}{value}' for name, value in zip(names, values)]
+        members = ['"input": {' + ", ".join(fields) + "}"]
+        if "label" in bad and i == flawed:
+            members.append('"label": ' + bad["label"])
+        else:
+            members.append('"label": ' + draw(st.sampled_from(['"a"', '"b"'])))
+        if "confidence" in bad and i == flawed:
+            members.append('"confidence": ' + bad["confidence"])
+        elif draw(st.booleans()):
+            members.append('"confidence": ' + draw(st.sampled_from(_CONFIDENCES)))
+        if draw(st.booleans()):
+            members.reverse()
+        return "{" + f",{draw(ws)}".join(members) + "}"
+
+    items = [entry(i) for i in range(count)]
+    entries = "[" + draw(ws) + f"{draw(ws)},{draw(ws)}".join(items)
+    if "list comma" in bad and items:
+        entries += ","
+    entries += draw(ws) + "]"
+    members = [
+        '"kind": ' + bad.get("kind", '"table"'),
+        '"entries":' + draw(ws) + bad.get("entries", entries),
+    ]
+    if "default" in bad:
+        members.append('"default": ' + bad["default"])
+    elif draw(st.booleans()):
+        members.append('"default": ' + draw(st.sampled_from(_DEFAULTS)))
+    if "repeat" in bad:
+        members.append(bad["repeat"])
+    members = draw(st.permutations(members))
+    text = draw(ws) + "{" + draw(ws) + f"{draw(ws)},{draw(ws)}".join(members)
+    if "object comma" in bad:
+        text += ","
+    text += draw(ws) + "}" + draw(ws)
+    text = bad.get("bom", "") + text + bad.get("extra", "")
+    if "cut" in bad:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _json_depth_limit() -> int:
+    """The most nested lists json.loads decodes when called from here."""
+    low, high = 1, 5000
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
+class TestStreamedTable:
+    """load_classifier streams a table file's entries into the table; the
+    file read whole by json.loads is the reference it must match."""
+
+    PROBES = [{"x": 1}, {"x": 0}, {"x": "s"}, {"y": 2, "x": 1.0}, {"z": 1}]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_table_texts(), st.sampled_from([1, 49, 50, 51, 99, 100, 101]), st.integers(-4, 24))
+    @example('{"entries": [{"input": {"x": 2}, "label": "a"}], "kind": "table", "entries": []}', 1, 1)
+    @example('{"kind": "tab", "entries": [], "default": "a", "kind": "table", "default": "b"}', 1, 1)
+    def test_a_streamed_table_equals_the_whole_file_one(self, text, shallow, below_limit):
+        # DEEP is either shallow or a little above or below the nesting
+        # json.loads refuses at this stack depth, where a reader that scans
+        # items at a smaller depth than json.loads could wrongly accept it.
+        depth = shallow if below_limit % 2 else _json_depth_limit() - below_limit
+        text = text.replace("DEEP", "[" * depth + "]" * depth)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "clf.json"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _outcome(load_classifier, path, self.PROBES) == _outcome(
+                _whole_file, path, self.PROBES
+            )
+
+    @staticmethod
+    def write_table(path: Path, count: int, **layout) -> None:
+        entries = [
+            {
+                "input": {"height": i / 7, "width": i % 13 / 3, "lane": i % 4, "zone": "rural"},
+                "label": "abc"[i % 3],
+                "confidence": 0.5,
+            }
+            for i in range(count)
+        ]
+        text = json.dumps({"kind": "table", "entries": entries}, **layout)
+        path.write_text(text, encoding="utf-8")
+
+    def test_loading_peaks_well_below_the_decoded_file(self, tmp_path):
+        path = tmp_path / "clf.json"
+        self.write_table(path, 20_000)
+        text = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            tree = json.loads(text)
+            decoded = tracemalloc.get_traced_memory()[0]
+            del tree, text
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            clf = load_classifier(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(clf.entries) == 20_000
+        # the file's text and the finished table; json.loads alone makes
+        # about 10 MB of dicts and floats here
+        assert peak < 0.6 * decoded
+
+    def test_equal_answers_share_one_prediction(self, tmp_path):
+        path = tmp_path / "clf.json"
+        self.write_table(path, 300)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["entries"][1]["confidence"] = -0.0
+        data["entries"][2]["confidence"] = 0.0
+        data["entries"][4]["confidence"] = 0
+        data["entries"][5]["confidence"] = 1
+        data["entries"][6]["confidence"] = 1.0
+        path.write_text(json.dumps(data), encoding="utf-8")
+        answers = {(e["label"], repr(float(e["confidence"]))) for e in data["entries"]}
+        for clf in (load_classifier(path), classifier_from_json_dict(data)):
+            predictions = list(clf.entries.values())
+            assert len({id(p) for p in predictions}) == len(answers) == 8
+            assert {(p.label, repr(p.confidence)) for p in predictions} == answers
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"separators": (",", ":")}, {"indent": 2}, {"indent": "\t"},
+         {"separators": (", \n ", ": ")}],
+        ids=["default", "compact", "indent", "tabs", "comma-newline"],
+    )
+    def test_a_well_formed_table_is_never_decoded_whole(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "clf.json"
+        self.write_table(path, 50, **layout)
+
+        def refuse(text):
+            raise AssertionError("the table file was decoded whole")
+
+        monkeypatch.setattr(errors, "_loads", refuse)
+        assert len(load_classifier(path).entries) == 50

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import specguard
 from specguard import cli
 from specguard.cli import main
+from specguard.monitor import MonitorReport
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -382,6 +383,19 @@ class TestMonitorRun:
         assert violation["detail"]["line"] == 2
         assert "UTF-8" in violation["detail"]["error"]
 
+    def test_a_text_report_builds_no_json_payload(self, capsys, files, monkeypatch):
+        argv = ["monitor", "run", "--spec", files.spec, "--trace", files.trace]
+        text = run(capsys, *argv, "--format", "text")
+
+        def refuse(report):
+            raise AssertionError("to_json_dict called")
+
+        monkeypatch.setattr(MonitorReport, "to_json_dict", refuse)
+        assert run(capsys, *argv, "--format", "text") == text
+        assert text[0] == 1 and text[1].startswith("final state: ")
+        with pytest.raises(AssertionError, match="to_json_dict called"):
+            main(argv)
+
 
 class TestDatasetCommands:
     def test_coverage_pass_exits_zero(self, capsys, files):
@@ -402,6 +416,40 @@ class TestDatasetCommands:
         # tall cell: 3 records against a requirement of 4
         tall = next(c for c in payload["cells"] if c["cell"] == ["tall"])
         assert tall["status"] == "insufficient"
+
+    @pytest.mark.parametrize("data", ["good", "malformed", "missing"])
+    @pytest.mark.parametrize("reqs", ["good", "bad"])
+    def test_a_data_error_is_reported_before_a_requirements_error(
+        self, capsys, files, data, reqs
+    ):
+        """The data set is streamed after the requirements are loaded, but a
+        bad data file is still the error reported, as when it is read first."""
+        lines = [json.dumps(row) for row in DATA]
+        lines[6] = "{not json"
+        malformed = files.dir / "malformed.jsonl"
+        malformed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths = {
+            "good": files.data,
+            "malformed": str(malformed),
+            "missing": str(files.dir / "no_data.jsonl"),
+        }
+        reqs_path = files.reqs if reqs == "good" else files.write("bad_reqs.json", {"schema": 3})
+        code, out, err = run(
+            capsys, "dataset", "coverage", "--data", paths[data], "--requirements", reqs_path
+        )
+        if (data, reqs) == ("good", "good"):
+            assert (code, err) == (0, "")
+            assert json.loads(out)["passed"] is True
+            return
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "FormatError"
+        if data == "malformed":
+            assert error["detail"].startswith(f"{paths[data]}:7: not valid JSON: ")
+        elif data == "missing":
+            assert error["detail"].startswith(f"cannot read data set {paths[data]}: ")
+        else:
+            assert error["detail"] == "schema must be a JSON object"
 
     def test_augment_without_transforms_adds_nothing(self, capsys, files):
         code, payload = run_json(
