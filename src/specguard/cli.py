@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from . import dataset as ds
 from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file, read_json_lines
@@ -244,21 +244,18 @@ def _policy_from_file(path: str) -> MonitorPolicy:
     return MonitorPolicy(**kwargs)
 
 
-def _cmd_monitor_run(args) -> tuple[Optional[dict], str, int]:
+def _cmd_monitor_run(args) -> tuple[Optional[dict], Iterable[str], int]:
     spec = load_spec(args.spec)
     policy = _policy_from_file(args.policy) if args.policy else MonitorPolicy()
     report = run_trace(spec, args.trace, policy)
     payload = None if _wants_text(args) else report.to_json_dict()
-    lines = [
+    summary = [
         f"final state: {report.final_state.value}",
         f"records: {report.records_processed}",
         f"violations: {len(report.violations)}",
     ]
-    if _wants_text(args):
-        lines += [
-            f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations
-        ]
-    return payload, "\n".join(lines), 1 if report.violations else 0
+    violations = (f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations)
+    return payload, itertools.chain(summary, violations), 1 if report.violations else 0
 
 
 def _cmd_dataset_coverage(args) -> tuple[dict, str, int]:
@@ -424,7 +421,9 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args) -> tuple[Optional[dict], str, int]:
+def _dispatch(args) -> tuple[Optional[dict], Union[str, Iterable[str]], int]:
+    """(JSON payload, text, exit code) of the command; the text is a str or
+    its lines, printed one at a time."""
     seed = getattr(args, "seed", 0)
     command = getattr(args, "command", None)
     subcommand = getattr(args, "subcommand", None)
@@ -461,7 +460,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         if _wants_text(args):
-            print(text)
+            for line in [text] if isinstance(text, str) else text:
+                print(line)
         else:
             if getattr(args, "timestamps", False):
                 payload = {

@@ -180,12 +180,13 @@ def _stream_items(text: str, end: int, each: Callable[[Any], None]) -> Optional[
 def read_json_streamed(
     path: Union[str, Path], member: str, each: Callable[[Any], None]
 ) -> Optional[dict]:
-    """The JSON object in the file at path without its member member, after
-    each(item) was called on the items of that member's list, in order, one
-    decoded item at a time: the list itself is never built.
+    """The JSON object in the file at path, with its member member's list
+    emptied after each(item) was called on that list's items, in order, one
+    decoded item at a time: the list itself is never built. An object with
+    no member member comes back whole.
 
     None when the text is not one json.loads decodes to an object holding
-    member exactly once, as a list (a BOM, a trailing comma, extra data, a
+    member at most once, as a list (a BOM, a trailing comma, extra data, a
     huge int or an unreadable file included), when a value nests deeply,
     or when each raises. Nothing is decided then: read_json_file gives the
     file's value or its error. So this accepts no text that json.loads
@@ -228,8 +229,10 @@ def read_json_streamed(
             end = _whitespace(text, end + 1).end()
     except (StopIteration, ValueError, RecursionError):
         return None
-    if not streamed or _whitespace(text, end + 1).end() != len(text):
+    if _whitespace(text, end + 1).end() != len(text):
         return None
+    if streamed:
+        members[member] = []
     return members
 
 

@@ -71,8 +71,8 @@ from .speccore.spec import (
     require_well_formed,
     spec_functions,
 )
-from .speclang.ast import to_source
-from .speclang.codegen import Emitter
+from .speclang.ast import Binary, OutputRef, Str, Unary, to_source
+from .speclang.codegen import Emitter, all_of, any_of
 from .speclang.schema import is_number
 
 
@@ -273,16 +273,20 @@ def clean_functions(
         conditions = [spec.precondition]
         if spec.postcondition is not None:
             conditions.append(spec.postcondition)
-        tests = [f"not {emit.condition(c)}" for c in conditions]
+        fails = [(c, "not ") for c in conditions]  # (test, negation) that fail the record
+        predicted = OutputRef("label")
         for label, exprs in spec.sufficient.items():
             if exprs:
-                tests.append(f"label != {emit.constant(label)} and {emit.any_of(exprs)}")
+                other = Binary("!=", predicted, Str(label))
+                fails.append((Binary("&&", other, any_of(exprs)), ""))
         for label, exprs in spec.necessary.items():
             if exprs:
-                tests.append(f"label == {emit.constant(label)} and not {emit.all_of(exprs)}")
-        checks = []
-        for test in tests:
-            checks += [f"if {test}:", "    return False"]
+                this = Binary("==", predicted, Str(label))
+                fails.append((Binary("&&", this, Unary("!", all_of(exprs))), ""))
+        checks: list[str] = []
+        for test, negation in fails:
+            held = emit.condition(test, checks)
+            checks.append(f"if {negation}{held}: return False")
         floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
         schema = spec.schema
         record = guard + prediction_guard(

@@ -50,7 +50,7 @@ from .speccore.spec import (
     spec_function,
     sufficient_holds,
 )
-from .speclang.codegen import Emitter
+from .speclang.codegen import Emitter, all_of, any_of
 # evaluate_condition is not called here; it stays a module attribute because
 # bench/tracer.py times the evaluation layer under this name in this module.
 from .speclang.evaluate import evaluate_condition  # noqa: F401
@@ -245,7 +245,8 @@ def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
         lines = []
         sufficient = list(spec.sufficient.items())
         for i, (_, exprs) in enumerate(sufficient):
-            lines.append(f"s{i} = {emit.any_of(exprs)}")
+            held = emit.condition(any_of(exprs), lines)
+            lines.append(f"s{i} = {held}")
         if len(sufficient) > 1:
             # The exact path reports the inconsistent spec.
             count = " + ".join(f"s{i}" for i in range(len(sufficient)))
@@ -255,7 +256,8 @@ def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
             lines += [f"if s{i}:", f"    return {emit.constant(won)}"]
         labels = spec.schema.labels
         for i, label in enumerate(labels):
-            lines.append(f"n{i} = {emit.all_of(spec.necessary.get(label, ()))}")
+            held = emit.condition(all_of(spec.necessary.get(label, ())), lines)
+            lines.append(f"n{i} = {held}")
         lines.append("kept = " + " + ".join(["0"] + [f"n{i}" for i in range(len(labels))]))
         lines.append("if kept == 1:")
         for i, label in enumerate(labels):

@@ -378,17 +378,19 @@ def _uncanonical(value: Any) -> Any:
 def load_classifier(path: Union[str, Path]) -> Classifier:
     """Read a classifier JSON file; subprocess commands resolve relative to it.
 
-    A table's entries are streamed: each is decoded and keyed in turn, so
-    the decoded file never exists at once, and entries with equal answers
-    share one Prediction. A file the stream does not take (see
-    errors.read_json_streamed), or one of another kind, is read whole,
-    which gives every error and the order they are checked in: JSON syntax,
-    then the kind, then the entries in order.
+    The file is decoded by one stream (errors.read_json_streamed). A
+    table's entries are keyed as they are decoded, so the decoded file never
+    exists at once, and entries with equal answers share one Prediction. A
+    file the stream does not take is read again whole, which gives every
+    error and the order they are checked in: JSON syntax, then the kind,
+    then the entries in order.
     """
     path = Path(path)
     table = _Table()
     data = read_json_streamed(path, "entries", table.add)
-    if data is not None and data.get("kind") == "table":
+    if data is not None and data.get("kind") == "table" and "entries" in data:
         return table.classifier(data.get("default"))
-    del table  # the entries keyed before the stream gave up
-    return _classifier_from_owned_json(read_json_file(path, "classifier file"), path.parent)
+    del table  # entries keyed before the stream gave up, or of another kind
+    if data is None:
+        data = read_json_file(path, "classifier file")
+    return _classifier_from_owned_json(data, path.parent)

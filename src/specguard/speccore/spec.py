@@ -226,7 +226,7 @@ def spec_functions(
     one compile; or return None when the spec has none: it fails
     static_errors (or is too malformed to check), or holds what the Emitter
     does not translate (a literal that is not exactly an int a float can
-    hold, a float, a str or a bool; nesting deeper than Python compiles).
+    hold, a float, a str or a bool).
 
     guard is records.conformance_guard over the local fields: a body that
     runs it returns None or raises unless fields is a dict that conforms to
@@ -243,8 +243,7 @@ def spec_functions(
     try:
         guard = conformance_guard(spec.schema, names, emit.constant)
         return emit.functions(write(emit, guard))
-    except (Unsupported, TypeError, RecursionError, SyntaxError):
-        # TypeError: a field type value_guard does not know
+    except (Unsupported, TypeError):  # TypeError: a field type value_guard does not know
         return None
 
 

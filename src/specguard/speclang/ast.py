@@ -15,10 +15,10 @@ Expression = Union["Num", "Str", "Bool", "InputRef", "OutputRef", "Unary", "Bina
 class Node:
     """Base of every AST node.
 
-    A node memoises what is derived from it (its compiled closure, its source
-    text) as instance attributes set with object.__setattr__, outside the
-    dataclass fields: equality, hashing and repr never see them, and pickling
-    keeps only the fields, so any memo is dropped.
+    A node memoises what is derived from it (its compiled function, its
+    source text) as instance attributes set with object.__setattr__, outside
+    the dataclass fields: equality, hashing and repr never see them, and
+    pickling keeps only the fields, so any memo is dropped.
     """
 
     def __getstate__(self) -> dict:
@@ -132,7 +132,8 @@ def _string_text(value: str) -> str:
 
 
 def to_source(expr: Expression) -> str:
-    """Render an AST back to source text, memoised on the node.
+    """Render an AST back to source text, memoised on the node (and on no
+    node below it, so a chain's text is held once, not once per prefix).
 
     Canonical for parser-produced trees: parse(to_source(parse(t))) is
     structurally equal to parse(t) for every grammatical t.
@@ -160,14 +161,14 @@ def _render(expr: Expression) -> str:
         return f"output.{expr.attr}"
     if isinstance(expr, Unary):
         level = _level(expr)
-        inner = to_source(expr.operand)
+        inner = _render(expr.operand)
         if _level(expr.operand) < level:
             inner = f"({inner})"
         return expr.op + inner
     if isinstance(expr, Binary):
         level = _BINARY_LEVEL[expr.op]
-        left = to_source(expr.left)
-        right = to_source(expr.right)
+        left = _render(expr.left)
+        right = _render(expr.right)
         if level == _LEVEL_CMP:
             # Comparisons are non-associative: a cmp child on either side
             # must be parenthesized.
@@ -182,6 +183,6 @@ def _render(expr: Expression) -> str:
                 right = f"({right})"
         return f"{left} {expr.op} {right}"
     if isinstance(expr, Call):
-        args = ", ".join(to_source(a) for a in expr.args)
+        args = ", ".join(_render(a) for a in expr.args)
         return f"{expr.func}({args})"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -422,6 +422,8 @@ class TestStreamedTable:
     @given(_table_texts(), st.sampled_from([1, 49, 50, 51, 99, 100, 101]), st.integers(-4, 24))
     @example('{"entries": [{"input": {"x": 2}, "label": "a"}], "kind": "table", "entries": []}', 1, 1)
     @example('{"kind": "tab", "entries": [], "default": "a", "kind": "table", "default": "b"}', 1, 1)
+    @example('{"kind": "table", "default": {"label": "a"}}', 1, 1)
+    @example('{"kind": "expression", "rules": [], "entries": [{"input": {"x": 1}}]}', 1, 1)
     def test_a_streamed_table_equals_the_whole_file_one(self, text, shallow, below_limit):
         # DEEP is either shallow or a little above or below the nesting
         # json.loads refuses at this stack depth, where a reader that scans
@@ -483,6 +485,28 @@ class TestStreamedTable:
             predictions = list(clf.entries.values())
             assert len({id(p) for p in predictions}) == len(answers) == 8
             assert {(p.label, repr(p.confidence)) for p in predictions} == answers
+
+    def test_a_file_of_another_kind_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "clf.json"
+        rules = [{"condition": f"input.x > {i}", "label": "abc"[i]} for i in range(3)]
+        path.write_text(json.dumps({"kind": "expression", "rules": rules}), encoding="utf-8")
+        reads = []
+        read_text = Path.read_text
+
+        def counted(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        clf = load_classifier(path)
+        assert reads == [path]
+        assert [label for _, label, _ in clf.rules] == ["a", "b", "c"]
+
+    def test_a_table_without_entries_keeps_its_error(self, tmp_path):
+        path = tmp_path / "clf.json"
+        path.write_text('{"kind": "table", "default": {"label": "a"}}', encoding="utf-8")
+        with pytest.raises(FormatError, match="^table classifier needs an 'entries' list$"):
+            load_classifier(path)
 
     @pytest.mark.parametrize(
         "layout",

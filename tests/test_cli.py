@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import specguard
 from specguard import cli
 from specguard.cli import main
-from specguard.monitor import MonitorReport
+from specguard.monitor import MonitorReport, run_trace
+from specguard.speccore.spec import load_spec
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -395,6 +396,24 @@ class TestMonitorRun:
         assert text[0] == 1 and text[1].startswith("final state: ")
         with pytest.raises(AssertionError, match="to_json_dict called"):
             main(argv)
+
+    def test_a_text_report_is_printed_line_by_line(self, capsys, files, monkeypatch):
+        argv = ["monitor", "run", "--spec", files.spec, "--trace", files.trace]
+        report = run_trace(load_spec(files.spec), files.trace)
+        want = [
+            f"final state: {report.final_state.value}",
+            f"records: {report.records_processed}",
+            f"violations: {len(report.violations)}",
+        ]
+        want += [f"  {v.kind.value} record={v.record_id} {v.detail}" for v in report.violations]
+        assert len(want) > 3
+        printed = []
+        monkeypatch.setattr(cli, "print", lambda *args: printed.append(args) or print(*args),
+                            raising=False)
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, err) == (1, "")
+        assert out == "\n".join(want) + "\n"
+        assert printed == [(line,) for line in want]
 
 
 class TestDatasetCommands:

@@ -396,9 +396,10 @@ def test_a_clean_line_that_raises_takes_the_exact_path(tmp_path):
 def test_emitted_expression_matches_tree_walk(expr, inputs, output):
     names = {name: f"v_{name}" for name in SCHEMA.fields}
     emit = Emitter(SCHEMA, names)
-    source, _ = emit.expression(expr)
+    lines = []
+    held, _ = emit.expression(expr, lines)
     params = ", ".join([*names.values(), "label", "confidence"])
-    (run,) = emit.functions({f"run({params})": [f"return {source}"]})
+    (run,) = emit.functions({f"run({params})": lines + [f"return {held}"]})
     numbers = ("height", "count")
     args = [float(inputs[n]) if n in numbers else inputs[n] for n in SCHEMA.fields]
     args += [output.label, output.confidence]
@@ -431,7 +432,9 @@ def test_emitted_examples(source, expected):
     names = {name: f"v_{name}" for name in SCHEMA.fields}
     emit = Emitter(SCHEMA, names)
     params = ", ".join([*names.values(), "label", "confidence"])
-    (run,) = emit.functions({f"run({params})": [f"return {emit.condition(parse(source))}"]})
+    lines = []
+    held = emit.condition(parse(source), lines)
+    (run,) = emit.functions({f"run({params})": lines + [f"return {held}"]})
     assert run(0.1, 2.0, False, "lane", [[1, 0.5], [2, 0]], "cyclist", 0.2) is expected
 
 
@@ -636,15 +639,38 @@ def test_no_function_for_a_spec_that_fails_the_gate_or_holds_an_odd_literal(spec
     assert clean_record_function(spec) is None
 
 
-def test_a_condition_nested_deeper_than_python_parses_is_checked_exactly():
+def _double_negation(levels):
     expr = parse("input.height > 0")
-    for _ in range(120):
+    for _ in range(levels):
         expr = Unary("!", Unary("!", expr))
-    spec = PartialSpec(schema=SCHEMA, precondition=expr)
+    return expr
+
+
+def _sum_chain(terms):
+    expr = InputRef("height")
+    for i in range(1, terms):
+        expr = Binary("+", expr, InputRef("count" if i % 2 else "height"))
+    return Binary("<", expr, Num(100))
+
+
+@pytest.mark.parametrize(
+    "precondition", [_double_negation(120), _sum_chain(250)], ids=["120 !!", "250 + terms"]
+)
+def test_a_condition_nested_deeper_than_python_parses_gets_a_fast_path(precondition):
+    spec = PartialSpec(schema=SCHEMA, precondition=precondition)
     assert static_errors(spec) == []
-    assert clean_record_function(spec) is None
-    fields = {**CONFORMING, "height": -1.0}
-    trace = [TraceRecord("r", FeatureRecord(fields), Prediction("pedestrian", 0.5))]
+    clean = clean_record_function(spec)
+    assert clean is not None
+    prediction = Prediction("pedestrian", 0.5)
+    verdicts = set()
+    for height, count in [(-1.0, 0), (0.5, 0), (0.5, 1), (0.25, -1), (2.0, 3)]:
+        fields = {**CONFORMING, "height": height, "count": count}
+        verdict = clean(fields, prediction)
+        assert verdict is (not _exact_findings(spec, fields, prediction)), (height, count)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    fields = {**CONFORMING, "height": -1.0, "count": 3}
+    trace = [TraceRecord("r", FeatureRecord(fields), prediction)]
     assert [v.kind.value for v in run_trace(spec, trace).violations] == ["PRE"]
 
 

@@ -462,3 +462,108 @@ def test_memoised_node_equals_and_hashes_like_a_fresh_parse():
     assert repr(used) == repr(fresh)
     object.__setattr__(used, "_other_memo", lambda: None)  # lambdas do not pickle
     assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+# ---------------------------------------------------------------------------
+# Chains far longer than a recursive evaluator could walk. Their expected
+# values come from loops, since tree_walk.py recurses.
+
+LONG = 10_000
+_MISSING = Binary(">", InputRef("absent"), Num(0.0))  # raises EvalError when reached
+
+
+def _left_chain(op, terms):
+    expr = terms[0]
+    for term in terms[1:]:
+        expr = Binary(op, expr, term)
+    return expr
+
+
+def _assert_evaluates_to(expr, inputs, want):
+    assert evaluate(expr, inputs) == want
+    if isinstance(want, bool):
+        assert evaluate_condition(expr, inputs) is want
+
+
+@pytest.mark.parametrize("stop", [None, 0, 6_999, LONG - 1])
+def test_a_long_and_chain_short_circuits_where_a_loop_would(stop):
+    inputs = {"x": 1.5}
+    terms = [Binary("<", InputRef("x"), Num(float(i + 2))) for i in range(LONG)]
+    if stop is not None:
+        terms[stop] = Binary(">", InputRef("x"), Num(2.0))  # false
+        terms[stop + 1 :] = [_MISSING] * (LONG - stop - 1)
+    _assert_evaluates_to(_left_chain("&&", terms), inputs, stop is None)
+    terms[-1] = _MISSING
+    if stop is None:
+        with pytest.raises(EvalError, match="no field 'absent'"):
+            evaluate_condition(_left_chain("&&", terms), inputs)
+
+
+@pytest.mark.parametrize("stop", [None, 0, 6_999, LONG - 1])
+def test_a_long_or_chain_short_circuits_where_a_loop_would(stop):
+    inputs = {"x": 1.5}
+    terms = [Binary(">", InputRef("x"), Num(float(i + 2))) for i in range(LONG)]
+    if stop is not None:
+        terms[stop] = Binary("<", InputRef("x"), Num(2.0))  # true
+        terms[stop + 1 :] = [_MISSING] * (LONG - stop - 1)
+    _assert_evaluates_to(_left_chain("||", terms), inputs, stop is not None)
+
+
+def test_a_long_sum_adds_left_to_right_as_a_loop_does():
+    inputs = {"x": 0.1, "n": 3}
+    terms = [[InputRef("x"), InputRef("n"), Num(i * 0.37)][i % 3] for i in range(LONG)]
+    values = [[0.1, 3.0, i * 0.37][i % 3] for i in range(LONG)]
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    _assert_evaluates_to(_left_chain("+", terms), inputs, total)
+    chain = Binary("<", _left_chain("+", terms), Num(total + 1.0))
+    _assert_evaluates_to(chain, inputs, True)
+
+
+@pytest.mark.parametrize("stop", [None, "decides", "raises"])
+@pytest.mark.parametrize("seed", range(2))
+def test_a_deep_right_nested_and_or_mix_matches_a_loop(stop, seed):
+    rng = random.Random(seed)
+    depth = 1_000
+    ops = [rng.choice(["&&", "||"]) for _ in range(depth - 1)]
+    inputs = {"flag": rng.random() < 0.5}
+    # Each atom lets evaluation go on (true under &&, false under ||) but
+    # the one at 900 when stop says so; the last one is the value then.
+    goes_on = [Bool(op == "&&") for op in ops]
+    atoms = [
+        InputRef("flag") if inputs["flag"] is atom.value and rng.random() < 0.5 else atom
+        for atom in goes_on
+    ]
+    atoms.append(Bool(rng.random() < 0.5))
+    if stop is not None:
+        atoms[900] = Bool(ops[900] == "||") if stop == "decides" else _MISSING
+    expr = atoms[-1]
+    for atom, op in zip(reversed(atoms[:-1]), reversed(ops)):
+        expr = Binary(op, atom, expr)
+    # a0 op0 (a1 op1 (...)): settled by the first atom whose value decides
+    # its operator, reading left to right; a reached _MISSING raises.
+    want = None
+    for i, atom in enumerate(atoms):
+        if atom is _MISSING:
+            want = EvalError
+            break
+        value = inputs["flag"] if isinstance(atom, InputRef) else atom.value
+        if i == depth - 1 or value is (ops[i] == "||"):
+            want = value
+            break
+    if want is EvalError:
+        with pytest.raises(EvalError, match="no field 'absent'"):
+            evaluate(expr, inputs)
+        with pytest.raises(EvalError, match="no field 'absent'"):
+            evaluate_condition(expr, inputs)
+    else:
+        _assert_evaluates_to(expr, inputs, want)
+
+
+def test_deep_unary_chains_compile_and_evaluate():
+    negated, minus = Binary(">", InputRef("x"), Num(0.0)), InputRef("x")
+    for _ in range(1_001):
+        negated, minus = Unary("!", negated), Unary("-", minus)
+    assert evaluate_condition(negated, {"x": 1}) is False
+    assert evaluate(minus, {"x": 1}) == -1.0

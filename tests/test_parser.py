@@ -229,6 +229,17 @@ def test_canonical_print_drops_redundant_parens():
     assert to_source(parse("(1 < 2) == true")) == "(1 < 2) == true"
 
 
+def test_to_source_memoises_only_the_node_asked_for():
+    source = " && ".join(["input.height > 0"] * 300)
+    chain = parse(source)
+    assert to_source(chain) is to_source(chain) == source
+    node, memos = chain, 0
+    while isinstance(node, Binary):
+        memos += hasattr(node.left, "_source") + hasattr(node.right, "_source")
+        node = node.left
+    assert memos == 0
+
+
 # ---------------------------------------------------------------------------
 # nesting cap: deeper input is a positioned syntax error, not a RecursionError
 

@@ -1,9 +1,11 @@
 """Reference evaluator for the compiled one in specguard.speclang.evaluate.
 
 A direct walk over the AST that dispatches on node types on every
-evaluation. It defines the semantics the compiled closures must keep:
-results, EvalError texts, left-to-right evaluation and short-circuiting.
-test_evaluate.py checks the two against each other on random expressions.
+evaluation. It defines the semantics the generated functions must keep
+(speclang.codegen, exact mode): results, EvalError texts, left-to-right
+evaluation and short-circuiting. test_evaluate.py checks the two against
+each other on random expressions. It recurses, so it walks only trees of
+modest depth.
 """
 from __future__ import annotations
 
