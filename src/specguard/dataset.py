@@ -136,7 +136,7 @@ class SplitSpec:
 def _require_conforming(records: Sequence[FeatureRecord], schema: Schema, what: str) -> None:
     """FormatError with the conformance_errors of the first record off the
     schema. A generated guard passes records of exact builtin types first."""
-    guard = spec_function(PartialSpec(schema), "conforms", "fields", lambda emit: ["return True"])
+    guard = spec_function(schema, "conforms(fields)", lambda emit, guard: guard + ["return True"])
     for index, record in enumerate(records):
         try:
             if guard is not None and guard(record.fields):

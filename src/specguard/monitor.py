@@ -5,25 +5,24 @@ PartialSpec. Per-sample checks produce violations; a policy maps violation
 kinds to state transitions NOMINAL -> DEGRADED -> FAILSAFE (never backward).
 Probabilistic constraints run on tumbling windows of inputs.
 
-Fast path. run_trace generates two Python functions for the spec, from one
-static_errors pass and one compile (clean_functions). clean takes a
-record's fields and prediction. It answers True only when the exact checks
-would find nothing: the record conforms to the schema and the prediction
-to the label alphabet, and check_sample reports no violation. Such a
-record only joins the probabilistic window. It answers False only when the
-record and prediction conform but a condition may fail: such a record goes
-to check_sample, which reports what fails. Every other record, including
-one on which the generated function raises, goes through
-conformance_errors, prediction_errors and check_sample exactly as it would
-without the fast path. clean_line runs the same tests on a trace line's
-decoded JSON value. Where clean would answer True on the record read_trace
-builds from the line, it returns the floats the window needs, and the line
-never becomes a TraceRecord. Any other line becomes read_trace's item and
-takes the record step above. So every violation, its detail, its error
-text and the order of the checks come from the exact functions alone. A
-spec the generator does not take (one that fails static_errors, or holds a
-literal that is not exactly an int a float can hold, a float, a str or a
-bool) has no fast path.
+Fast path. run_trace generates one Python function for the spec,
+clean_line (clean_line_function), and asks it first about every item of
+either input form: a trace line's decoded JSON value, or the view
+{"id", "input": fields, "output": {"label", "confidence"}} of an in-memory
+TraceRecord (_views). It answers with a tuple only when the exact checks
+would find nothing: the value is an object with a str "id", its input
+conforms to the schema and its prediction to the label alphabet, and
+check_sample reports no violation. Such an item only adds the tuple, the
+floats the probabilistic window needs, to the window, and a line never
+becomes a TraceRecord. It answers False only when the item conforms but a
+condition may fail: the item goes straight to check_sample, which reports
+what fails. Every other item, including one on which the generated
+function raises, goes through conformance_errors, prediction_errors and
+check_sample exactly as it would without the fast path. So every
+violation, its detail, its error text and the order of the checks come
+from the exact functions alone. A spec that holds a literal that is not
+exactly an int a float can hold, a float, a str or a bool has no fast
+path; one that fails static_errors is refused first.
 
 How much the fast path saves depends on the share of records it decides:
 about 91% on the benchmark's monitor_trace workload. A record it does not
@@ -69,7 +68,7 @@ from .speccore.spec import (
     check_pre,
     check_sufficient,
     require_well_formed,
-    spec_functions,
+    spec_function,
 )
 from .speclang.ast import Binary, OutputRef, Str, Unary, to_source
 from .speclang.codegen import Emitter, all_of, any_of
@@ -236,40 +235,33 @@ def _eval_error(rid: Optional[str], stage: str, exc: EvalError) -> Violation:
     return Violation(rid, ViolationKind.EVAL_ERROR, {"stage": stage, "error": str(exc)})
 
 
-def clean_functions(
-    spec: PartialSpec,
-) -> tuple[Optional[Callable[..., Any]], Optional[Callable[..., Any]]]:
-    """The generated functions (clean, clean_line) of the spec, built from
-    one static_errors pass and one compile, or (None, None) when the spec
-    has no fast path (see the module docstring).
+def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
+    """The generated function clean_line(data) of a spec that has passed
+    require_well_formed, or None when the spec has no fast path (see the
+    module docstring).
 
-    clean(fields, prediction) returns True only when the fields are a dict
-    that conforms to the schema with exact builtin types (float, int, str,
-    bool, lists of rows), the label is a str in the alphabet, the confidence
-    is a float in [0, 1], the precondition and postcondition hold, no
-    sufficient condition of another label holds and every necessary
-    condition of the predicted label holds. It returns False when the record
-    and prediction conform that way but a condition fails, and None (or
-    raises) otherwise. It never returns True where the exact checks find
-    something, nor False where conformance_errors or prediction_errors do;
-    it may return None or raise on a record that conforms.
+    data is a trace line's decoded JSON value or an in-memory record's view
+    (_views). clean_line returns a tuple only when data is a dict with a str
+    "id", its "input" is a dict that conforms to the schema with exact
+    builtin types (float, int, str, bool, lists of rows), its "output" is a
+    dict whose "label" is a str in the alphabet and whose "confidence" is a
+    float in [0, 1], the precondition and postcondition hold, no sufficient
+    condition of another label holds and every necessary condition of the
+    predicted label holds. The tuple holds the floats of the probabilistic
+    constraints' fields, in constraint order (an empty tuple for a spec
+    with none). It returns False when data conforms that way but a
+    condition fails, and None (or raises) otherwise. So a tuple means the
+    exact checks find nothing on the item, and False that conformance_errors
+    and prediction_errors find nothing; it may return None or raise on an
+    item that conforms.
 
-    clean_line(data) takes the decoded JSON value of one trace line and runs
-    the same tests on its "input" and its "output" object's "label" and
-    "confidence". Where clean would return True on the TraceRecord that
-    read_trace builds from the line, and the value is an object with a str
-    "id", it returns a tuple: the floats of the probabilistic constraints'
-    fields, in constraint order (an empty tuple, still not None or False,
-    for a spec with none). Any other answer, or an exception, leaves the
-    line to the exact path.
-
-    The spec is read once, here: build new functions after changing it. The
-    conformance part is written by records.conformance_guard,
+    The spec is read once, here: build a new function after changing it.
+    The conformance part is written by records.conformance_guard,
     records.prediction_guard and schema.value_guard, next to the exact rules
     it must agree with; the conditions' part by speclang.codegen.
     """
 
-    def write(emit: Emitter, guard: list[str]) -> dict[str, list[str]]:
+    def write(emit: Emitter, guard: list[str]) -> list[str]:
         conditions = [spec.precondition]
         if spec.postcondition is not None:
             conditions.append(spec.postcondition)
@@ -288,10 +280,6 @@ def clean_functions(
             held = emit.condition(test, checks)
             checks.append(f"if {negation}{held}: return False")
         floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
-        schema = spec.schema
-        record = guard + prediction_guard(
-            schema, emit.constant, "prediction.label", "prediction.confidence"
-        )
         line = [
             "if data.__class__ is not dict or data['id'].__class__ is not str:",
             "    return None",
@@ -300,19 +288,12 @@ def clean_functions(
             "    return None",
             *guard,
         ]
-        line += prediction_guard(schema, emit.constant, "output['label']", "output['confidence']")
-        return {
-            "clean(fields, prediction)": record + checks + ["return True"],
-            "clean_line(data)": line + checks + [f"return ({floats})"],
-        }
+        line += prediction_guard(
+            spec.schema, emit.constant, "output['label']", "output['confidence']"
+        )
+        return line + checks + [f"return ({floats})"]
 
-    functions = spec_functions(spec, write)
-    return (None, None) if functions is None else functions
-
-
-def clean_record_function(spec: PartialSpec) -> Optional[Callable[[Any, Any], Optional[bool]]]:
-    """clean of clean_functions(spec): the record form of the fast path."""
-    return clean_functions(spec)[0]
+    return spec_function(spec.schema, "clean_line(data)", write)
 
 
 def _statistic(
@@ -392,21 +373,21 @@ def _action_for(kind: ViolationKind, policy: MonitorPolicy) -> PolicyAction:
 
 
 class _Run:
-    """One run of the monitor: the spec's fast paths, the state machine, the
-    tumbling window and every violation so far. run_trace drives it over an
-    iterable of trace items (take) or over the lines of a trace file
-    (take_lines); a line clean_line does not decide becomes the item
-    read_trace gives and takes the same step."""
+    """One run of the monitor: the spec's fast path, the state machine, the
+    tumbling window and every violation so far. run_trace drives it over
+    the decoded lines of a trace file or the views of in-memory items
+    (take); an item clean_line does not decide clean takes the record step
+    (step)."""
 
     def __init__(self, spec: PartialSpec, policy: MonitorPolicy) -> None:
         require_well_formed(spec)
         self.spec, self.policy = spec, policy
-        self.clean, self.clean_line = clean_functions(spec)
+        self.clean_line = clean_line_function(spec)
         self.violations: list[Violation] = []
         self.state = MonitorState.NOMINAL
         self.processed = 0
         # The tumbling window: one row per record, the floats of the
-        # constraints' fields in constraint order (a clean line's row is
+        # constraints' fields in constraint order (a clean item's row is
         # clean_line's tuple). A record reaches it only once it conforms,
         # and static_errors makes every constrained field a number.
         self.rows: list[tuple[float, ...]] = []
@@ -427,49 +408,49 @@ class _Run:
                 self.state = next_state
             self.violations.append(violation)
 
-    def take(self, item: Union[TraceRecord, MalformedLine]) -> None:
-        """The record step: check one item, then add its input to the window."""
+    def take(
+        self,
+        pairs: Iterable[tuple[Any, Any]],
+        item: Callable[[Any, Any], Union[TraceRecord, MalformedLine]],
+    ) -> None:
+        """Each (key, data) of pairs, in order: data is what clean_line
+        reads, and item(key, data) the trace item it stands for. An item
+        clean_line decides clean only adds its floats to the window; every
+        other item takes the record step with clean_line's verdict."""
+        clean_line, rows = self.clean_line, self.rows
+        full = self.policy.probabilistic_window
+        for key, data in pairs:
+            try:
+                verdict = None if clean_line is None else clean_line(data)
+            except Exception:  # the record step says what is wrong
+                verdict = None
+            if verdict.__class__ is tuple:
+                self.processed += 1
+                rows.append(verdict)
+                if len(rows) == full:
+                    self._tumble()
+            else:
+                self.step(item(key, data), verdict)
+
+    def step(self, item: Union[TraceRecord, MalformedLine], verdict: Optional[bool]) -> None:
+        """The record step: check one item, then add its input to the window.
+        A False verdict has shown the item to conform."""
         self.processed += 1
         if isinstance(item, MalformedLine):
             detail = {"stage": "trace", "line": item.line, "error": item.error}
             self.absorb([Violation(None, ViolationKind.EVAL_ERROR, detail)])
             return
-        try:
-            verdict = None if self.clean is None else self.clean(item.input.fields, item.output)
-        except Exception:  # the exact checks below say what is wrong
-            verdict = None
-        if verdict is not True:
-            structural: list[str] = []
-            if verdict is None:
-                structural = conformance_errors(item.input.fields, self.spec.schema)
-                structural += prediction_errors(item.output, self.spec.schema)
+        if verdict is not False:
+            structural = conformance_errors(item.input.fields, self.spec.schema)
+            structural += prediction_errors(item.output, self.spec.schema)
             if structural:
                 detail = {"stage": "conformance", "errors": structural}
                 self.absorb([Violation(item.id, ViolationKind.EVAL_ERROR, detail)])
                 return
-            self.absorb(check_sample(self.spec, item, self.policy))
+        self.absorb(check_sample(self.spec, item, self.policy))
         fields = item.input.fields
         self.rows.append(tuple([float(fields[c.field]) for c in self.spec.probabilistic]))
         self._tumble()
-
-    def take_lines(self, path: Union[str, os.PathLike]) -> None:
-        """Each line of the trace file at path, in order. A line clean_line
-        decides clean only adds its floats to the window; every other line
-        takes the record step as the item read_trace gives for it."""
-        clean_line, rows = self.clean_line, self.rows
-        full = self.policy.probabilistic_window
-        for line_no, data in _decoded_lines(path):
-            try:
-                floats = None if clean_line is None else clean_line(data)
-            except Exception:  # the record step says what is wrong
-                floats = None
-            if floats.__class__ is tuple:
-                self.processed += 1
-                rows.append(floats)
-                if len(rows) == full:
-                    self._tumble()
-            else:
-                self.take(_trace_item(line_no, data))
 
     def _tumble(self) -> None:
         """Check and empty the window once it is full."""
@@ -499,14 +480,14 @@ def run_trace(
     tumbling window of probabilistic_window records; a trailing partial
     window is not checked.
 
-    The spec's fast-path functions are generated once per call, before the
-    first record (see the module docstring). From a file, a line clean_line
-    calls clean never becomes a TraceRecord; every other line becomes the
-    item read_trace gives for it. An item clean calls clean skips the exact
-    checks, one it has shown to conform skips the conformance checks, every
-    other item gets them all. The report is the one the exact checks alone
-    would give on read_trace's items, and the same for a path and for
-    read_trace(path).
+    The spec's fast-path function is generated once per call, before the
+    first record (see the module docstring). It reads each line of a file
+    and the view of each in-memory record. A line it calls clean never
+    becomes a TraceRecord, and a record it calls clean skips the exact
+    checks. An item it has shown to conform skips the conformance checks,
+    and every other item gets them all. The report is the one the exact
+    checks alone would give on read_trace's items, and the same for a path
+    and for read_trace(path).
 
     A spec that static_errors rejects raises FormatError before the first
     record is read (spec.require_well_formed); an unreadable trace file
@@ -514,12 +495,24 @@ def run_trace(
     """
     run = _Run(spec, policy)
     if isinstance(trace, (str, os.PathLike)):
-        run.take_lines(trace)
+        run.take(_decoded_lines(trace), _trace_item)
     else:
-        take = run.take
-        for item in trace:
-            take(item)
+        run.take(_views(trace), lambda item, view: item)
     return run.report()
+
+
+def _views(trace: Iterable[Union[TraceRecord, MalformedLine]]) -> Iterator[tuple[Any, Any]]:
+    """(item, its view) for each in-memory item: a TraceRecord's view is the
+    decoded trace line it would come from, keeping its input dict and its
+    prediction's confidence as they are; a MalformedLine is its own view,
+    which clean_line never calls clean."""
+    for item in trace:
+        if isinstance(item, MalformedLine):
+            yield item, item
+        else:
+            output = item.output
+            prediction = {"label": output.label, "confidence": output.confidence}
+            yield item, {"id": item.id, "input": item.input.fields, "output": prediction}
 
 
 def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedLine]]:

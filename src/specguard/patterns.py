@@ -233,7 +233,8 @@ _ALL_ELIMINATED = "all labels eliminated by necessary conditions"
 
 
 def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
-    """One generated function decide(fields) for the spec, or None when the
+    """One generated function decide(fields) for a spec that has passed
+    require_well_formed (GatedConfig checks it first), or None when the
     spec has no fast path (see the module docstring).
 
     decide returns the GatedDecision of a spec decision, a _LeaveToML when
@@ -241,8 +242,8 @@ def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
     must decide.
     """
 
-    def write(emit: Emitter) -> list[str]:
-        lines = []
+    def write(emit: Emitter, guard: list[str]) -> list[str]:
+        lines = list(guard)
         sufficient = list(spec.sufficient.items())
         for i, (_, exprs) in enumerate(sufficient):
             held = emit.condition(any_of(exprs), lines)
@@ -266,7 +267,7 @@ def gated_decide_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
         ml, none_left = emit.constant(_LeaveToML(None)), emit.constant(_LeaveToML(_ALL_ELIMINATED))
         return lines + [f"return {ml} if kept else {none_left}"]
 
-    return spec_function(spec, "decide", "fields", write)
+    return spec_function(spec.schema, "decide(fields)", write)
 
 
 def gated_classify(config: GatedConfig, fields: Mapping[str, Any]) -> GatedDecision:

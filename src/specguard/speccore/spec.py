@@ -218,42 +218,29 @@ def require_well_formed(spec: PartialSpec) -> None:
         raise FormatError("spec is not well-formed", findings)
 
 
-def spec_functions(
-    spec: PartialSpec, write: Callable[[Emitter, list[str]], dict[str, list[str]]]
-) -> Optional[tuple[Callable[..., Any], ...]]:
-    """Compile the fast paths over the spec's records that write(emit, guard)
-    defines, as {"name(params)": body lines}, from one static_errors pass and
-    one compile; or return None when the spec has none: it fails
-    static_errors (or is too malformed to check), or holds what the Emitter
-    does not translate (a literal that is not exactly an int a float can
-    hold, a float, a str or a bool).
+def spec_function(
+    schema: Schema, signature: str, write: Callable[[Emitter, list[str]], list[str]]
+) -> Optional[Callable[..., Any]]:
+    """Compile ``def signature:`` with the body write(emit, guard) gives: a
+    fast path over records of the schema. Return None when the body holds
+    what the Emitter does not translate (a literal that is not exactly an
+    int a float can hold, a float, a str or a bool).
+
+    The caller has run require_well_formed on the spec whose conditions
+    write hands to emit, so each of them typechecks against the schema.
 
     guard is records.conformance_guard over the local fields: a body that
     runs it returns None or raises unless fields is a dict that conforms to
     the schema with exact builtin types. After it, emit knows the local that
     holds each field's value.
     """
+    names = {field_name: f"x{i}" for i, field_name in enumerate(schema.fields)}
+    emit = Emitter(schema, names)
     try:
-        if static_errors(spec):
-            return None
-    except Exception:  # a spec too malformed to check keeps the exact path
-        return None
-    names = {field_name: f"x{i}" for i, field_name in enumerate(spec.schema.fields)}
-    emit = Emitter(spec.schema, names)
-    try:
-        guard = conformance_guard(spec.schema, names, emit.constant)
-        return emit.functions(write(emit, guard))
+        guard = conformance_guard(schema, names, emit.constant)
+        return emit.function(signature, write(emit, guard))
     except (Unsupported, TypeError):  # TypeError: a field type value_guard does not know
         return None
-
-
-def spec_function(
-    spec: PartialSpec, name: str, params: str, write: Callable[[Emitter], list[str]]
-) -> Optional[Callable[..., Any]]:
-    """The one function ``def name(params)`` of spec_functions whose body is
-    the conformance guard, then write(emit); its first parameter is fields."""
-    functions = spec_functions(spec, lambda emit, guard: {f"{name}({params})": guard + write(emit)})
-    return None if functions is None else functions[0]
 
 
 # --------------------------------------------------------------------------

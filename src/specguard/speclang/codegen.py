@@ -18,9 +18,10 @@ is reached, both operands evaluated left to right before either is checked,
 and && and || short-circuiting.
 
 Typed mode, Emitter(schema, names), writes the fast paths of the monitor
-(monitor.clean_functions) and the gated pattern
-(patterns.gated_decide_function). It is only given expressions that
-typecheck against the schema, over locals (named by names) that hold
+(monitor.clean_line_function) and the gated pattern
+(patterns.gated_decide_function), through speccore.spec.spec_function. It
+is only given expressions that typecheck against the schema (the callers
+have run spec.require_well_formed), over locals (named by names) that hold
 conforming values: number and integer fields as floats, booleans as bool,
 categories as str, grids as lists of rows of int/float cells, and the
 prediction as the locals ``label`` (a str) and ``confidence`` (a float). It
@@ -183,18 +184,13 @@ class Emitter:
                 value = None
         return self._take(None, value[0]), value[1]
 
-    def functions(self, defs: Mapping[str, list[str]]) -> tuple[Callable[..., Any], ...]:
-        """Compile ``def signature: body`` for each item of defs, in one
-        source and one compile, with the constants as their globals; the
-        functions come back in the order of defs."""
-        lines = []
-        for signature, body in defs.items():
-            lines.append(f"def {signature}:")
-            lines += [f"    {line}" for line in body]
-        made = [signature.partition("(")[0] for signature in defs]
+    def function(self, signature: str, body: list[str]) -> Callable[..., Any]:
+        """Compile ``def signature: body``, with the constants as its globals."""
+        name = signature.partition("(")[0]
+        source = "\n".join([f"def {signature}:", *(f"    {line}" for line in body)])
         namespace = {f"k{i}": value for i, value in enumerate(self.constants)}
-        exec(compile("\n".join(lines), f"<generated {', '.join(made)}>", "exec"), namespace)
-        return tuple(namespace[name] for name in made)
+        exec(compile(source, f"<generated {name}>", "exec"), namespace)
+        return namespace[name]
 
     def _emit(self, guard: Optional[str], statement: str) -> None:
         self._lines.append(statement if guard is None else f"if {guard}: {statement}")

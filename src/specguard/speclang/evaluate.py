@@ -65,7 +65,7 @@ def evaluate_condition(
 def _compile_root(expr: Expression) -> Callable[[Mapping[str, Any], Any], Any]:
     emit, lines = Emitter(), []
     value, _ = emit.expression(expr, lines)
-    (run,) = emit.functions({"run(inputs, output)": lines + [f"return {value}"]})
+    run = emit.function("run(inputs, output)", lines + [f"return {value}"])
     if isinstance(expr, Node):
         object.__setattr__(expr, "_compiled", run)
     return run

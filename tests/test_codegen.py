@@ -1,9 +1,9 @@
-"""The generated fast paths of the monitor (monitor.clean_functions) and of
-the gated pattern (patterns.gated_decide_function), and the expression
-emitter behind both (speclang.codegen).
+"""The generated fast paths of the monitor (monitor.clean_line_function)
+and of the gated pattern (patterns.gated_decide_function), and the
+expression emitter behind both (speclang.codegen).
 
 The monitor's contract under test: when the generated function says a
-record is clean (True), the exact checks (conformance_errors,
+record's view is clean (a tuple), the exact checks (conformance_errors,
 prediction_errors, check_sample) find nothing; when it says False,
 conformance_errors and prediction_errors find nothing; on records of exact
 builtin types the converse holds too, so the fast path is not vacuous; and
@@ -41,8 +41,7 @@ from specguard.monitor import (
     TraceRecord,
     ViolationKind,
     check_sample,
-    clean_functions,
-    clean_record_function,
+    clean_line_function,
     read_trace,
     run_trace,
 )
@@ -174,12 +173,32 @@ def _exact_findings(spec, fields, prediction):
     return check_sample(spec, record, MonitorPolicy())
 
 
-def _verdict(clean, fields, prediction):
-    """clean's answer, with None for an exception (the exact path decides)."""
+def _view(fields, prediction):
+    """The view of the record TraceRecord("r", FeatureRecord(fields), prediction)
+    that clean_line reads: the trace line it would be read from."""
+    output = {"label": prediction.label, "confidence": prediction.confidence}
+    return {"id": "r", "input": fields, "output": output}
+
+
+def _kind(answer):
+    """True for clean_line's tuple (clean), else its False or None."""
+    assert answer is False or answer is None or answer.__class__ is tuple
+    return True if answer.__class__ is tuple else answer
+
+
+def _answer(clean_line, fields, prediction):
+    """_kind of clean_line's answer on the record's view; an exception
+    propagates."""
+    return _kind(clean_line(_view(fields, prediction)))
+
+
+def _verdict(clean_line, fields, prediction):
+    """_answer, with None for an exception (the exact path decides)."""
     try:
-        return clean(fields, prediction)
+        answer = clean_line(_view(fields, prediction))
     except Exception:
         return None
+    return _kind(answer)
 
 
 def _exact_types(fields, prediction):
@@ -198,12 +217,15 @@ def _exact_types(fields, prediction):
 @settings(max_examples=400, deadline=None)
 @given(_specs, _fields(), _predictions)
 def test_clean_means_the_exact_checks_find_nothing(spec, fields, prediction):
-    clean = clean_record_function(spec)
-    assert (clean is None) == bool(static_errors(spec))
-    if clean is None:
+    refused = static_errors(spec)
+    if refused:
+        with pytest.raises(FormatError) as gate:
+            run_trace(spec, [])
+        assert gate.value.errors == refused
         return
-    decided = _verdict(clean, fields, prediction)
-    assert decided in (True, False, None)
+    clean_line = clean_line_function(spec)
+    assert clean_line is not None
+    decided = _verdict(clean_line, fields, prediction)
     structural = _structural(spec, fields, prediction)
     findings = _exact_findings(spec, fields, prediction)
     if decided is True:
@@ -219,22 +241,7 @@ def test_clean_means_the_exact_checks_find_nothing(spec, fields, prediction):
 
 def _without_fast_paths():
     """No generated function at all: every item takes the exact checks."""
-    return mock.patch.object(monitor, "clean_functions", lambda spec: (None, None))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_specs, st.lists(st.tuples(_fields(), _predictions), max_size=8))
-def test_run_trace_reports_the_same_without_the_fast_path(spec, rows):
-    spec = dataclasses.replace(spec, probabilistic=(RangeConstraint("height", -1.0, 1.0),))
-    trace = [
-        TraceRecord(f"r{i}", FeatureRecord(fields, f"r{i}"), prediction)
-        for i, (fields, prediction) in enumerate(rows)
-    ]
-    policy = MonitorPolicy(probabilistic_window=3)
-    fast = run_trace(spec, trace, policy).to_json_dict()
-    with _without_fast_paths():
-        exact = run_trace(spec, trace, policy).to_json_dict()
-    assert json.dumps(fast, sort_keys=True) == json.dumps(exact, sort_keys=True)
+    return mock.patch.object(monitor, "clean_line_function", lambda spec: None)
 
 
 _constraints = st.lists(
@@ -248,6 +255,23 @@ _constraints = st.lists(
     ),
     max_size=3,
 ).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs, _constraints, st.lists(st.tuples(_fields(), _predictions), max_size=8))
+def test_run_trace_reports_the_same_without_the_fast_path(spec, constraints, rows):
+    spec = dataclasses.replace(spec, probabilistic=constraints)
+    trace = [
+        TraceRecord(f"r{i}", FeatureRecord(fields, f"r{i}"), prediction)
+        for i, (fields, prediction) in enumerate(rows)
+    ]
+    policy = MonitorPolicy(probabilistic_window=3)
+    fast = run_trace(spec, trace, policy).to_json_dict()
+    with _without_fast_paths():
+        exact = run_trace(spec, trace, policy).to_json_dict()
+    assert json.dumps(fast, sort_keys=True) == json.dumps(exact, sort_keys=True)
+
+
 _confidences = st.one_of(
     st.floats(0, 1),
     st.floats(0, 1),
@@ -313,16 +337,58 @@ def _outcome(spec, trace, policy):
         return str(exc)
 
 
+def _and(condition, source):
+    return Binary("&&", condition, parse(source))
+
+
+# Specs on which most lines conform but fail a condition, so clean_line
+# answers False and the record step takes its verdict: the precondition
+# holds only for the tallest inputs, or the postcondition only for the
+# most confident predictions.
+_mostly_failing = st.one_of(
+    _specs.map(
+        lambda spec: dataclasses.replace(
+            spec, precondition=_and(spec.precondition, "input.height > 2")
+        )
+    ),
+    _specs.map(
+        lambda spec: dataclasses.replace(
+            spec,
+            postcondition=_and(spec.postcondition or Bool(True), "output.confidence >= 0.95"),
+        )
+    ),
+)
+
+
 @settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
-    st.one_of(st.just(PartialSpec(schema=SCHEMA)), _specs), _constraints, _trace_files, _policies
+    st.one_of(st.just(PartialSpec(schema=SCHEMA)), _specs, _mostly_failing),
+    _constraints,
+    _trace_files,
+    _policies,
 )
 def test_a_trace_file_reports_the_same_on_every_path(tmp_path, spec, constraints, data, policy):
     spec = dataclasses.replace(spec, probabilistic=constraints)
     path = tmp_path / "trace.jsonl"
     path.write_bytes(data)
+    from_lines = _outcome(spec, path, policy)
+    assert _outcome(spec, read_trace(path), policy) == from_lines
+    with _without_fast_paths():
+        assert _outcome(spec, jsonl_oracle.read_trace(path), policy) == from_lines
+
+
+@pytest.mark.parametrize("off", sorted(_OFF_RECORD))
+def test_a_line_off_the_record_shape_is_never_decided_clean(tmp_path, off):
+    # clean on every count but one key of the record around its fields
+    output = {"label": "cyclist", "confidence": 0.5}
+    record = {"id": "r", "input": dict(CONFORMING), "output": output}
+    _OFF_RECORD[off](record)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    spec = PartialSpec(schema=SCHEMA, probabilistic=(MeanConstraint("height", 1.0, 0.0),))
+    policy = MonitorPolicy(probabilistic_window=1)
     from_lines = _outcome(spec, path, policy)
     assert _outcome(spec, read_trace(path), policy) == from_lines
     with _without_fast_paths():
@@ -337,14 +403,21 @@ def _one_line_trace(tmp_path, fields):
 
 
 @pytest.mark.parametrize("form", ["list", "str", "Path"])
-def test_one_run_checks_the_spec_twice_in_every_form(tmp_path, form):
-    # once at the gate, once for the one compile of both generated functions
+def test_one_run_checks_the_spec_once_in_every_form(tmp_path, form):
+    # at the gate; the generated function trusts it
     path = _one_line_trace(tmp_path, CONFORMING)
     trace = {"list": list(read_trace(path)), "str": str(path), "Path": path}[form]
     spec = PartialSpec(schema=SCHEMA, probabilistic=(RangeConstraint("height", -1.0, 1.0),))
     with mock.patch.object(spec_module, "static_errors", wraps=static_errors) as checked:
         assert run_trace(spec, trace).violations == []
-    assert checked.call_count == 2
+    assert checked.call_count == 1
+
+
+def test_a_gated_config_checks_the_spec_once():
+    spec = PartialSpec(schema=SCHEMA, sufficient={"pedestrian": (parse("input.flag"),)})
+    with mock.patch.object(spec_module, "static_errors", wraps=static_errors) as checked:
+        assert GatedConfig(spec, ML)._decide is not None
+    assert checked.call_count == 1
 
 
 @pytest.mark.parametrize("probabilistic", [(), (MeanConstraint("count", 1.0, 0.0),) * 2])
@@ -352,7 +425,7 @@ def test_a_clean_line_never_becomes_a_trace_record(tmp_path, probabilistic):
     spec = PartialSpec(
         schema=SCHEMA, precondition=parse("input.height > 0"), probabilistic=probabilistic
     )
-    clean_line = clean_functions(spec)[1]
+    clean_line = clean_line_function(spec)
     assert clean_line(json.loads(_one_line_trace(tmp_path, CONFORMING).read_text())) == (
         (1.0,) * len(probabilistic)
     )
@@ -369,7 +442,6 @@ def test_a_clean_line_never_becomes_a_trace_record(tmp_path, probabilistic):
 
 def test_a_clean_line_that_raises_takes_the_exact_path(tmp_path):
     spec = PartialSpec(schema=SCHEMA, necessary={"pedestrian": (parse("input.height > 2"),)})
-    clean, _ = clean_functions(spec)
 
     def raising(data):
         raise RuntimeError("not decided here")
@@ -381,9 +453,11 @@ def test_a_clean_line_that_raises_takes_the_exact_path(tmp_path):
     ]
     path = tmp_path / "trace.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with mock.patch.object(monitor, "clean_functions", lambda spec: (clean, raising)):
+    with mock.patch.object(monitor, "clean_line_function", lambda spec: raising):
         report = run_trace(spec, path)
+        from_items = run_trace(spec, read_trace(path))
     assert [(v.record_id, v.kind.value) for v in report.violations] == [("r0", "NECESSARY")]
+    assert report.to_json_dict() == from_items.to_json_dict()
     assert report.to_json_dict() == run_trace(spec, read_trace(path)).to_json_dict()
 
 
@@ -399,7 +473,7 @@ def test_emitted_expression_matches_tree_walk(expr, inputs, output):
     lines = []
     held, _ = emit.expression(expr, lines)
     params = ", ".join([*names.values(), "label", "confidence"])
-    (run,) = emit.functions({f"run({params})": lines + [f"return {held}"]})
+    run = emit.function(f"run({params})", lines + [f"return {held}"])
     numbers = ("height", "count")
     args = [float(inputs[n]) if n in numbers else inputs[n] for n in SCHEMA.fields]
     args += [output.label, output.confidence]
@@ -434,7 +508,7 @@ def test_emitted_examples(source, expected):
     params = ", ".join([*names.values(), "label", "confidence"])
     lines = []
     held = emit.condition(parse(source), lines)
-    (run,) = emit.functions({f"run({params})": lines + [f"return {held}"]})
+    run = emit.function(f"run({params})", lines + [f"return {held}"])
     assert run(0.1, 2.0, False, "lane", [[1, 0.5], [2, 0]], "cyclist", 0.2) is expected
 
 
@@ -466,10 +540,10 @@ def _variants():
     "fields,prediction", [v[1:] for v in _variants()], ids=[v[0] for v in _variants()]
 )
 def test_a_record_off_the_schema_is_never_decided_clean(fields, prediction):
-    clean = clean_record_function(PartialSpec(schema=SCHEMA))
+    clean_line = clean_line_function(PartialSpec(schema=SCHEMA))
     prediction = prediction or Prediction("pedestrian", 0.5)
-    assert clean(CONFORMING, Prediction("pedestrian", 0.5)) is True
-    assert _verdict(clean, fields, prediction) is None
+    assert _answer(clean_line, CONFORMING, Prediction("pedestrian", 0.5)) is True
+    assert _verdict(clean_line, fields, prediction) is None
 
 
 class Real(float):
@@ -491,7 +565,7 @@ FIELD_TYPES = [NumberType(), IntegerType(), BooleanType(), CategoryType(("", "la
 def test_value_guard_agrees_with_value_errors(ftype, value):
     emit = Emitter(Schema({}, LABELS), {})
     lines = value_guard(ftype, "x", emit.constant) + ["return [x]"]
-    (guard,) = emit.functions({"guard(x)": lines})
+    guard = emit.function("guard(x)", lines)
     try:
         kept = guard(value)
     except Exception:  # the record falls back to the exact path
@@ -512,9 +586,9 @@ def test_value_guard_agrees_with_value_errors(ftype, value):
     ids=repr,
 )
 def test_conformance_guard_agrees_with_prediction_errors(label, confidence):
-    clean = clean_record_function(PartialSpec(schema=SCHEMA))
+    clean_line = clean_line_function(PartialSpec(schema=SCHEMA))
     prediction = Prediction(label, confidence)
-    decided = _verdict(clean, CONFORMING, prediction)
+    decided = _verdict(clean_line, CONFORMING, prediction)
     errors = prediction_errors(prediction, SCHEMA)
     if decided is True:
         assert errors == []
@@ -542,11 +616,11 @@ def test_benchmark_style_spec_decides_clean_records_and_only_those():
             "pedestrian": (parse("input.lane < 3"), parse("input.lane < 2")),
         },
     )
-    clean = clean_record_function(spec)
+    clean_line = clean_line_function(spec)
     ok = {"height": 1.7, "lane": 1, "zone": "urban"}
-    assert clean(ok, Prediction("pedestrian", 0.9)) is True
-    assert clean({**ok, "lane": 1.0}, Prediction("pedestrian", 0.9)) is True
-    assert clean({**ok, "height": 3}, Prediction("cyclist", 0.9)) is True
+    assert _answer(clean_line, ok, Prediction("pedestrian", 0.9)) is True
+    assert _answer(clean_line, {**ok, "lane": 1.0}, Prediction("pedestrian", 0.9)) is True
+    assert _answer(clean_line, {**ok, "height": 3}, Prediction("cyclist", 0.9)) is True
     for fields, prediction in [
         ({**ok, "height": -1.0}, Prediction("pedestrian", 0.9)),  # PRE
         (ok, Prediction("pedestrian", 0.1)),  # POST
@@ -555,7 +629,7 @@ def test_benchmark_style_spec_decides_clean_records_and_only_those():
         ({**ok, "lane": 2}, Prediction("pedestrian", 0.9)),  # NECESSARY 1
         ({**ok, "lane": 3}, Prediction("pedestrian", 0.9)),  # NECESSARY 0 and 1
     ]:
-        assert clean(fields, prediction) is False
+        assert _answer(clean_line, fields, prediction) is False
     for fields, prediction in [
         ({**ok, "lane": 1.5}, Prediction("pedestrian", 0.9)),  # not an integer
         ({**ok, "lane": 2**53 + 1}, Prediction("pedestrian", 0.9)),  # float() rounds it
@@ -566,7 +640,7 @@ def test_benchmark_style_spec_decides_clean_records_and_only_those():
         (ok, Prediction("truck", 0.9)),  # not in the alphabet
         ({"height": 1.7, "lane": 1, "colour": "red"}, Prediction("pedestrian", 0.9)),
     ]:
-        assert _verdict(clean, fields, prediction) is None
+        assert _verdict(clean_line, fields, prediction) is None
 
 
 def test_comparing_an_int_literal_with_a_float_falls_back_like_the_evaluator_fails():
@@ -574,10 +648,10 @@ def test_comparing_an_int_literal_with_a_float_falls_back_like_the_evaluator_fai
     fields = CONFORMING
     prediction = Prediction("pedestrian", 0.5)
     with pytest.raises(EvalError):
-        clean_record_function(spec)(fields, prediction)
+        _answer(clean_line_function(spec), fields, prediction)
     assert [v.detail["stage"] for v in _exact_findings(spec, fields, prediction)] == ["pre"]
     same_type = PartialSpec(schema=SCHEMA, precondition=Binary("==", Num(1), Num(1)))
-    assert clean_record_function(same_type)(fields, prediction) is True
+    assert _answer(clean_line_function(same_type), fields, prediction) is True
 
 
 HOSTILE = ['a"b', "c'd", "line\nbreak", "__import__('os')", "x) or (True", "\\", "k0"]
@@ -603,7 +677,7 @@ def test_hostile_names_values_and_labels_give_the_exact_verdicts(monkeypatch):
         sufficient={HOSTILE[4]: (Binary("==", InputRef(category), Str(HOSTILE[6])),)},
         necessary={HOSTILE[1]: (InputRef(HOSTILE[2]),)},
     )
-    clean = clean_record_function(spec)
+    clean_line = clean_line_function(spec)
     (source,) = sources
     for text in HOSTILE[:6]:
         assert text not in source
@@ -616,7 +690,7 @@ def test_hostile_names_values_and_labels_give_the_exact_verdicts(monkeypatch):
                     want = None
                 else:
                     want = not _exact_findings(spec, fields, prediction)
-                assert clean(fields, prediction) is want, (value, label, flag)
+                assert _answer(clean_line, fields, prediction) is want, (value, label, flag)
 
 
 @pytest.mark.parametrize(
@@ -636,7 +710,15 @@ def test_hostile_names_values_and_labels_give_the_exact_verdicts(monkeypatch):
     ids=repr,
 )
 def test_no_function_for_a_spec_that_fails_the_gate_or_holds_an_odd_literal(spec):
-    assert clean_record_function(spec) is None
+    refused = static_errors(spec)
+    if refused:  # the gate stops the run before any code is generated
+        with mock.patch.object(monitor, "clean_line_function") as generate:
+            with pytest.raises(FormatError) as gate:
+                run_trace(spec, [])
+        assert gate.value.errors == refused
+        generate.assert_not_called()
+    else:
+        assert clean_line_function(spec) is None
 
 
 def _double_negation(levels):
@@ -659,13 +741,13 @@ def _sum_chain(terms):
 def test_a_condition_nested_deeper_than_python_parses_gets_a_fast_path(precondition):
     spec = PartialSpec(schema=SCHEMA, precondition=precondition)
     assert static_errors(spec) == []
-    clean = clean_record_function(spec)
-    assert clean is not None
+    clean_line = clean_line_function(spec)
+    assert clean_line is not None
     prediction = Prediction("pedestrian", 0.5)
     verdicts = set()
     for height, count in [(-1.0, 0), (0.5, 0), (0.5, 1), (0.25, -1), (2.0, 3)]:
         fields = {**CONFORMING, "height": height, "count": count}
-        verdict = clean(fields, prediction)
+        verdict = _answer(clean_line, fields, prediction)
         assert verdict is (not _exact_findings(spec, fields, prediction)), (height, count)
         verdicts.add(verdict)
     assert verdicts == {True, False}

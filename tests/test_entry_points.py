@@ -743,16 +743,16 @@ def test_every_file_loader_fails_with_one_json_error_line(tmp_path, capsys, load
 # layout: each concept has one owner
 
 
-def _sources(excluding: str):
+def _sources(*excluding: str):
     for path in sorted(SRC.rglob("*.py")):
-        if path.name != excluding:
+        if str(path.relative_to(SRC)) not in excluding:
             yield path.relative_to(SRC), path.read_text(encoding="utf-8")
 
 
 def test_only_the_reader_module_reads_whole_files():
     offenders = [
         str(name)
-        for name, text in _sources(excluding="errors.py")
+        for name, text in _sources("errors.py")
         if re.search(r"\.read_(text|bytes)\(|\.splitlines\(", text)
     ]
     assert offenders == []
@@ -761,7 +761,7 @@ def test_only_the_reader_module_reads_whole_files():
 def test_only_the_reader_module_decodes_json_text():
     calls = [
         (str(name), call)
-        for name, text in _sources(excluding="errors.py")
+        for name, text in _sources("errors.py")
         for call in re.findall(r"json\.loads?\([^)]*\)|JSONDecoder|scan_once", text)
     ]
     # a table classifier's own canonical keys, not text read from outside
@@ -769,5 +769,22 @@ def test_only_the_reader_module_decodes_json_text():
 
 
 def test_only_record_ref_spells_a_positional_reference():
-    offenders = [str(name) for name, text in _sources(excluding="records.py") if '"#{' in text]
+    offenders = [str(name) for name, text in _sources("speccore/records.py") if '"#{' in text]
+    assert offenders == []
+
+
+def test_only_the_spec_module_runs_the_static_checks():
+    # one gate: the entry points call require_well_formed, load_spec and
+    # validate_spec report the findings, and nothing else checks a spec again
+    offenders = [
+        str(name) for name, text in _sources("speccore/spec.py") if "static_errors(" in text
+    ]
+    assert offenders == []
+
+
+def test_only_the_compiler_entries_build_an_emitter():
+    # one compiler entry each for the exact mode (speclang.evaluate) and the
+    # typed fast paths (speccore.spec.spec_function)
+    allowed = ("speclang/codegen.py", "speccore/spec.py", "speclang/evaluate.py")
+    offenders = [str(name) for name, text in _sources(*allowed) if "Emitter(" in text]
     assert offenders == []
