@@ -22,7 +22,7 @@ from specguard.patterns import (
     simulate,
 )
 from specguard.speccore.classifiers import ExpressionClassifier, TableClassifier
-from specguard.speccore.records import FeatureRecord, Prediction, canonical_key
+from specguard.speccore.records import FeatureRecord, Prediction, value_key
 from specguard.speccore.spec import PartialSpec
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import GridType, Schema
@@ -38,7 +38,7 @@ domain = [FeatureRecord({"img": grid_from_bits(b)}, f"g{b}") for b in range(512)
 # Ground truth: a grid is bright when five or more cells are set.
 oracle = TableClassifier(
     {
-        canonical_key({"img": grid_from_bits(b)}): Prediction(
+        value_key({"img": grid_from_bits(b)}): Prediction(
             "bright" if bin(b).count("1") >= 5 else "dark", 1.0
         )
         for b in range(512)

@@ -28,6 +28,7 @@ from .speccore.records import (
     canonical_key,
     conformance_errors,
     record_ref,
+    value_key,
 )
 from .speccore.spec import (
     PartialSpec,
@@ -329,8 +330,8 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
 
     Originals come first, unchanged. Each COLLECTED record is pushed through
     every invariant (same label) and equivariant (transformed label); results
-    whose input duplicates an original or an earlier augmentation (canonical
-    key) are dropped. AUGMENTED records are not transformed again, which
+    whose input duplicates an original or an earlier augmentation (equal
+    value_key) are dropped. AUGMENTED records are not transformed again, which
     makes augmenting an already-augmented set idempotent. A transformation
     failure on a record is reported and that pair skipped.
 
@@ -341,7 +342,7 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
     require_well_formed(spec)
     _require_conforming([r.input for r in data], spec.schema, "record")
     out = list(data)
-    seen = {canonical_key(r.input.fields) for r in data}
+    seen = {value_key(r.input.fields) for r in data}
     errors: list[dict] = []
     relations: list[tuple[Transformation, Optional[Any]]] = [
         (t, None) for t in spec.invariants
@@ -361,7 +362,7 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
             except (TransformError, EvalError) as exc:
                 errors.append({"record": ref, "transform": t.name, "error": str(exc)})
                 continue
-            key = canonical_key(new_input.fields)
+            key = value_key(new_input.fields)
             if key in seen:
                 continue
             seen.add(key)
@@ -417,6 +418,10 @@ def categorize_uncertainty(
         raise FormatError(f"max_depth is capped at {MAX_UNCERTAINTY_DEPTH}")
     _require_conforming([r.input for r in known], schema, "known record")
     _require_conforming(probes, schema, "probe")
+    # Keyed by canonical_key, not value_key: the benchmark's tracer counts
+    # the closure's states from the keys this module's canonical_key
+    # returns. It can move to value_key once that count no longer depends
+    # on how the keys are made (ROADMAP item 4).
     reached: dict[str, tuple[int, tuple[str, ...]]] = {}
     # Each frontier state carries the transform path that first reached it.
     frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []

@@ -26,25 +26,30 @@ from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
 from ..speclang.schema import is_number
-from .records import FeatureRecord, Prediction, canonical_key
+from .records import FeatureRecord, Prediction, key_input, value_key
+
+# The benchmark's tracer wraps the canonical_key it finds in this module.
+from .records import canonical_key  # noqa: F401
 
 
 @dataclass(frozen=True)
 class TableClassifier:
-    """Explicit input -> prediction map with canonical keys and a default.
+    """Explicit input -> prediction map keyed by value, with a default.
 
-    Keys are canonical_key() renderings: fields sorted by name, numbers
-    written with 17 significant digits, so lookups survive reserialization.
+    Keys are value_key() triples: the sorted field names, the shape of the
+    values and their numbers packed as doubles. An input finds its entry
+    whenever its canonical_key text equals the entry's (3 and 3.0, -0.0
+    and 0.0 alike, any field order), so lookups survive reserialization.
     In a table built from JSON (load_classifier streams a file's entries
     into it), entries with equal label and confidence share one Prediction.
     """
 
-    entries: dict[str, Prediction] = field(default_factory=dict)
+    entries: dict[tuple, Prediction] = field(default_factory=dict)
     default: Optional[Prediction] = None
 
     def classify(self, fields: Mapping[str, Any]) -> Prediction:
         try:
-            key = canonical_key(fields)
+            key = value_key(fields)
         except (FormatError, OverflowError) as exc:  # a value no key holds
             raise ClassifierError(f"table classifier cannot key this input: {exc}") from exc
         hit = self.entries.get(key)
@@ -224,7 +229,7 @@ class _Table:
     with equal answers share one Prediction."""
 
     def __init__(self) -> None:
-        self.entries: dict[str, Prediction] = {}
+        self.entries: dict[tuple, Prediction] = {}
         self.shared: dict[tuple, Prediction] = {}
         self.count = 0
 
@@ -233,7 +238,7 @@ class _Table:
         if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
             raise FormatError(f"table entry {i} needs an 'input' object")
         try:
-            key = canonical_key(entry["input"])
+            key = value_key(entry["input"])
         except (FormatError, OverflowError) as exc:
             raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
         self.entries[key] = _prediction_from_json(entry, f"table entry {i}", self.shared)
@@ -327,10 +332,7 @@ def classifier_to_json_dict(classifier: Classifier) -> dict:
     if isinstance(classifier, TableClassifier):
         entries = []
         for key, prediction in classifier.entries.items():
-            fields = {
-                name: _uncanonical(value) for name, value in json.loads(key).items()
-            }
-            entry: dict[str, Any] = {"input": fields, "label": prediction.label}
+            entry: dict[str, Any] = {"input": key_input(key), "label": prediction.label}
             if prediction.confidence is not None:
                 entry["confidence"] = prediction.confidence
             entries.append(entry)
@@ -361,18 +363,6 @@ def _prediction_json(prediction: Prediction) -> dict:
     if prediction.confidence is not None:
         data["confidence"] = prediction.confidence
     return data
-
-
-def _uncanonical(value: Any) -> Any:
-    tag = value[0]
-    if tag == "b":
-        return value[1]
-    if tag == "n":
-        number = float(value[1])
-        return int(number) if number.is_integer() and abs(number) < 1e15 else number
-    if tag == "s":
-        return value[1]
-    return [_uncanonical(v) for v in value[1]]
 
 
 def load_classifier(path: Union[str, Path]) -> Classifier:

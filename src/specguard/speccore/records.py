@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional
@@ -219,7 +220,8 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
 
     Two field maps get the same key exactly when they hold the same values
     (3 and 3.0 collapse, -0.0 and 0.0 collapse, key order never matters).
-    Used for deduplication and reachability memoization.
+    Used for split's order and uncertainty reachability; value_key is its
+    hashable twin for lookups.
 
     The key is compact JSON: an object whose names are the field names,
     sorted, and whose values are tagged lists. A number (int or float, bool
@@ -230,8 +232,7 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     equals ``json.dumps`` of that object with ``sort_keys=True`` and
     ``separators=(",", ":")``. For example ``{"img": [[1, 0.5]], "h": -0.0}``
     gives ``{"h":["n","0"],"img":["l",[["l",[["n","1"],["n","0.5"]]]]]}``.
-    ``split`` orders records by this string and table-classifier entries are
-    looked up by it, so it must never change.
+    ``split`` orders records by this string, so it must never change.
 
     A record whose values are all exactly float, int, str or bool, or grids
     (exact lists of exact lists of exact ints and floats, ragged or empty
@@ -305,6 +306,221 @@ def _spliced_key(fields: Mapping[str, Any]) -> str:
     parts[:1] = ["{"]  # the leading comma, if any, becomes the opening brace
     parts.append("}")
     return "".join(parts)
+
+
+class _Token:
+    """A shape token that no str, int or None equals; see value_key. It
+    pickles as a reference to its module-level name, so a key keeps its
+    meaning in another process."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def __reduce__(self) -> str:
+        return self.name
+
+
+_TRUE = _Token("_TRUE")
+_FALSE = _Token("_FALSE")
+_OPEN = _Token("_OPEN")
+_CLOSE = _Token("_CLOSE")
+_BOOLS = {_TRUE: True, _FALSE: False}
+_NAN = float("nan")
+_plus_zero = (0.0).__radd__  # v + 0.0: an int as a float, -0.0 as 0.0
+
+# Per tuple of field names, in insertion order: the names sorted, and the
+# picker that puts the values into that order. Per number count: the Struct
+# that packs that many doubles. Per shape: the one tuple every key with that
+# shape shares. Each is cleared when full, so any stream of records costs
+# bounded memory; an entry depends on its key alone, so threads that race
+# here only build an equal one twice.
+_ORDER_CAP = 256
+_PACKER_CAP = 256
+_SHAPE_CAP = 1024
+_orders: dict[tuple, tuple[tuple, Callable[[tuple], Any]]] = {}
+_packers: dict[int, struct.Struct] = {}
+_shapes: dict[tuple, tuple] = {}
+
+
+def _order(names: tuple) -> tuple[tuple, Callable[[tuple], Any]]:
+    for name in names:
+        if not isinstance(name, str):
+            raise FormatError(f"field name {name!r} is not a string")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    entry = tuple(names[i] for i in order), itemgetter(*order) if len(order) > 1 else tuple
+    if len(_orders) >= _ORDER_CAP:
+        _orders.clear()
+    _orders[names] = entry
+    return entry
+
+
+def _packer(count: int) -> struct.Struct:
+    packer = _packers.get(count)
+    if packer is None:
+        if len(_packers) >= _PACKER_CAP:
+            _packers.clear()
+        packer = _packers[count] = struct.Struct(f"{count}d")
+    return packer
+
+
+def _scalar_tokens(value: Any, shape: list, numbers: list) -> bool:
+    """Add the tokens of a value that is not a list; True for a number.
+    The checks and the errors are _scalar's."""
+    kind = type(value)
+    if kind is float or kind is int:
+        shape.append(None)
+        numbers.append(value + 0.0)
+        return True
+    if kind is str:
+        shape.append(value)
+    elif kind is bool:
+        shape.append(_TRUE if value else _FALSE)
+    elif isinstance(value, (int, float)):
+        shape.append(None)
+        numbers.append(float(value) + 0.0)
+        return True
+    elif isinstance(value, str):
+        shape.append(str.__str__(value))  # the exact str of equal text
+    else:
+        raise FormatError(f"value {value!r} cannot appear in a record")
+    return False
+
+
+def _value_tokens(value: Any, shape: list, numbers: list) -> None:
+    """Add one value's shape tokens and numbers; see value_key.
+
+    Nested lists are walked as _encode walks them, with an explicit stack
+    of item iterators, so they fail where _encode fails, with its error.
+    """
+    if not isinstance(value, list):
+        _scalar_tokens(value, shape, numbers)
+        return
+    if _NUMBERS.issuperset(map(type, value)):
+        shape.append(len(value))
+        numbers += map(_plus_zero, value)
+        return
+    stack = [(id(value), iter(value), len(shape))]
+    only_numbers = [True]  # per list on the stack: so far, every item is one
+    walking = {id(value)}  # the lists on the stack; one met again is a cycle
+    shape.append(_OPEN)
+    while stack:
+        for item in stack[-1][1]:
+            if not isinstance(item, list):
+                if not _scalar_tokens(item, shape, numbers):
+                    only_numbers[-1] = False
+                continue
+            only_numbers[-1] = False
+            if _NUMBERS.issuperset(map(type, item)):
+                shape.append(len(item))
+                numbers += map(_plus_zero, item)
+                continue
+            if id(item) in walking:
+                raise FormatError("a list that contains itself cannot appear in a record")
+            walking.add(id(item))
+            stack.append((id(item), iter(item), len(shape)))
+            only_numbers.append(True)
+            shape.append(_OPEN)
+            break
+        else:
+            ident, _, start = stack.pop()
+            walking.discard(ident)
+            if only_numbers.pop():  # numbers, some not of an exact type
+                count = len(shape) - start - 1
+                del shape[start:]
+                shape.append(count)
+            else:
+                shape.append(_CLOSE)
+
+
+def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
+    """A hashable identity for a record's input fields, equal for two field
+    maps exactly when their canonical_key strings are equal. Table
+    classifiers are keyed by it.
+
+    The key is the flat triple (names, shape, numbers). names holds the
+    field names, sorted. numbers packs every number of the record (int or
+    float, bool excepted), walked in that order and depth first, as
+    doubles: each is v + 0.0, so 3 and 3.0 pack alike and -0.0 packs as
+    0.0, and every NaN packs as one bit pattern. shape holds one token per
+    value, in the same order: None for a number, a string's own text, a
+    sentinel for true and one for false, the int n for a list whose items
+    are n numbers, and any other list as an open sentinel, its items'
+    tokens and a close sentinel. The shape holds no tuple, so hashing it
+    never recurses however deep the lists; keys of one shape share one
+    shape tuple from a memo of at most _SHAPE_CAP (1024) shapes, emptied
+    when full.
+
+    The values are walked in insertion order, so a record no key holds
+    raises what canonical_key raises, with the same text: FormatError for
+    a name that is not a string, a value that is no number, string, bool
+    or list, and a list that contains itself; OverflowError for an int no
+    float can hold. key_input turns a key back into fields.
+    """
+    try:
+        names, pick = _orders.get(tuple(fields)) or _order(tuple(fields))
+        shape: list = []
+        numbers: list = []
+        for value in pick(tuple(fields.values())):
+            kind = value.__class__
+            if kind is float or kind is int:
+                shape.append(None)
+                numbers.append(value + 0.0)
+            elif kind is str:
+                shape.append(value)
+            else:
+                _value_tokens(value, shape, numbers)
+    except (FormatError, OverflowError):
+        # The values were walked in name order; walk them in insertion order
+        # to raise for the first name or value that fails.
+        for name, value in fields.items():
+            if not isinstance(name, str):
+                raise FormatError(f"field name {name!r} is not a string") from None
+            _value_tokens(value, [], [])
+        raise
+    total = sum(numbers)
+    if total != total:  # a NaN, or inf and -inf
+        numbers = [_NAN if v != v else v for v in numbers]
+    shape_key = tuple(shape)
+    shared = _shapes.get(shape_key)
+    if shared is None:
+        if len(_shapes) >= _SHAPE_CAP:
+            _shapes.clear()
+        shared = _shapes[shape_key] = shape_key
+    return names, shared, _packer(len(numbers)).pack(*numbers)
+
+
+def _json_number(value: float) -> Any:
+    return int(value) if value.is_integer() and abs(value) < 1e15 else value
+
+
+def key_input(key: tuple[tuple, tuple, bytes]) -> dict[str, Any]:
+    """The input fields a value_key stands for, in name order, as a table
+    file writes them: a number is an int when it is integral and below 1e15
+    in magnitude, else a float."""
+    names, shape, packed = key
+    numbers = map(_json_number, _packer(len(packed) // 8).unpack(packed))
+    values: list = []
+    stack = [values]
+    for token in shape:
+        if token is None:
+            stack[-1].append(next(numbers))
+        elif token.__class__ is str:
+            stack[-1].append(token)
+        elif token.__class__ is int:
+            stack[-1].append([next(numbers) for _ in range(token)])
+        elif token is _OPEN:
+            stack.append([])
+            stack[-2].append(stack[-1])
+        elif token is _CLOSE:
+            stack.pop()
+        else:
+            stack[-1].append(_BOOLS[token])
+    return dict(zip(names, values))
 
 
 def record_from_json_dict(data: Any) -> FeatureRecord:

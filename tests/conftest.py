@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from specguard.speccore.records import FeatureRecord, Prediction, canonical_key
+from specguard.speccore.records import FeatureRecord, Prediction, value_key
 from specguard.speccore.classifiers import TableClassifier
 from specguard.speclang.schema import GridType, NumberType, Schema
 
@@ -35,7 +35,7 @@ def grid_oracle() -> TableClassifier:
     for b in range(512):
         fields = {"img": grid_from_bits(b)}
         label = "bright" if bin(b).count("1") >= 5 else "dark"
-        entries[canonical_key(fields)] = Prediction(label, 1.0)
+        entries[value_key(fields)] = Prediction(label, 1.0)
     return TableClassifier(entries)
 
 

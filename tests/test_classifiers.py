@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import pickle
 import sys
 import tempfile
 import textwrap
@@ -25,17 +26,17 @@ from specguard.speccore.classifiers import (
     classify,
     load_classifier,
 )
-from specguard.speccore.records import FeatureRecord, Prediction, canonical_key
+from specguard.speccore.records import FeatureRecord, Prediction, value_key
 from specguard.speclang.parser import parse
 
 
 class TestTableClassifier:
     def test_hit_returns_the_stored_prediction(self):
-        table = TableClassifier({canonical_key({"x": 1}): Prediction("yes", 0.9)})
+        table = TableClassifier({value_key({"x": 1}): Prediction("yes", 0.9)})
         assert table.classify({"x": 1}) == Prediction("yes", 0.9)
 
     def test_lookup_is_by_value_not_representation(self):
-        table = TableClassifier({canonical_key({"x": 1}): Prediction("yes")})
+        table = TableClassifier({value_key({"x": 1}): Prediction("yes")})
         assert table.classify({"x": 1.0}) == Prediction("yes")
 
     def test_miss_falls_back_to_default(self):
@@ -57,7 +58,7 @@ class TestTableClassifier:
             table.classify({"x": value})
 
     def test_classify_helper_accepts_records_and_mappings(self):
-        table = TableClassifier({canonical_key({"x": 1}): Prediction("yes")})
+        table = TableClassifier({value_key({"x": 1}): Prediction("yes")})
         assert classify(table, FeatureRecord({"x": 1}, "r")) == Prediction("yes")
         assert classify(table, {"x": 1}) == Prediction("yes")
 
@@ -199,6 +200,63 @@ class TestJsonForms:
             {"kind": "table", "entries": [{"input": {"x": 1}, "label": "yes"}]}
         )
         assert clf.classify({"x": 1}) == Prediction("yes", None)
+
+    def test_table_json_form_is_pinned(self):
+        """Inputs are written back from their keys: names sorted, an integral
+        number below 1e15 as an int, -0.0 as 0, NaN and infinities as Python's
+        json writes them. The bytes were written by the text-keyed table
+        (canonical_key strings, decoded by json.loads) that value keys
+        replaced."""
+        data = {
+            "kind": "table",
+            "entries": [
+                {
+                    "input": {
+                        "n": 3, "neg": -7, "half": 2.5, "below": 999999999999999.0,
+                        "big": 1e15, "huge": 12345678901234567,
+                    },
+                    "label": "numbers",
+                    "confidence": 0.5,
+                },
+                {
+                    "input": {"z": -0.0, "nan": math.nan, "inf": math.inf, "minf": -math.inf},
+                    "label": "specials",
+                },
+                {"input": {"t": True, "f": False, "one": 1, "zero": 0.0}, "label": "bools"},
+                {
+                    "input": {"s": 'tab\t "q" \\ \u00e9 \u540d \u2028 \x00 \ud800 /', "empty": ""},
+                    "label": "text",
+                },
+                {
+                    "input": {
+                        "g": [[1, 2.5], [], [[-0.0, "x", True], [1e15]], 3],
+                        "h": [],
+                        "r": [[], [[]], [0.5, [1, [2]]]],
+                    },
+                    "label": "lists",
+                    "confidence": 1.0,
+                },
+            ],
+            "default": {"label": "none", "confidence": 0.25},
+        }
+        assert json.dumps(classifier_to_json_dict(classifier_from_json_dict(data))) == (
+            '{"kind": "table", "entries": [{"input": {"below": 999999999999999, "big": 1000000000000000.0, '
+            '"half": 2.5, "huge": 1.2345678901234568e+16, "n": 3, "neg": -7}, "label": "numbers", '
+            '"confidence": 0.5}, {"input": {"inf": Infinity, "minf": -Infinity, "nan": NaN, "z": 0}, '
+            '"label": "specials"}, {"input": {"f": false, "one": 1, "t": true, "zero": 0}, "label": "bools"}, '
+            '{"input": {"empty": "", "s": "tab\\t \\"q\\" \\\\ \\u00e9 \\u540d \\u2028 \\u0000 \\ud800 /"}, '
+            '"label": "text"}, {"input": {"g": [[1, 2.5], [], [[0, "x", true], [1000000000000000.0]], '
+            '3], "h": [], "r": [[], [[]], [0.5, [1, [2]]]]}, "label": "lists", "confidence": 1.0}], '
+            '"default": {"label": "none", "confidence": 0.25}}'
+        )
+
+    def test_a_pickled_table_finds_its_entries(self):
+        data = {
+            "kind": "table",
+            "entries": [{"input": {"b": True, "g": [[1, "s"], [False], []]}, "label": "yes"}],
+        }
+        table = pickle.loads(pickle.dumps(classifier_from_json_dict(data)))
+        assert table.classify({"g": [[1.0, "s"], [False], []], "b": True}) == Prediction("yes")
 
     def test_expression_round_trip(self):
         data = {

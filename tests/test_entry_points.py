@@ -764,8 +764,7 @@ def test_only_the_reader_module_decodes_json_text():
         for name, text in _sources("errors.py")
         for call in re.findall(r"json\.loads?\([^)]*\)|JSONDecoder|scan_once", text)
     ]
-    # a table classifier's own canonical keys, not text read from outside
-    assert calls == [("speccore/classifiers.py", "json.loads(key)")]
+    assert calls == []
 
 
 def test_only_record_ref_spells_a_positional_reference():

@@ -26,7 +26,7 @@ from specguard.patterns import (
     simulate,
 )
 from specguard.speccore.classifiers import ExpressionClassifier, TableClassifier
-from specguard.speccore.records import FeatureRecord, Prediction, canonical_key
+from specguard.speccore.records import FeatureRecord, Prediction
 from specguard.speccore.spec import PartialSpec
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import NumberType, Schema

@@ -1,12 +1,13 @@
-"""Schema construction rules, record conformance, and canonical identity keys."""
+"""Schema construction rules, record conformance, and identity keys."""
 from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import canonical_oracle as oracle
@@ -17,9 +18,11 @@ from specguard.speccore.records import (
     Prediction,
     canonical_key,
     conformance_errors,
+    key_input,
     prediction_errors,
     record_from_json_dict,
     record_to_json_dict,
+    value_key,
 )
 from specguard.speclang.schema import (
     BooleanType,
@@ -337,14 +340,14 @@ class TestCanonicalKeyOracle:
 
 
 @st.composite
-def deep_lists(draw, max_depth=200):
+def deep_lists(draw, max_depth=200, leaves=KEY_LEAVES):
     """A list nested up to max_depth levels, built from the inside out: each
     level holds the deeper list among siblings (leaves, small lists, empty
     lists), so the nesting is ragged at every level."""
-    value = draw(st.one_of(KEY_LEAVES, st.just([])))
+    value = draw(st.one_of(leaves, st.just([])))
     for _ in range(draw(st.integers(1, max_depth))):
-        left = draw(st.lists(st.one_of(KEY_LEAVES, st.lists(KEY_LEAVES, max_size=2)), max_size=2))
-        right = draw(st.lists(st.one_of(KEY_LEAVES, st.just([[]])), max_size=2))
+        left = draw(st.lists(st.one_of(leaves, st.lists(leaves, max_size=2)), max_size=2))
+        right = draw(st.lists(st.one_of(leaves, st.just([[]])), max_size=2))
         value = [*left, value, *right]
     return value
 
@@ -379,6 +382,149 @@ class TestDeepLists:
         loop.append([loop])
         with pytest.raises(FormatError, match="a list that contains itself"):
             canonical_key({"x": loop})
+
+
+def _loop() -> list:
+    loop: list = [0.5]
+    loop.append([loop])
+    return loop
+
+
+def _twin(value, rnd):
+    """A value canonical_key cannot tell from value: ints as floats, zeros
+    of the other sign, fresh NaNs, strs and numbers of a subclass, lists
+    copied."""
+    if isinstance(value, list):
+        return [_twin(item, rnd) for item in value]
+    if isinstance(value, bool) or rnd.random() < 0.3:
+        return value
+    if isinstance(value, str):
+        return Tag(value)
+    if isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            return value
+        if number != number:
+            return rnd.choice([float("nan"), -math.nan])
+        if number == 0.0:
+            return rnd.choice([0.0, -0.0, 0, Reading(-0.0)])
+        return rnd.choice([number, Reading(number)])
+    return value
+
+
+# Few names and leaves, so that two drawn maps often hold equal values.
+SMALL_LEAVES = st.sampled_from(
+    [0, 0.0, -0.0, 1, 1.0, True, False, math.nan, -math.nan]
+    + ["0", "", "t", Tag("t"), Level.LOW, Reading(-0.0), Reading(1.0)]
+)
+SMALL_MAPS = st.dictionaries(
+    st.sampled_from(["a", "b"]),
+    st.recursive(SMALL_LEAVES, lambda inner: st.lists(inner, max_size=2), max_leaves=4),
+    max_size=2,
+)
+# KEY_LEAVES less the values no record holds.
+VALID_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),  # nan, ±inf and -0.0 included
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 2**53 + 1]),
+    st.text(max_size=5),
+    st.sampled_from([Level.LOW, Level.HIGH, Tag("t"), Tag('q"\u00e9'), Reading(-0.0)]),
+)
+VALID_VALUES = st.one_of(
+    st.recursive(VALID_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12),
+    st.lists(st.lists(VALID_LEAVES, max_size=4), max_size=4),  # grids, ragged or not
+    deep_lists(max_depth=60, leaves=VALID_LEAVES),
+)
+BAD_ITEMS = {
+    "valid": ("m", 1.5),
+    "non-str name": (1, 2.5),
+    "dict": ("d", {"k": 1}),
+    "None": ("n", None),
+    "huge int": ("h", 10**400),
+    "huge int in a list": ("g", [[0.5], [1, 10**400]]),
+    "list that contains itself": ("c", _loop()),
+}
+
+
+class TestValueKey:
+    """value_key against canonical_key: equal keys exactly when the texts
+    are equal, and the same exception with the same text where the text
+    cannot be made."""
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.dictionaries(
+            st.one_of(KEY_NAMES, st.sampled_from([1, 2.5, None, ("t",)])),
+            st.one_of(KEY_VALUES, GRIDS, deep_lists(max_depth=60)),
+            max_size=4,
+        )
+    )
+    def test_fails_where_canonical_key_fails_with_its_error(self, fields):
+        want = key_outcome(canonical_key, fields)
+        records._orders.clear()
+        got = key_outcome(value_key, fields)
+        assert key_outcome(value_key, fields) == got  # warm caches
+        if not isinstance(want, str):
+            assert got == want
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(KEY_NAMES, VALID_VALUES, max_size=4), st.randoms())
+    def test_twins_get_one_key_and_it_gives_the_values_back(self, fields, rnd):
+        want = canonical_key(fields)
+        key = value_key(fields)
+        items = [(name, _twin(value, rnd)) for name, value in fields.items()]
+        rnd.shuffle(items)
+        twin = dict(items)
+        assert canonical_key(twin) == want
+        assert value_key(twin) == key and hash(value_key(twin)) == hash(key)
+        assert canonical_key(key_input(key)) == want
+
+    @settings(max_examples=500)
+    @given(SMALL_MAPS, SMALL_MAPS)
+    @example({"a": math.nan}, {"a": -math.nan})
+    @example({"a": [-0.0, Level.LOW]}, {"a": [0, 1.0]})
+    @example({"a": [[Reading(1.0)], "t"]}, {"a": [[1], Tag("t")]})
+    @example({"a": True}, {"a": 1})
+    def test_keys_are_equal_exactly_when_canonical_keys_are(self, a, b):
+        assert (value_key(a) == value_key(b)) == (canonical_key(a) == canonical_key(b))
+
+    @pytest.mark.parametrize(
+        "first,second", [(a, b) for a in BAD_ITEMS for b in BAD_ITEMS if a != "valid" or b != a]
+    )
+    def test_the_first_offender_inserted_is_named(self, first, second):
+        fields = dict([BAD_ITEMS[first], BAD_ITEMS[second]])
+        want = key_outcome(canonical_key, fields)
+        assert isinstance(want, tuple)
+        assert key_outcome(value_key, fields) == want
+
+    def test_a_huge_int_raises_overflow_error_not_a_struct_error(self):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            value_key({"a": 1.0, "b": [2, 10**400]})
+
+    def test_a_list_100000_deep_is_keyed_and_hashed(self):
+        def deep(leaf):
+            value = [leaf]
+            for _ in range(99_999):
+                value = [value]
+            return value
+
+        key = value_key({"zone": deep(2.5)})
+        assert key == value_key({"zone": deep(Reading(2.5))})
+        assert hash(key) == hash(value_key({"zone": deep(Reading(2.5))}))
+        assert key != value_key({"zone": deep(True)})
+        assert len(key[1]) == 2 * 99_999 + 1
+
+    def test_memos_stay_within_their_caps(self):
+        records._shapes.clear()
+        for i in range(10_000):
+            value_key({"zone": f"z{i}", "x": 1.0})
+        assert 0 < len(records._shapes) <= records._SHAPE_CAP
+        for i in range(2 * records._ORDER_CAP):
+            value_key({f"f{i}": 1, "g": [0.5] * i})
+        assert 0 < len(records._orders) <= records._ORDER_CAP
+        assert 0 < len(records._packers) <= records._PACKER_CAP
 
 
 class TestRecordJson:

@@ -9,7 +9,7 @@ import pytest
 
 from specguard.errors import EvalError, FormatError
 from specguard.speccore.classifiers import ExpressionClassifier, TableClassifier
-from specguard.speccore.records import FeatureRecord, Prediction, canonical_key
+from specguard.speccore.records import FeatureRecord, Prediction, value_key
 from specguard.speccore.spec import (
     MeanConstraint,
     PartialSpec,
@@ -132,8 +132,8 @@ class TestMetamorphicChecks:
         assert result.lhs.label == "not_pedestrian"
 
     def test_invariant_compares_labels_not_confidences(self):
-        key_a = canonical_key({"height": 2.0, "img": [[1, 1], [1, 1]]})
-        key_b = canonical_key({"height": 4.0, "img": [[1, 1], [1, 1]]})
+        key_a = value_key({"height": 2.0, "img": [[1, 1], [1, 1]]})
+        key_b = value_key({"height": 4.0, "img": [[1, 1], [1, 1]]})
         clf = TableClassifier(
             {key_a: Prediction("pedestrian", 0.2), key_b: Prediction("pedestrian", 0.9)}
         )
