@@ -40,12 +40,22 @@ class TableClassifier:
     values and their numbers packed as doubles. An input finds its entry
     whenever its canonical_key text equals the entry's (3 and 3.0, -0.0
     and 0.0 alike, any field order), so lookups survive reserialization.
+    A key of any other form, such as a canonical_key string, would never
+    be found, so it raises TypeError.
     In a table built from JSON (load_classifier streams a file's entries
     into it), entries with equal label and confidence share one Prediction.
     """
 
     entries: dict[tuple, Prediction] = field(default_factory=dict)
     default: Optional[Prediction] = None
+
+    def __post_init__(self) -> None:
+        for key in self.entries:
+            if key.__class__ is not tuple or len(key) != 3:
+                raise TypeError(
+                    f"table classifier key {key!r} is not a value_key triple "
+                    "(build keys with value_key, not canonical_key)"
+                )
 
     def classify(self, fields: Mapping[str, Any]) -> Prediction:
         try:

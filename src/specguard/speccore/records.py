@@ -159,27 +159,29 @@ def _encode(value: Any) -> str:
     return "".join(pieces)
 
 
-# Per tuple of field names, in insertion order: the key's text as a list
-# with a None slot for each value (odd positions), and the picker that puts
-# the values into name order. Cleared when full, so any number of distinct
-# name tuples costs bounded memory. An entry depends on the names alone, so
-# threads that race here only rebuild one.
-_TEMPLATE_CAP = 256
-_templates: dict[tuple, tuple[list, Callable[[list], Any]]] = {}
+# Per tuple of field names, in insertion order: the names sorted, the
+# picker that puts the values into that order, and canonical_key's text as
+# a list with a None slot for each value (odd positions). Both keys read
+# it. Cleared when full, so any number of distinct name tuples costs
+# bounded memory. An entry depends on the names alone, so threads that race
+# here only rebuild one.
+_ORDER_CAP = 256
+_orders: dict[tuple, tuple[tuple, Callable[[Any], Any], list]] = {}
 
 
-def _template(names: tuple) -> Optional[tuple[list, Callable[[list], Any]]]:
+def _order(names: tuple) -> Optional[tuple[tuple, Callable[[Any], Any], list]]:
     if not all(isinstance(name, str) for name in names):
-        return None  # the spliced path names the first bad name or value
+        return None  # the caller names the first bad name or value
     order = sorted(range(len(names)), key=names.__getitem__)
     parts: list = []
     for n, i in enumerate(order):
         parts += ("," if n else "{") + _quote(names[i]) + ":", None
     parts.append("}" if order else "{}")
-    entry = parts, itemgetter(*order) if len(order) > 1 else tuple
-    if len(_templates) >= _TEMPLATE_CAP:
-        _templates.clear()
-    _templates[names] = entry
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    entry = tuple(names[i] for i in order), pick, parts
+    if len(_orders) >= _ORDER_CAP:
+        _orders.clear()
+    _orders[names] = entry
     return entry
 
 
@@ -238,7 +240,7 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     (exact lists of exact lists of exact ints and floats, ragged or empty
     ones included), is keyed from a template: the sorted, quoted names with
     a slot for each value, cached per tuple of field names in insertion
-    order. The cache holds at most _TEMPLATE_CAP (256) name tuples and is
+    order. The cache holds at most _ORDER_CAP (256) name tuples and is
     emptied when full. A grid's cells are read from a memo of cell pieces
     keyed by value, where equal values (3 and 3.0, 0.0 and -0.0) share the
     one piece the key gives them both. A row with a cell the memo lacks is
@@ -256,7 +258,7 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     are keyed; a list that contains itself raises FormatError.
     """
     names = tuple(fields)
-    entry = _templates.get(names) or _template(names)
+    entry = _orders.get(names) or _order(names)
     if entry is None:
         return _spliced_key(fields)
     values = []
@@ -276,7 +278,7 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     # join, not %-formatting: a key built by % keeps the spare room its
     # buffer grew, about 1.2 MB more RSS over the 50k keys of the
     # gated_simulate benchmark's oracle.
-    parts, pick = entry
+    _, pick, parts = entry
     parts = parts.copy()
     parts[1::2] = pick(values)
     return "".join(parts)
@@ -309,7 +311,7 @@ def _spliced_key(fields: Mapping[str, Any]) -> str:
 
 
 class _Token:
-    """A shape token that no str, int or None equals; see value_key. It
+    """A shape token that no str or None equals; see value_key. It
     pickles as a reference to its module-level name, so a key keeps its
     meaning in another process."""
 
@@ -331,64 +333,32 @@ _OPEN = _Token("_OPEN")
 _CLOSE = _Token("_CLOSE")
 _BOOLS = {_TRUE: True, _FALSE: False}
 _NAN = float("nan")
-_plus_zero = (0.0).__radd__  # v + 0.0: an int as a float, -0.0 as 0.0
 
-# Per tuple of field names, in insertion order: the names sorted, and the
-# picker that puts the values into that order. Per number count: the Struct
-# that packs that many doubles. Per shape: the one tuple every key with that
-# shape shares. Each is cleared when full, so any stream of records costs
-# bounded memory; an entry depends on its key alone, so threads that race
-# here only build an equal one twice.
-_ORDER_CAP = 256
-_PACKER_CAP = 256
+# Per shape: the one tuple every key with that shape shares. Cleared when
+# full, so any stream of records costs bounded memory; an entry depends on
+# its key alone, so threads that race here only build an equal one twice.
 _SHAPE_CAP = 1024
-_orders: dict[tuple, tuple[tuple, Callable[[tuple], Any]]] = {}
-_packers: dict[int, struct.Struct] = {}
 _shapes: dict[tuple, tuple] = {}
 
 
-def _order(names: tuple) -> tuple[tuple, Callable[[tuple], Any]]:
-    for name in names:
-        if not isinstance(name, str):
-            raise FormatError(f"field name {name!r} is not a string")
-    order = sorted(range(len(names)), key=names.__getitem__)
-    entry = tuple(names[i] for i in order), itemgetter(*order) if len(order) > 1 else tuple
-    if len(_orders) >= _ORDER_CAP:
-        _orders.clear()
-    _orders[names] = entry
-    return entry
-
-
-def _packer(count: int) -> struct.Struct:
-    packer = _packers.get(count)
-    if packer is None:
-        if len(_packers) >= _PACKER_CAP:
-            _packers.clear()
-        packer = _packers[count] = struct.Struct(f"{count}d")
-    return packer
-
-
-def _scalar_tokens(value: Any, shape: list, numbers: list) -> bool:
-    """Add the tokens of a value that is not a list; True for a number.
-    The checks and the errors are _scalar's."""
+def _scalar_tokens(value: Any, shape: list, numbers: list) -> None:
+    """Add the tokens of a value that is not a list. The checks and the
+    errors are _scalar's."""
     kind = type(value)
     if kind is float or kind is int:
         shape.append(None)
         numbers.append(value + 0.0)
-        return True
-    if kind is str:
+    elif kind is str:
         shape.append(value)
     elif kind is bool:
         shape.append(_TRUE if value else _FALSE)
     elif isinstance(value, (int, float)):
         shape.append(None)
         numbers.append(float(value) + 0.0)
-        return True
     elif isinstance(value, str):
         shape.append(str.__str__(value))  # the exact str of equal text
     else:
         raise FormatError(f"value {value!r} cannot appear in a record")
-    return False
 
 
 def _value_tokens(value: Any, shape: list, numbers: list) -> None:
@@ -400,41 +370,31 @@ def _value_tokens(value: Any, shape: list, numbers: list) -> None:
     if not isinstance(value, list):
         _scalar_tokens(value, shape, numbers)
         return
-    if _NUMBERS.issuperset(map(type, value)):
-        shape.append(len(value))
-        numbers += map(_plus_zero, value)
-        return
-    stack = [(id(value), iter(value), len(shape))]
-    only_numbers = [True]  # per list on the stack: so far, every item is one
+    stack = [(id(value), iter(value))]
     walking = {id(value)}  # the lists on the stack; one met again is a cycle
     shape.append(_OPEN)
     while stack:
         for item in stack[-1][1]:
-            if not isinstance(item, list):
-                if not _scalar_tokens(item, shape, numbers):
-                    only_numbers[-1] = False
-                continue
-            only_numbers[-1] = False
-            if _NUMBERS.issuperset(map(type, item)):
-                shape.append(len(item))
-                numbers += map(_plus_zero, item)
-                continue
-            if id(item) in walking:
-                raise FormatError("a list that contains itself cannot appear in a record")
-            walking.add(id(item))
-            stack.append((id(item), iter(item), len(shape)))
-            only_numbers.append(True)
-            shape.append(_OPEN)
-            break
+            if isinstance(item, list):
+                if id(item) in walking:
+                    raise FormatError("a list that contains itself cannot appear in a record")
+                walking.add(id(item))
+                stack.append((id(item), iter(item)))
+                shape.append(_OPEN)
+                break
+            _scalar_tokens(item, shape, numbers)
         else:
-            ident, _, start = stack.pop()
-            walking.discard(ident)
-            if only_numbers.pop():  # numbers, some not of an exact type
-                count = len(shape) - start - 1
-                del shape[start:]
-                shape.append(count)
-            else:
-                shape.append(_CLOSE)
+            walking.discard(stack.pop()[0])
+            shape.append(_CLOSE)
+
+
+def _raise_first_offender(fields: Mapping[str, Any]) -> None:
+    """Raise canonical_key's error for the first name or value, in
+    insertion order, that no key holds."""
+    for name, value in fields.items():
+        if not isinstance(name, str):
+            raise FormatError(f"field name {name!r} is not a string")
+        _value_tokens(value, [], [])
 
 
 def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
@@ -448,12 +408,12 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
     doubles: each is v + 0.0, so 3 and 3.0 pack alike and -0.0 packs as
     0.0, and every NaN packs as one bit pattern. shape holds one token per
     value, in the same order: None for a number, a string's own text, a
-    sentinel for true and one for false, the int n for a list whose items
-    are n numbers, and any other list as an open sentinel, its items'
-    tokens and a close sentinel. The shape holds no tuple, so hashing it
-    never recurses however deep the lists; keys of one shape share one
-    shape tuple from a memo of at most _SHAPE_CAP (1024) shapes, emptied
-    when full.
+    sentinel for true and one for false, and a list as an open sentinel,
+    its items' tokens and a close sentinel. The shape holds no tuple, so
+    hashing it never recurses however deep the lists; keys of one shape
+    share one shape tuple from a memo of at most _SHAPE_CAP (1024) shapes,
+    emptied when full. The names come from canonical_key's names-order
+    cache.
 
     The values are walked in insertion order, so a record no key holds
     raises what canonical_key raises, with the same text: FormatError for
@@ -461,10 +421,13 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
     or list, and a list that contains itself; OverflowError for an int no
     float can hold. key_input turns a key back into fields.
     """
+    entry = _orders.get(tuple(fields)) or _order(tuple(fields))
+    if entry is None:  # a name is not a string
+        _raise_first_offender(fields)
+    names, pick, _ = entry
+    shape: list = []
+    numbers: list = []
     try:
-        names, pick = _orders.get(tuple(fields)) or _order(tuple(fields))
-        shape: list = []
-        numbers: list = []
         for value in pick(tuple(fields.values())):
             kind = value.__class__
             if kind is float or kind is int:
@@ -476,11 +439,8 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
                 _value_tokens(value, shape, numbers)
     except (FormatError, OverflowError):
         # The values were walked in name order; walk them in insertion order
-        # to raise for the first name or value that fails.
-        for name, value in fields.items():
-            if not isinstance(name, str):
-                raise FormatError(f"field name {name!r} is not a string") from None
-            _value_tokens(value, [], [])
+        # to raise for the first one that fails.
+        _raise_first_offender(fields)
         raise
     total = sum(numbers)
     if total != total:  # a NaN, or inf and -inf
@@ -491,7 +451,7 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
         if len(_shapes) >= _SHAPE_CAP:
             _shapes.clear()
         shared = _shapes[shape_key] = shape_key
-    return names, shared, _packer(len(numbers)).pack(*numbers)
+    return names, shared, struct.pack(f"{len(numbers)}d", *numbers)
 
 
 def _json_number(value: float) -> Any:
@@ -503,7 +463,7 @@ def key_input(key: tuple[tuple, tuple, bytes]) -> dict[str, Any]:
     file writes them: a number is an int when it is integral and below 1e15
     in magnitude, else a float."""
     names, shape, packed = key
-    numbers = map(_json_number, _packer(len(packed) // 8).unpack(packed))
+    numbers = map(_json_number, struct.unpack(f"{len(packed) // 8}d", packed))
     values: list = []
     stack = [values]
     for token in shape:
@@ -511,8 +471,6 @@ def key_input(key: tuple[tuple, tuple, bytes]) -> dict[str, Any]:
             stack[-1].append(next(numbers))
         elif token.__class__ is str:
             stack[-1].append(token)
-        elif token.__class__ is int:
-            stack[-1].append([next(numbers) for _ in range(token)])
         elif token is _OPEN:
             stack.append([])
             stack[-2].append(stack[-1])

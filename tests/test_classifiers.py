@@ -26,7 +26,7 @@ from specguard.speccore.classifiers import (
     classify,
     load_classifier,
 )
-from specguard.speccore.records import FeatureRecord, Prediction, value_key
+from specguard.speccore.records import FeatureRecord, Prediction, canonical_key, value_key
 from specguard.speclang.parser import parse
 
 
@@ -56,6 +56,13 @@ class TestTableClassifier:
         table = TableClassifier({}, default=Prediction("no", 0.5))
         with pytest.raises(ClassifierError, match=f"cannot key this input: {message}"):
             table.classify({"x": value})
+
+    @pytest.mark.parametrize(
+        "key", [canonical_key({"x": 1}), ("x",), (("x",), (None,))], ids=["text", "short", "pair"]
+    )
+    def test_a_key_that_is_no_value_key_is_refused(self, key):
+        with pytest.raises(TypeError, match="not a value_key triple"):
+            TableClassifier({value_key({"x": 2}): Prediction("no"), key: Prediction("yes")})
 
     def test_classify_helper_accepts_records_and_mappings(self):
         table = TableClassifier({value_key({"x": 1}): Prediction("yes")})

@@ -278,7 +278,7 @@ class TestCanonicalKeyOracle:
     @given(st.dictionaries(KEY_NAMES, KEY_VALUES, max_size=4))
     def test_matches_the_oracle(self, fields):
         want = key_outcome(oracle.canonical_key, fields)
-        records._templates.clear()
+        records._orders.clear()
         assert key_outcome(canonical_key, fields) == want  # cold template cache
         assert key_outcome(canonical_key, fields) == want  # warm
 
@@ -294,19 +294,19 @@ class TestCanonicalKeyOracle:
         assert key_outcome(canonical_key, dict(items)) == want
 
     def test_keys_past_the_template_cache_cap_match_the_oracle(self):
-        records._templates.clear()
-        cap = records._TEMPLATE_CAP
+        records._orders.clear()
+        cap = records._ORDER_CAP
         maps = [{f"f{i}": i, "%s": "x", f"g{i % 7}": i / 3} for i in range(2 * cap + 5)]
         for fields in maps + maps[::-1]:
             assert canonical_key(fields) == oracle.canonical_key(fields)
-        assert 0 < len(records._templates) <= cap
+        assert 0 < len(records._orders) <= cap
 
     @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
     @given(st.dictionaries(KEY_NAMES, st.one_of(GRIDS, KEY_LEAVES), max_size=4))
     def test_grids_match_the_oracle(self, fields):
         for order in (fields, dict(reversed(fields.items()))):
             want = key_outcome(oracle.canonical_key, order)
-            records._templates.clear()
+            records._orders.clear()
             records._cells.clear()
             assert key_outcome(canonical_key, order) == want  # cold memos
             assert key_outcome(canonical_key, order) == want  # warm
@@ -360,7 +360,7 @@ class TestDeepLists:
     @given(st.dictionaries(KEY_NAMES, st.one_of(deep_lists(), KEY_LEAVES), max_size=3))
     def test_deep_and_ragged_lists_match_the_oracle(self, fields):
         want = key_outcome(oracle.canonical_key, fields)
-        records._templates.clear()
+        records._orders.clear()
         assert key_outcome(canonical_key, fields) == want
         assert key_outcome(canonical_key, fields) == want
 
@@ -514,7 +514,7 @@ class TestValueKey:
         assert key == value_key({"zone": deep(Reading(2.5))})
         assert hash(key) == hash(value_key({"zone": deep(Reading(2.5))}))
         assert key != value_key({"zone": deep(True)})
-        assert len(key[1]) == 2 * 99_999 + 1
+        assert len(key[1]) == 2 * 100_000 + 1  # an open and a close per list, and the leaf
 
     def test_memos_stay_within_their_caps(self):
         records._shapes.clear()
@@ -524,7 +524,6 @@ class TestValueKey:
         for i in range(2 * records._ORDER_CAP):
             value_key({f"f{i}": 1, "g": [0.5] * i})
         assert 0 < len(records._orders) <= records._ORDER_CAP
-        assert 0 < len(records._packers) <= records._PACKER_CAP
 
 
 class TestRecordJson:
