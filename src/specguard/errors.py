@@ -1,12 +1,19 @@
 """Exception hierarchy shared by every specguard module, and the JSON file
 readers that turn an unreadable or malformed file into a FormatError (or,
-read_json_streamed, hand such a file back to read_json_file)."""
+read_json_streamed, hand such a file back to read_json_file).
+
+read_json_streamed holds one chunk of its file and the item being decoded,
+never the file's text or its decoded value whole. A step of its decoding
+that fails or meets the end of the text read so far is decoded again from
+its start once the next chunk is appended, so nothing cut at a chunk's
+edge is taken half read."""
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, TypeVar, Union
+from typing import IO, Any, Callable, Iterator, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -141,6 +148,7 @@ _separator = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])").match
 # object and the list), so a value nested near the limit could pass here
 # and fail there: a deeper value is left to json.loads's own verdict.
 _SHALLOW = 100
+_CHUNK = 1 << 16  # bytes read_json_streamed reads at a time
 
 
 def _shallow(text: str, start: int, end: int) -> bool:
@@ -149,32 +157,114 @@ def _shallow(text: str, start: int, end: int) -> bool:
     )
 
 
-def _stream_items(text: str, end: int, each: Callable[[Any], None]) -> Optional[int]:
-    """Where the JSON list at text[end:] ends, after each(item) was called
-    on its items in order; None when it is no list, an item nests deeply or
-    each raises. Scanner errors propagate."""
-    if text[end:end + 1] != "[":
+class _Chunks:
+    """The text of a UTF-8 file that is not consumed yet, read _CHUNK bytes
+    at a time."""
+
+    def __init__(self, handle: IO[bytes]) -> None:
+        self.read = handle.read
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text = ""
+        self.eof = False
+
+    def more(self, start: int) -> bool:
+        """Drop text[:start] and append the next chunk; False at end of file.
+        A byte that is not UTF-8 raises UnicodeDecodeError."""
+        if self.eof:
+            return False
+        data = self.read(_CHUNK)
+        self.eof = not data
+        self.text = self.text[start:] + self.decode(data, self.eof)
+        return True
+
+    def step(self, parse: Callable[..., Optional[tuple]], end: int, *args: Any) -> Optional[tuple]:
+        """parse(text, end, *args), a tuple whose last item is where the step
+        ends. It counts once that is before the end of the text held, or at
+        end of file. When parse fails (None, or the scanner's errors) or
+        reaches that edge first, the next chunk is appended and parse
+        retried from its start; None when it fails at end of file."""
+        while True:
+            try:
+                done = parse(self.text, end, *args)
+                if done is not None and (done[-1] < len(self.text) or self.eof):
+                    return done
+            except (StopIteration, ValueError, RecursionError):
+                pass
+            if not self.more(end):
+                return None
+            end = 0
+
+
+def _mark(text: str, end: int, marks: str) -> Optional[tuple]:
+    """Which of marks follows the whitespace at text[end:], and where the
+    whitespace after it ends; None when another character follows."""
+    end = _whitespace(text, end).end()
+    mark = text[end:end + 1]
+    if not mark or mark not in marks:
         return None
-    end = _whitespace(text, end + 1).end()
-    if text[end:end + 1] == "]":
+    return mark, _whitespace(text, end + 1).end()
+
+
+def _member_name(text: str, end: int) -> Optional[tuple]:
+    if text[end:end + 1] != '"':
+        return None
+    name, end = json.decoder.scanstring(text, end + 1)
+    end = _whitespace(text, end).end()
+    if text[end:end + 1] != ":":
+        return None
+    return name, _whitespace(text, end + 1).end()
+
+
+def _member_value(text: str, end: int) -> Optional[tuple]:
+    """A member's value, where its text starts and stops, and the "," or
+    "}" after it as _mark gives it."""
+    value, stop = _scan_once(text, end)
+    after = _mark(text, stop, ",}")
+    return after and (value, end, stop, *after)
+
+
+def _stream_items(chunks: _Chunks, end: int, each: Callable[[Any], None]) -> Optional[int]:
+    """Where the JSON list at chunks.text[end:] ends, after each(item) was
+    called on its items in order; None when it is no list, an item nests
+    deeply, each raises or the text fails at end of file.
+
+    One step is an item and the separator after it, as in _Chunks.step,
+    with the loop over the items of a chunk written out."""
+    opened = chunks.step(_mark, end, "[")
+    if opened is None:
+        return None
+    end = opened[1]
+    if chunks.text[end:end + 1] == "]":
         return end + 1
     while True:
-        item, stop = _scan_once(text, end)
-        if stop - end >= 2 * _SHALLOW and not _shallow(text, end, stop):  # short: no call
-            return None
-        try:
-            each(item)
-        except Exception:  # the whole-file read raises it again, in its place
-            return None
-        end = stop + 2
-        # json.dumps's ", " with no more whitespace after it is taken without a call
-        if text[stop:end] != ", " or text[end:end + 1] in " \t\n\r":
-            separator = _separator(text, stop)
-            if separator is None:
+        text = chunks.text
+        edge = len(text) + chunks.eof  # a step counts when it ends before this
+        while True:
+            try:
+                item, stop = _scan_once(text, end)
+            except (StopIteration, ValueError, RecursionError):
+                break
+            after = stop + 2
+            # json.dumps's ", " with no more whitespace after it is taken without a call
+            if text[stop:after] != ", " or text[after:after + 1] in " \t\n\r":
+                separator = _separator(text, stop)
+                if separator is None:
+                    break
+                after = separator.end()
+            if after >= edge:
+                break
+            if stop - end >= 2 * _SHALLOW and not _shallow(text, end, stop):  # short: no call
                 return None
-            end = separator.end()
-            if text[end - 1] == "]":
-                return end
+            try:
+                each(item)
+            except Exception:  # the whole-file read raises it again, in its place
+                return None
+            if text[after - 1] == "]":
+                return after
+            end = after
+        if not chunks.more(end):
+            return None
+        end = 0
 
 
 def read_json_streamed(
@@ -185,6 +275,20 @@ def read_json_streamed(
     decoded item at a time: the list itself is never built. An object with
     no member member comes back whole.
 
+    The file is read _CHUNK bytes at a time and decoded as UTF-8 as it
+    comes, so what is held at once is one chunk, the text of the step being
+    decoded and that step's value: neither the file's text nor its decoded
+    value. A step is the opening "{", a member's name, a member's value
+    with the "," or "}" after it, the "[" of member's list, or one of its
+    items with the "," or "]" after it. It counts only when it ends before
+    the end of the text read so far, or at end of file; when it fails or
+    reaches that edge first, the next chunk is appended and the step is
+    decoded again from its start. So an item is handed to each only once
+    the separator after it is read, and no number, literal, escape or
+    character cut at a chunk's edge is taken half read. A step that spans
+    many chunks is decoded again once per chunk; a table's entries are
+    short.
+
     None when the text is not one json.loads decodes to an object holding
     member at most once, as a list (a BOM, a trailing comma, extra data, a
     huge int or an unreadable file included), when a value nests deeply,
@@ -194,42 +298,35 @@ def read_json_streamed(
     repeated keeps its last value, as with json.loads.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError):
+        with Path(path).open("rb") as handle:
+            return _read_object(_Chunks(handle), member, each)
+    except (OSError, ValueError):  # ValueError: not UTF-8
         return None
+
+
+def _read_object(chunks: _Chunks, member: str, each: Callable[[Any], None]) -> Optional[dict]:
+    """read_json_streamed on the chunks of an open file."""
+    after = chunks.step(_mark, 0, "{")
     members: dict = {}
     streamed = False
-    try:
-        end = _whitespace(text, 0).end()
-        if text[end:end + 1] != "{":
+    while after is not None and after[0] != "}":
+        named = chunks.step(_member_name, after[1])
+        if named is None:
             return None
-        end = _whitespace(text, end + 1).end()
-        while True:
-            if text[end:end + 1] != '"':
+        name, end = named
+        if name != member:
+            value = chunks.step(_member_value, end)
+            if value is None or not _shallow(chunks.text, value[1], value[2]):
                 return None
-            name, end = json.decoder.scanstring(text, end + 1)
-            end = _whitespace(text, end).end()
-            if text[end:end + 1] != ":" or (name == member and streamed):
-                return None
-            start = _whitespace(text, end + 1).end()
-            if name == member:
-                stop = _stream_items(text, start, each)
-                if stop is None:
-                    return None
-                streamed = True
-            else:
-                members[name], stop = _scan_once(text, start)
-                if not _shallow(text, start, stop):
-                    return None
-            end = _whitespace(text, stop).end()
-            if text[end:end + 1] == "}":
-                break
-            if text[end:end + 1] != ",":
-                return None
-            end = _whitespace(text, end + 1).end()
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    if _whitespace(text, end + 1).end() != len(text):
+            members[name], after = value[0], value[3:]
+        elif not streamed:
+            end = _stream_items(chunks, end, each)
+            after = None if end is None else chunks.step(_mark, end, ",}")
+            streamed = True
+        else:
+            return None
+    # after "}" and the whitespace after it: extra data, or the end of file
+    if after is None or after[1] < len(chunks.text):
         return None
     if streamed:
         members[member] = []

@@ -31,6 +31,8 @@ from .records import FeatureRecord, Prediction, key_input, value_key
 # The benchmark's tracer wraps the canonical_key it finds in this module.
 from .records import canonical_key  # noqa: F401
 
+_LINE_CAP = 16 << 20  # bytes a subprocess classifier's pending response line may hold
+
 
 @dataclass(frozen=True)
 class TableClassifier:
@@ -99,7 +101,8 @@ class SubprocessClassifier:
     Response: {"label": "...", "confidence": 0.93}   (confidence optional)
 
     The child starts lazily on the first classify() and is killed on close().
-    A timeout or protocol error kills the child; the next call restarts it.
+    A timeout, a response line longer than 16 MiB or a protocol error kills
+    the child; the next call restarts it.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 5.0):
@@ -108,7 +111,7 @@ class SubprocessClassifier:
         self.command = list(command)
         self.timeout = float(timeout)
         self._proc: subprocess.Popen | None = None
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def _start(self) -> None:
         try:
@@ -120,13 +123,17 @@ class SubprocessClassifier:
             )
         except OSError as exc:
             raise ClassifierError(f"could not start {self.command[0]!r}: {exc}") from exc
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def _read_line(self) -> bytes:
         assert self._proc is not None and self._proc.stdout is not None
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + self.timeout
-        while b"\n" not in self._buffer:
+        newline = self._buffer.find(b"\n")
+        while newline < 0:
+            if len(self._buffer) > _LINE_CAP:
+                self.close()
+                raise ClassifierError(f"subprocess response line exceeds {_LINE_CAP} bytes")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.close()
@@ -139,8 +146,12 @@ class SubprocessClassifier:
             if not chunk:
                 self.close()
                 raise ClassifierError("subprocess closed its output stream")
+            newline = chunk.find(b"\n")
+            if newline >= 0:
+                newline += len(self._buffer)
             self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
+        line = bytes(self._buffer[:newline])
+        del self._buffer[:newline + 1]
         return line
 
     def classify(self, fields: Mapping[str, Any]) -> Prediction:
@@ -171,7 +182,7 @@ class SubprocessClassifier:
 
     def close(self) -> None:
         proc, self._proc = self._proc, None
-        self._buffer = b""
+        self._buffer = bytearray()
         if proc is None:
             return
         try:
@@ -379,8 +390,9 @@ def load_classifier(path: Union[str, Path]) -> Classifier:
     """Read a classifier JSON file; subprocess commands resolve relative to it.
 
     The file is decoded by one stream (errors.read_json_streamed). A
-    table's entries are keyed as they are decoded, so the decoded file never
-    exists at once, and entries with equal answers share one Prediction. A
+    table's entries are keyed as they are decoded, so neither the file's
+    text nor its decoded value exists at once, and entries with equal
+    answers share one Prediction. A
     file the stream does not take is read again whole, which gives every
     error and the order they are checked in: JSON syntax, then the kind,
     then the entries in order.

@@ -8,8 +8,10 @@ import pickle
 import sys
 import tempfile
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from specguard import errors
 from specguard.errors import ClassifierError, FormatError, read_json_file
+from specguard.speccore import classifiers
 from specguard.speccore.classifiers import (
     ExpressionClassifier,
     SubprocessClassifier,
@@ -177,6 +180,38 @@ class TestSubprocessClassifier:
         with SubprocessClassifier([sys.executable, str(bad)], timeout=2.0) as clf:
             with pytest.raises(ClassifierError, match="string 'label'"):
                 clf.classify({"x": 1})
+
+    def test_a_response_line_past_the_cap_kills_the_child(self, tmp_path, monkeypatch):
+        flood = tmp_path / "flood.py"
+        flood.write_text(
+            "import sys\nsys.stdin.readline()\n"
+            "while True:\n    sys.stdout.buffer.write(b'x' * 65536)\n",
+            "utf-8",
+        )
+        monkeypatch.setattr(classifiers, "_LINE_CAP", 1 << 20)
+        with SubprocessClassifier([sys.executable, str(flood)], timeout=30.0) as clf:
+            started = time.monotonic()
+            with pytest.raises(ClassifierError) as refused:
+                clf.classify({"x": 1})
+            assert time.monotonic() - started < 20
+            assert clf._proc is None and len(clf._buffer) == 0
+        assert str(refused.value) == "subprocess response line exceeds 1048576 bytes"
+
+    def test_responses_split_or_joined_across_reads_are_kept(self, tmp_path):
+        # The first reply comes in pieces, then two replies come in one write:
+        # the second is kept for the next call.
+        script = tmp_path / "pieces.py"
+        script.write_text(
+            "import sys, time\nout = sys.stdout.buffer\nsys.stdin.readline()\n"
+            "for piece in (b'{\"label\": ', b'\"a\", \"confid', b'ence\": 0.5}'):\n"
+            "    out.write(piece); out.flush(); time.sleep(0.05)\n"
+            "out.write(b'\\n{\"label\": \"b\"}\\n'); out.flush()\n"
+            "sys.stdin.readline()\ntime.sleep(5)\n",
+            "utf-8",
+        )
+        with SubprocessClassifier([sys.executable, str(script)], timeout=5.0) as clf:
+            assert clf.classify({"x": 1}) == Prediction("a", 0.5)
+            assert clf.classify({"x": 2}) == Prediction("b")
 
     def test_unstartable_command(self):
         with SubprocessClassifier(["/nonexistent/binary"]) as clf:
@@ -464,6 +499,19 @@ def _table_texts(draw):
     return text
 
 
+# A byte offset that is a chunk edge for every chunk size the tests patch in
+# (1, 2, 3, 7 and 64), though not for the default.
+_EDGE = 3 * 7 * 64
+_ENTRIES = '{"kind": "table", "entries": ['
+
+
+def _cut(before: str, after: str, into: int = 0) -> str:
+    """before + after, with spaces after the file's opening "{" (before's
+    first character) so that a chunk edge falls into bytes into after."""
+    pad = _EDGE - len(before.encode("utf-8")) - into
+    return "{" + " " * pad + before[1:] + after
+
+
 def _json_depth_limit() -> int:
     """The most nested lists json.loads decodes when called from here."""
     low, high = 1, 5000
@@ -483,30 +531,126 @@ class TestStreamedTable:
 
     PROBES = [{"x": 1}, {"x": 0}, {"x": "s"}, {"y": 2, "x": 1.0}, {"z": 1}]
 
+    # The file is read in chunks of chunk bytes. With 1 byte, every step is
+    # decoded from every cut of its text; the examples put a chunk edge
+    # inside a token (at _EDGE, an edge for chunks of 1, 2, 3, 7 and 64).
     @settings(max_examples=400, deadline=None)
-    @given(_table_texts(), st.sampled_from([1, 49, 50, 51, 99, 100, 101]), st.integers(-4, 24))
-    @example('{"entries": [{"input": {"x": 2}, "label": "a"}], "kind": "table", "entries": []}', 1, 1)
-    @example('{"kind": "tab", "entries": [], "default": "a", "kind": "table", "default": "b"}', 1, 1)
-    @example('{"kind": "table", "default": {"label": "a"}}', 1, 1)
-    @example('{"kind": "expression", "rules": [], "entries": [{"input": {"x": 1}}]}', 1, 1)
-    def test_a_streamed_table_equals_the_whole_file_one(self, text, shallow, below_limit):
+    @given(
+        _table_texts(),
+        st.sampled_from([1, 49, 50, 51, 99, 100, 101]),
+        st.integers(-4, 24),
+        st.sampled_from([1, 2, 3, 7, 64, errors._CHUNK]),
+    )
+    @example('{"entries": [{"input": {"x": 2}, "label": "a"}], "kind": "table", "entries": []}',
+             1, 1, errors._CHUNK)
+    @example('{"kind": "tab", "entries": [], "default": "a", "kind": "table", "default": "b"}',
+             1, 1, errors._CHUNK)
+    @example('{"kind": "table", "default": {"label": "a"}}', 1, 1, errors._CHUNK)
+    @example('{"kind": "expression", "rules": [], "entries": [{"input": {"x": 1}}]}',
+             1, 1, errors._CHUNK)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "', 'é"}]}', 1), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "', '😀"}]}', 2), 1, 1, 1)
+    @example(_cut(_ENTRIES + '{"input": {"x": "\\ud83d', '\\ude00"}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": "\\ud8', '3d\\ude00"}, "label": "a"}]}'), 1, 1, 3)
+    @example(_cut('{"kind": "table", "default": {"label": "', 'é"}, "entries": []}', 1), 1, 1, 64)
+    @example(_cut(_ENTRIES + '{"input": {"x": tr', 'ue}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": fal', 'se}, "label": "a"}]}'), 1, 1, 3)
+    @example(_cut(_ENTRIES + '{"input": {"x": n', 'ull}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": Na', 'N}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": -Inf', 'inity}, "label": "a"}]}'), 1, 1, 2)
+    @example(_cut(_ENTRIES + '{"input": {"x": -', '12.5e-3}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 12', '.5e-3}, "label": "a"}]}'), 1, 1, 1)
+    @example(_cut(_ENTRIES + '{"input": {"x": 12.', '5e-3}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 12.5e', '-3}, "label": "a"}]}'), 1, 1, 3)
+    @example(_cut(_ENTRIES + '{"input": {"x": 12.5e-', '3}, "label": "a"}]}'), 1, 1, 7)
+    @example(_cut('{"kind": "table", "default": {"label": "a", "confidence": 12',
+                  '.5}, "entries": []}'), 1, 1, 64)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "a"},  ',
+                  '  {"input": {"x": 2}, "label": "b"}]}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "a"}', ']}'), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "a"}]', '}'), 1, 1, 3)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "a"}]}  ', '  '), 1, 1, 7)
+    @example(_cut(_ENTRIES + '{"input": {"x": 1}, "label": "a"}]}  ', '  x'), 1, 1, 64)
+    def test_a_streamed_table_equals_the_whole_file_one(self, text, shallow, below_limit, chunk):
         # DEEP is either shallow or a little above or below the nesting
         # json.loads refuses at this stack depth, where a reader that scans
         # items at a smaller depth than json.loads could wrongly accept it.
         depth = shallow if below_limit % 2 else _json_depth_limit() - below_limit
         text = text.replace("DEEP", "[" * depth + "]" * depth)
-        with tempfile.TemporaryDirectory() as folder:
+        with tempfile.TemporaryDirectory() as folder, mock.patch.object(errors, "_CHUNK", chunk):
             path = Path(folder) / "clf.json"
             path.write_text(text, encoding="utf-8", newline="")
             assert _outcome(load_classifier, path, self.PROBES) == _outcome(
                 _whole_file, path, self.PROBES
             )
 
+    @pytest.mark.parametrize(
+        "text, chunk, message",
+        [
+            ("\ufeff" + '{"kind": "table", "entries": []}', 2,
+             "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (_cut(_ENTRIES + '{"input": {"x": 1}, "label": "', "\udce2\udc82(\"}]}", 1), 7,
+             "'utf-8' codec can't decode bytes in position 1343-1344: invalid continuation byte"),
+            (_cut(_ENTRIES + '{"input": {"x": 12', ".5"), 7,
+             "Expecting ',' delimiter: line 1 column 1347 (char 1346)"),
+            (_cut('{"kind": "table", "entries": []}  ', "  x"), 64,
+             "Extra data: line 1 column 1347 (char 1346)"),
+            (_ENTRIES + '{"input": {"x": ' + "1" * 5000 + '}, "label": "a"}]}', 64,
+             "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+             "digits; use sys.set_int_max_str_digits() to increase the limit"),
+            (_ENTRIES + '{"input": {"x": ' + "[" * 5000 + "]" * 5000 + '}, "label": "a"}]}', 64,
+             "JSON value nests too deeply: maximum recursion depth exceeded while decoding a "
+             "JSON array from a unicode string"),
+        ],
+        ids=["bom", "not-utf-8", "cut-number", "extra-data", "huge-int", "too-deep"],
+    )
+    def test_a_fault_at_a_chunk_edge_keeps_its_error(self, tmp_path, text, chunk, message):
+        # The texts are the ones the whole-file read gave before the file
+        # was read in chunks.
+        path = tmp_path / "clf.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with mock.patch.object(errors, "_CHUNK", chunk), pytest.raises(FormatError) as refused:
+            load_classifier(path)
+        assert str(refused.value) == f"classifier file {path} is not valid JSON: {message}"
+
+    @pytest.mark.parametrize("separator", [", ", ",\n  ", " ,"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_each_item_is_handed_over_once_and_whole(self, tmp_path, chunk, separator):
+        items = ["-12.5e-3", "12", "true", "false", "null", "NaN", "-Infinity",
+                 '"\\ud83d\\ude00"', '"\u00e9\U0001f600"', "[1, 2.5]", '{"a": 1}']
+        text = '{"kind": 1, "entries": [' + separator.join(items) + '], "rest": [0]}  '
+        path = tmp_path / "list.json"
+        path.write_text(text, encoding="utf-8")
+        handed = []
+        with mock.patch.object(errors, "_CHUNK", chunk):
+            members = errors.read_json_streamed(path, "entries", handed.append)
+        expected = json.loads(text)
+        assert repr(handed) == repr(expected["entries"])  # NaN included
+        assert members == {**expected, "entries": []}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_a_stream_that_gives_up_leaves_no_entries_behind(self, tmp_path, chunk):
+        path = tmp_path / "clf.json"
+        entries = ", ".join(f'{{"input": {{"x": {i}}}, "label": "a"}}' for i in range(40))
+        path.write_text(_cut(_ENTRIES + entries + '], "entri', 'es": []}'), encoding="utf-8")
+        with mock.patch.object(errors, "_CHUNK", chunk):
+            assert load_classifier(path).entries == {}
+        deep = "[" * 150 + "]" * 150
+        path.write_text(
+            _cut(_ENTRIES + entries + ', {"input": {"x": ' + deep[:60],
+                 deep[60:] + '}, "label": "b"}]}'),
+            encoding="utf-8",
+        )
+        with mock.patch.object(errors, "_CHUNK", chunk):
+            loaded = load_classifier(path)
+        assert list(loaded.entries.items()) == list(_whole_file(path).entries.items())
+        assert len(loaded.entries) == 41
+
     @staticmethod
-    def write_table(path: Path, count: int, **layout) -> None:
+    def write_table(path: Path, count: int, zone: str = "rural", **layout) -> None:
         entries = [
             {
-                "input": {"height": i / 7, "width": i % 13 / 3, "lane": i % 4, "zone": "rural"},
+                "input": {"height": i / 7, "width": i % 13 / 3, "lane": i % 4, "zone": zone},
                 "label": "abc"[i % 3],
                 "confidence": 0.5,
             }
@@ -535,6 +679,21 @@ class TestStreamedTable:
         # about 10 MB of dicts and floats here
         assert peak < 0.6 * decoded
 
+    @pytest.mark.parametrize("count", [16_000, 64_000])
+    def test_loading_holds_a_few_chunks_beyond_the_table(self, tmp_path, count):
+        # about 2 MB and 8 MB of file: what loading holds beyond the table
+        # it builds does not grow with the file
+        path = tmp_path / "clf.json"
+        self.write_table(path, count)
+        tracemalloc.start()
+        try:
+            clf = load_classifier(path)
+            table, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(clf.entries) == count
+        assert peak - table < 8 * errors._CHUNK  # measured: about 3 and 4
+
     def test_equal_answers_share_one_prediction(self, tmp_path):
         path = tmp_path / "clf.json"
         self.write_table(path, 300)
@@ -555,16 +714,16 @@ class TestStreamedTable:
         path = tmp_path / "clf.json"
         rules = [{"condition": f"input.x > {i}", "label": "abc"[i]} for i in range(3)]
         path.write_text(json.dumps({"kind": "expression", "rules": rules}), encoding="utf-8")
-        reads = []
-        read_text = Path.read_text
+        opens = []
+        open_path = Path.open
 
         def counted(self, *args, **kwargs):
-            reads.append(self)
-            return read_text(self, *args, **kwargs)
+            opens.append(self)
+            return open_path(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counted)
+        monkeypatch.setattr(Path, "open", counted)
         clf = load_classifier(path)
-        assert reads == [path]
+        assert opens == [path]
         assert [label for _, label, _ in clf.rules] == ["a", "b", "c"]
 
     def test_a_table_without_entries_keeps_its_error(self, tmp_path):
@@ -573,15 +732,19 @@ class TestStreamedTable:
         with pytest.raises(FormatError, match="^table classifier needs an 'entries' list$"):
             load_classifier(path)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, errors._CHUNK])
     @pytest.mark.parametrize(
         "layout",
         [{}, {"separators": (",", ":")}, {"indent": 2}, {"indent": "\t"},
-         {"separators": (", \n ", ": ")}],
-        ids=["default", "compact", "indent", "tabs", "comma-newline"],
+         {"separators": (", \n ", ": ")}, {"ensure_ascii": False}],
+        ids=["default", "compact", "indent", "tabs", "comma-newline", "raw-utf-8"],
     )
-    def test_a_well_formed_table_is_never_decoded_whole(self, tmp_path, monkeypatch, layout):
+    def test_a_well_formed_table_is_never_decoded_whole(self, tmp_path, monkeypatch, layout, chunk):
+        # at every chunk size, whatever a chunk's edge cuts: whitespace runs,
+        # numbers, \u escapes and raw UTF-8 characters among them
         path = tmp_path / "clf.json"
-        self.write_table(path, 50, **layout)
+        self.write_table(path, 50, zone="z\u00f6ne \U0001f600", **layout)
+        monkeypatch.setattr(errors, "_CHUNK", chunk)
 
         def refuse(text):
             raise AssertionError("the table file was decoded whole")
