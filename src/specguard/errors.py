@@ -5,8 +5,9 @@ read_json_streamed, hand such a file back to read_json_file).
 read_json_streamed holds one chunk of its file and the item being decoded,
 never the file's text or its decoded value whole. A step of its decoding
 that fails or meets the end of the text read so far is decoded again from
-its start once the next chunk is appended, so nothing cut at a chunk's
-edge is taken half read."""
+its start once at least as much text again is appended, so nothing cut
+at a chunk's edge is taken half read, and no step is retried more than a
+logarithmic number of times."""
 from __future__ import annotations
 
 import codecs
@@ -159,7 +160,7 @@ def _shallow(text: str, start: int, end: int) -> bool:
 
 class _Chunks:
     """The text of a UTF-8 file that is not consumed yet, read _CHUNK bytes
-    at a time."""
+    at a time, or as many as are pending when that is more."""
 
     def __init__(self, handle: IO[bytes]) -> None:
         self.read = handle.read
@@ -168,11 +169,12 @@ class _Chunks:
         self.eof = False
 
     def more(self, start: int) -> bool:
-        """Drop text[:start] and append the next chunk; False at end of file.
-        A byte that is not UTF-8 raises UnicodeDecodeError."""
+        """Drop text[:start] and append the next chunk, at least as long as
+        the text kept; False at end of file. A byte that is not UTF-8
+        raises UnicodeDecodeError."""
         if self.eof:
             return False
-        data = self.read(_CHUNK)
+        data = self.read(max(_CHUNK, len(self.text) - start))
         self.eof = not data
         self.text = self.text[start:] + self.decode(data, self.eof)
         return True
@@ -181,7 +183,7 @@ class _Chunks:
         """parse(text, end, *args), a tuple whose last item is where the step
         ends. It counts once that is before the end of the text held, or at
         end of file. When parse fails (None, or the scanner's errors) or
-        reaches that edge first, the next chunk is appended and parse
+        reaches that edge first, more text is appended (see more) and parse
         retried from its start; None when it fails at end of file."""
         while True:
             try:
@@ -282,12 +284,13 @@ def read_json_streamed(
     with the "," or "}" after it, the "[" of member's list, or one of its
     items with the "," or "]" after it. It counts only when it ends before
     the end of the text read so far, or at end of file; when it fails or
-    reaches that edge first, the next chunk is appended and the step is
-    decoded again from its start. So an item is handed to each only once
-    the separator after it is read, and no number, literal, escape or
-    character cut at a chunk's edge is taken half read. A step that spans
-    many chunks is decoded again once per chunk; a table's entries are
-    short.
+    reaches that edge first, the next chunk, or as much text as the step
+    holds when that is more, is appended and the step is decoded again from
+    its start. So an item is handed to each only once the separator after
+    it is read, and no number, literal, escape or character cut at a
+    chunk's edge is taken half read. A step that spans many chunks, or
+    fails before the end of the file, doubles its text at each retry; a
+    table whose entries are shorter than a chunk is read a chunk at a time.
 
     None when the text is not one json.loads decodes to an object holding
     member at most once, as a list (a BOM, a trailing comma, extra data, a

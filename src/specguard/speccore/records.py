@@ -1,4 +1,10 @@
-"""Feature records and predictions, plus schema conformance and identity keys."""
+"""Feature records and predictions, plus schema conformance and identity keys.
+
+A record has two identity keys: canonical_key's text (split's order) and
+value_key's hashable triple (lookups). One walk, _value_tokens, turns a
+value into shape tokens and numbers and raises for what no record holds;
+value_key packs those, and canonical_key renders them as text for every
+record its templates do not take."""
 from __future__ import annotations
 
 import json
@@ -103,62 +109,6 @@ def prediction_guard(
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _items(values: list) -> list[str]:
-    """The pieces of a list's items; grid cells are encoded without a call."""
-    return [
-        '["n","%.17g"]' % (v + 0.0) if type(v) is float or type(v) is int else _encode(v)
-        for v in values
-    ]
-
-
-def _scalar(value: Any) -> str:
-    """The piece of a value that is not a list; see canonical_key."""
-    kind = type(value)
-    if kind is float or kind is int:
-        # %.17g round-trips every float; +0.0 so -0.0 and 0.0 collapse.
-        return '["n","%.17g"]' % (value + 0.0)
-    if kind is str:
-        return '["s",%s]' % _quote(value)
-    if kind is bool:
-        return '["b",true]' if value else '["b",false]'
-    if isinstance(value, (int, float)):
-        return '["n","%.17g"]' % (float(value) + 0.0)
-    if isinstance(value, str):
-        return '["s",%s]' % _quote(value)
-    raise FormatError(f"value {value!r} cannot appear in a record")
-
-
-def _encode(value: Any) -> str:
-    """One value's piece of a canonical key; see canonical_key.
-
-    Nested lists are walked with an explicit stack of item iterators, not
-    by recursion, so a list nested as deeply as the JSON decoder allows is
-    keyed too. A list that contains itself raises FormatError.
-    """
-    if not isinstance(value, list):
-        return _scalar(value)
-    pieces = ['["l",[']
-    stack = [(id(value), iter(value))]
-    walking = {id(value)}  # the lists on the stack; one met again is a cycle
-    while stack:
-        for item in stack[-1][1]:
-            if isinstance(item, list):
-                if id(item) in walking:
-                    raise FormatError("a list that contains itself cannot appear in a record")
-                walking.add(id(item))
-                stack.append((id(item), iter(item)))
-                pieces.append('["l",[')
-                break
-            pieces += (_scalar(item), ",")
-        else:
-            walking.discard(stack.pop()[0])
-            if pieces[-1] == ",":
-                pieces.pop()
-            pieces += ("]]", ",")
-    pieces.pop()  # the comma after the outer list
-    return "".join(pieces)
-
-
 # Per tuple of field names, in insertion order: the names sorted, the
 # picker that puts the values into that order, and canonical_key's text as
 # a list with a None slot for each value (odd positions). Both keys read
@@ -247,20 +197,21 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     formatted inline and added whole while the memo holds fewer than
     _CELL_CAP (4096) entries; the memo is never cleared, so once full it
     serves the values it holds and a stream of distinct values costs an
-    inline format per row. Every other record (any other list, a subclass,
-    a bad value or name) is spliced together piece by piece, so keys and
-    exceptions do not depend on the path taken.
+    inline format per row. Every other record (a subclass of str, int or
+    float, any other list, a bad value or name) is rendered from the shape
+    tokens and numbers value_key is built from, so keys and exceptions do
+    not depend on the path taken.
 
     Raises FormatError for a field name that is not a string and for a value
-    that is none of the above (a dict, None, ...); fields are encoded in
+    that is none of the above (a dict, None, ...); fields are walked in
     insertion order, so the error names the first such field or value. A
     huge int that no float can hold raises OverflowError. Lists of any depth
-    are keyed; a list that contains itself raises FormatError.
+    are keyed; a list nested in itself raises FormatError.
     """
     names = tuple(fields)
     entry = _orders.get(names) or _order(names)
     if entry is None:
-        return _spliced_key(fields)
+        return _render_key(fields)
     values = []
     for value in fields.values():
         kind = value.__class__
@@ -274,39 +225,13 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
         elif kind is list and (grid := _grid(value)) is not None:
             values.append(grid)
         else:
-            return _spliced_key(fields)
+            return _render_key(fields)
     # join, not %-formatting: a key built by % keeps the spare room its
     # buffer grew, about 1.2 MB more RSS over the 50k keys of the
     # gated_simulate benchmark's oracle.
     _, pick, parts = entry
     parts = parts.copy()
     parts[1::2] = pick(values)
-    return "".join(parts)
-
-
-def _spliced_key(fields: Mapping[str, Any]) -> str:
-    """canonical_key, one piece at a time."""
-    encoded = []
-    for name, value in fields.items():
-        if not isinstance(name, str):
-            raise FormatError(f"field name {name!r} is not a string")
-        encoded.append((name, _items(value) if isinstance(value, list) else _encode(value)))
-    encoded.sort()
-    # A list field's item pieces are joined only into the key itself. Joining
-    # them first makes a short-lived key-sized string per call, and between
-    # the keys a closure keeps those fragment the heap: about 1 MB more peak
-    # RSS on the grid_uncertainty benchmark workload (about 30 MB).
-    parts = []
-    for name, piece in encoded:
-        parts += (",", _quote(name), ":")
-        if isinstance(piece, list):
-            parts.append('["l",[')
-            parts += [s for item in piece for s in (item, ",")][:-1]
-            parts.append("]]")
-        else:
-            parts.append(piece)
-    parts[:1] = ["{"]  # the leading comma, if any, becomes the opening brace
-    parts.append("}")
     return "".join(parts)
 
 
@@ -342,8 +267,8 @@ _shapes: dict[tuple, tuple] = {}
 
 
 def _scalar_tokens(value: Any, shape: list, numbers: list) -> None:
-    """Add the tokens of a value that is not a list. The checks and the
-    errors are _scalar's."""
+    """Add the tokens of a value that is not a list; FormatError for a
+    value no record holds."""
     kind = type(value)
     if kind is float or kind is int:
         shape.append(None)
@@ -362,10 +287,12 @@ def _scalar_tokens(value: Any, shape: list, numbers: list) -> None:
 
 
 def _value_tokens(value: Any, shape: list, numbers: list) -> None:
-    """Add one value's shape tokens and numbers; see value_key.
+    """Add one value's shape tokens and numbers; see value_key. Both keys
+    raise their value errors here.
 
-    Nested lists are walked as _encode walks them, with an explicit stack
-    of item iterators, so they fail where _encode fails, with its error.
+    Nested lists are walked with an explicit stack of item iterators, not
+    by recursion, so a list nested as deeply as the JSON decoder allows is
+    keyed too. A list met again inside itself raises FormatError.
     """
     if not isinstance(value, list):
         _scalar_tokens(value, shape, numbers)
@@ -388,13 +315,37 @@ def _value_tokens(value: Any, shape: list, numbers: list) -> None:
             shape.append(_CLOSE)
 
 
-def _raise_first_offender(fields: Mapping[str, Any]) -> None:
-    """Raise canonical_key's error for the first name or value, in
-    insertion order, that no key holds."""
+_PIECES = {_TRUE: '["b",true]', _FALSE: '["b",false]', _OPEN: '["l",['}
+
+
+def _render_key(fields: Mapping[str, Any]) -> str:
+    """canonical_key rendered from each value's tokens and numbers. The
+    fields are walked in insertion order, so the first bad name or value
+    raises."""
+    keyed = []
     for name, value in fields.items():
         if not isinstance(name, str):
             raise FormatError(f"field name {name!r} is not a string")
-        _value_tokens(value, [], [])
+        shape: list = []
+        numbers: list = []
+        _value_tokens(value, shape, numbers)
+        number = iter(numbers).__next__
+        parts: list = []
+        for token in shape:
+            if token is _CLOSE:
+                parts.append("]]")
+                continue
+            if parts and parts[-1] != '["l",[':
+                parts.append(",")  # after an item or a closed list
+            if token is None:
+                parts.append('["n","%.17g"]' % number())
+            elif token.__class__ is str:
+                parts.append('["s",%s]' % _quote(token))
+            else:
+                parts.append(_PIECES[token])
+        keyed.append((name, "".join(parts)))
+    keyed.sort()
+    return "{%s}" % ",".join([_quote(name) + ":" + text for name, text in keyed])
 
 
 def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
@@ -415,15 +366,18 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
     emptied when full. The names come from canonical_key's names-order
     cache.
 
-    The values are walked in insertion order, so a record no key holds
-    raises what canonical_key raises, with the same text: FormatError for
-    a name that is not a string, a value that is no number, string, bool
-    or list, and a list that contains itself; OverflowError for an int no
-    float can hold. key_input turns a key back into fields.
+    A record no key holds raises what canonical_key raises, with the same
+    text, because both raise from the same walk: when a name is not a
+    string or a value fails, the record is walked again in insertion order
+    by canonical_key's renderer, which raises for the first offender.
+    That is FormatError for a name that is not a string, a value that is
+    no number, string, bool or list, and a list nested in itself;
+    OverflowError for an int no float can hold. key_input turns a key back
+    into fields.
     """
     entry = _orders.get(tuple(fields)) or _order(tuple(fields))
     if entry is None:  # a name is not a string
-        _raise_first_offender(fields)
+        _render_key(fields)
     names, pick, _ = entry
     shape: list = []
     numbers: list = []
@@ -440,7 +394,7 @@ def value_key(fields: Mapping[str, Any]) -> tuple[tuple, tuple, bytes]:
     except (FormatError, OverflowError):
         # The values were walked in name order; walk them in insertion order
         # to raise for the first one that fails.
-        _raise_first_offender(fields)
+        _render_key(fields)
         raise
     total = sum(numbers)
     if total != total:  # a NaN, or inf and -inf

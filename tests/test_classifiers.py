@@ -613,6 +613,43 @@ class TestStreamedTable:
             load_classifier(path)
         assert str(refused.value) == f"classifier file {path} is not valid JSON: {message}"
 
+    @pytest.mark.parametrize("size", [1 << 12, 1 << 16])
+    def test_a_long_or_failing_step_takes_a_logarithmic_number_of_reads(
+        self, tmp_path, monkeypatch, size
+    ):
+        # each retry reads at least the text pending, so the text doubles:
+        # about log2(size / chunk) reads, not one per chunk
+        monkeypatch.setattr(errors, "_CHUNK", 16)
+        reads = []
+        more = errors._Chunks.more
+
+        def counted(chunks, start):
+            reads.append(start)
+            return more(chunks, start)
+
+        monkeypatch.setattr(errors._Chunks, "more", counted)
+        # measured: 11 and 15 reads for the long item, 12 and 16 for the BOM
+        bound = math.log2(size / 16) + 5
+        path = tmp_path / "long.json"
+        long_item = "x" * size
+        path.write_text('{"entries": ["%s", 1]}' % long_item, encoding="utf-8")
+        handed = []
+        assert errors.read_json_streamed(path, "entries", handed.append) == {"entries": []}
+        assert handed == [long_item, 1]
+        assert len(reads) <= bound
+        reads.clear()
+        path = tmp_path / "clf.json"
+        path.write_text("\ufeff" + '{"kind": "table", "entries": [%s]}' % ", ".join(
+            ['{"input": {"x": 1}, "label": "a"}'] * (size // 32)
+        ), encoding="utf-8")
+        with pytest.raises(FormatError) as refused:
+            load_classifier(path)
+        assert str(refused.value) == (
+            f"classifier file {path} is not valid JSON: "
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        )
+        assert len(reads) <= bound
+
     @pytest.mark.parametrize("separator", [", ", ",\n  ", " ,"])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_each_item_is_handed_over_once_and_whole(self, tmp_path, chunk, separator):

@@ -772,6 +772,17 @@ def test_only_record_ref_spells_a_positional_reference():
     assert offenders == []
 
 
+def test_each_record_value_error_is_spelled_once():
+    # one walk (records._value_tokens) decides what a record value may be,
+    # and one renderer (records._render_key) names a bad field name
+    for text in (
+        "value {value!r} cannot appear in a record",
+        "a list that contains itself cannot appear in a record",
+        "field name {name!r} is not a string",
+    ):
+        assert sum(source.count(text) for _, source in _sources()) == 1, text
+
+
 def test_only_the_spec_module_runs_the_static_checks():
     # one gate: the entry points call require_well_formed, load_spec and
     # validate_spec report the findings, and nothing else checks a spec again

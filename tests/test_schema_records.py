@@ -281,6 +281,7 @@ class TestCanonicalKeyOracle:
         records._orders.clear()
         assert key_outcome(canonical_key, fields) == want  # cold template cache
         assert key_outcome(canonical_key, fields) == want  # warm
+        assert key_outcome(records._render_key, fields) == want  # no template
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(st.dictionaries(KEY_NAMES, KEY_LEAVES, max_size=5), st.randoms())
@@ -292,6 +293,7 @@ class TestCanonicalKeyOracle:
             return
         assert key_outcome(canonical_key, fields) == want
         assert key_outcome(canonical_key, dict(items)) == want
+        assert key_outcome(records._render_key, dict(items)) == want
 
     def test_keys_past_the_template_cache_cap_match_the_oracle(self):
         records._orders.clear()
@@ -310,6 +312,7 @@ class TestCanonicalKeyOracle:
             records._cells.clear()
             assert key_outcome(canonical_key, order) == want  # cold memos
             assert key_outcome(canonical_key, order) == want  # warm
+            assert key_outcome(records._render_key, order) == want  # no template
 
     def test_cell_memo_serves_equal_values_of_either_type(self):
         records._cells.clear()
