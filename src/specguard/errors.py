@@ -16,6 +16,8 @@ import re
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator, Optional, TypeVar, Union
 
+from ._exact import exact
+
 T = TypeVar("T")
 
 
@@ -124,6 +126,19 @@ def json_line(line: str) -> Any:
     except (StopIteration, ValueError, RecursionError):
         pass
     return _loads(line)
+
+
+def line_decoder() -> Callable[[str], Any]:
+    """json_line, or json.loads (with json_line's error for a value nested
+    too deeply) when the fast paths are off (see specguard._exact). Ask
+    once per file, not once per line."""
+    return _loads if exact() else json_line
+
+
+# The characters a blank line of a JSON Lines file may hold once its line
+# end is removed: JSON's whitespace. A line of other whitespace (U+00A0,
+# U+2028, a form feed) is not blank; json.loads rejects it.
+JSON_SPACE = " \t\r"
 
 
 def read_json_file(path: Union[str, Path], what: str) -> Any:
@@ -298,8 +313,11 @@ def read_json_streamed(
     or when each raises. Nothing is decided then: read_json_file gives the
     file's value or its error. So this accepts no text that json.loads
     rejects, and gives up whenever it is unsure. Another member that is
-    repeated keeps its last value, as with json.loads.
+    repeated keeps its last value, as with json.loads. None too when the
+    fast paths are off (see specguard._exact).
     """
+    if exact():
+        return None
     try:
         with Path(path).open("rb") as handle:
             return _read_object(_Chunks(handle), member, each)
@@ -337,24 +355,26 @@ def _read_object(chunks: _Chunks, member: str, each: Callable[[Any], None]) -> O
 
 
 def iter_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]) -> Iterator[T]:
-    """build(value) for the JSON value on each non-blank line, in order,
-    read one line at a time: the file is opened on the first next() and
-    only the current line and its value are held.
+    """build(value) for the JSON value on each line that is not blank (see
+    JSON_SPACE), in order, read one line at a time: the file is opened on the
+    first next() and only the current line and its value are held.
 
     Lines end at "\\n" (a "\\r" before it is dropped too), as JSON Lines
-    defines. A line that is not UTF-8 JSON, or on which build raises
+    defines, and each is decoded by line_decoder()'s function, chosen once
+    per file. A line that is not UTF-8 JSON, or on which build raises
     FormatError, stops the read with a FormatError "{path}:{line}: ...";
     an unreadable file raises read_json_file's FormatError. The values of
     the lines before a bad one have been yielded by then.
     """
+    decode = line_decoder()
     try:
         with Path(path).open("rb") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 try:
                     line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
-                    if not line.strip():
+                    if not line.strip(JSON_SPACE):
                         continue
-                    value = build(json_line(line))
+                    value = build(decode(line))
                 except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
                     raise FormatError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
                 except FormatError as exc:

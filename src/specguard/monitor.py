@@ -9,25 +9,31 @@ Fast path. run_trace generates one Python function for the spec,
 clean_line (clean_line_function), and asks it first about every item of
 either input form: a trace line's decoded JSON value, or the view
 {"id", "input": fields, "output": {"label", "confidence"}} of an in-memory
-TraceRecord (_views). It answers with a tuple only when the exact checks
-would find nothing: the value is an object with a str "id", its input
-conforms to the schema and its prediction to the label alphabet, and
-check_sample reports no violation. Such an item only adds the tuple, the
-floats the probabilistic window needs, to the window, and a line never
-becomes a TraceRecord. It answers False only when the item conforms but a
-condition may fail: the item goes straight to check_sample, which reports
-what fails. Every other item, including one on which the generated
-function raises, goes through conformance_errors, prediction_errors and
-check_sample exactly as it would without the fast path. So every
-violation, its detail, its error text and the order of the checks come
-from the exact functions alone. A spec that holds a literal that is not
-exactly an int a float can hold, a float, a str or a bool has no fast
-path; one that fails static_errors is refused first.
+TraceRecord (_views). It answers only when the value is an object with a
+str "id", its input conforms to the schema and its prediction to the label
+alphabet, with a float confidence. Its answer is then the row, the floats
+the probabilistic window needs, when check_sample would report nothing:
+the item only adds the row to the window, and a line never becomes a
+TraceRecord. When checks fail, it evaluates each of them on its own, in
+check_sample's order, and answers with the row and the numbers of the
+failing checks (_checks). The run builds each Violation from a table made
+once per run, with each check's kind, label, index, condition text and the
+state its policy action moves to, plus the item's id and predicted label:
+again no TraceRecord is built and check_sample is not called. Every other
+item, including one on which the generated function raises (a condition
+that cannot be evaluated, even one after a check that already failed),
+goes through conformance_errors, prediction_errors and check_sample
+exactly as it would without the fast path. So every violation, its
+detail, its error text and the order of the checks are the exact
+functions'. A spec that holds a literal that is not exactly an int a
+float can hold, a float, a str or a bool has no fast path; one that fails
+static_errors is refused first. The private switch of specguard._exact
+turns the fast path off.
 
-How much the fast path saves depends on the share of records it decides:
-about 91% on the benchmark's monitor_trace workload. A record it does not
-decide pays for the generated call and the exact checks; one that conforms
-skips conformance_errors and prediction_errors, which pays the call back.
+How much the fast path saves depends on the share of records it answers:
+about 98% on the benchmark's monitor_trace workload, whose other lines are
+malformed, off the schema or without a confidence. A line it answers
+costs about as much whether it is clean or fails checks.
 
 Reading. run_trace takes either the path of a JSON Lines trace file or an
 iterable of items, such as read_trace(path) gives. Both read the file a
@@ -35,22 +41,24 @@ line at a time. Each line is decoded by one call of the JSON scanner
 (errors.json_line), which falls back to json.loads, and so to its exact
 value and error text, on any line the scanner does not take whole. From a
 path, the decoded value goes to clean_line first. read_trace, and the path
-form for a line clean_line does not decide, build a value that passes the
+form for a line clean_line does not answer, build a value that passes the
 record checks without the frozen dataclasses' __init__ (see
 _built_trace_record); the checks name what is wrong with any other value.
-With the fast path deciding most lines, decoding a line costs more than
-checking it, so it is kept to one call per line, and a clean line read
-from a path costs no record at all.
+With the fast path answering most lines, decoding a line costs more than
+checking it, so it is kept to one call per line, and a line clean_line
+answers costs no record at all.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import EvalError, FormatError, json_line
+from ._exact import exact
+from .errors import JSON_SPACE, EvalError, FormatError, line_decoder
 from .speccore.records import (
     FeatureRecord,
     Prediction,
@@ -70,7 +78,7 @@ from .speccore.spec import (
     require_well_formed,
     spec_function,
 )
-from .speclang.ast import Binary, OutputRef, Str, Unary, to_source
+from .speclang.ast import Binary, Expression, OutputRef, Str, Unary, to_source
 from .speclang.codegen import Emitter, all_of, any_of
 from .speclang.schema import is_number
 
@@ -81,7 +89,10 @@ class MonitorState(Enum):
     FAILSAFE = "FAILSAFE"
 
 
-_STATE_RANK = {MonitorState.NOMINAL: 0, MonitorState.DEGRADED: 1, MonitorState.FAILSAFE: 2}
+# The states in the order the monitor moves through them: a state's rank
+# is its place here.
+_STATES = tuple(MonitorState)
+_FAILSAFE = _STATES.index(MonitorState.FAILSAFE)
 
 
 class ViolationKind(Enum):
@@ -99,10 +110,11 @@ class PolicyAction(Enum):
     FAILSAFE = "FAILSAFE"
 
 
-_ACTION_STATE = {
-    PolicyAction.MARK_UNTRUSTED: MonitorState.NOMINAL,
-    PolicyAction.DEGRADE: MonitorState.DEGRADED,
-    PolicyAction.FAILSAFE: MonitorState.FAILSAFE,
+# The rank of the state each action moves the monitor to, at least.
+_ACTION_RANK = {
+    PolicyAction.MARK_UNTRUSTED: _STATES.index(MonitorState.NOMINAL),
+    PolicyAction.DEGRADE: _STATES.index(MonitorState.DEGRADED),
+    PolicyAction.FAILSAFE: _FAILSAFE,
 }
 
 
@@ -124,6 +136,10 @@ class MonitorPolicy:
         window = self.probabilistic_window
         if not isinstance(window, int) or isinstance(window, bool) or window < 1:
             raise FormatError(f"probabilistic_window must be an integer >= 1, got {window!r}")
+        for name in ("on_pre_violation", "on_post_class_violation"):
+            action = getattr(self, name)
+            if not isinstance(action, PolicyAction):
+                raise FormatError(f"{name} must be a PolicyAction, got {action!r}")
         if self.on_post_class_violation is PolicyAction.MARK_UNTRUSTED:
             raise FormatError(
                 "on_post_class_violation must be DEGRADE or FAILSAFE; "
@@ -235,50 +251,80 @@ def _eval_error(rid: Optional[str], stage: str, exc: EvalError) -> Violation:
     return Violation(rid, ViolationKind.EVAL_ERROR, {"stage": stage, "error": str(exc)})
 
 
+def _checks(spec: PartialSpec) -> list[tuple[ViolationKind, Optional[str], int, Expression]]:
+    """check_sample's checks in its order, each numbered by its place here:
+    the precondition, the postcondition when there is one, every
+    sufficient condition of every label, then every necessary condition of
+    every label, in spec order. Each is (kind, label, index, condition);
+    label and index are None and 0 for PRE and POST."""
+    checks = [(ViolationKind.PRE, None, 0, spec.precondition)]
+    if spec.postcondition is not None:
+        checks.append((ViolationKind.POST, None, 0, spec.postcondition))
+    for kind, conditions in (
+        (ViolationKind.SUFFICIENT, spec.sufficient),
+        (ViolationKind.NECESSARY, spec.necessary),
+    ):
+        for label, exprs in conditions.items():
+            for index, expr in enumerate(exprs):
+                checks.append((kind, label, index, expr))
+    return checks
+
+
 def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
     """The generated function clean_line(data) of a spec that has passed
     require_well_formed, or None when the spec has no fast path (see the
     module docstring).
 
     data is a trace line's decoded JSON value or an in-memory record's view
-    (_views). clean_line returns a tuple only when data is a dict with a str
-    "id", its "input" is a dict that conforms to the schema with exact
-    builtin types (float, int, str, bool, lists of rows), its "output" is a
+    (_views). clean_line answers only when data is a dict with a str "id",
+    its "input" is a dict that conforms to the schema with exact builtin
+    types (float, int, str, bool, lists of rows), and its "output" is a
     dict whose "label" is a str in the alphabet and whose "confidence" is a
-    float in [0, 1], the precondition and postcondition hold, no sufficient
-    condition of another label holds and every necessary condition of the
-    predicted label holds. The tuple holds the floats of the probabilistic
-    constraints' fields, in constraint order (an empty tuple for a spec
-    with none). It returns False when data conforms that way but a
-    condition fails, and None (or raises) otherwise. So a tuple means the
-    exact checks find nothing on the item, and False that conformance_errors
-    and prediction_errors find nothing; it may return None or raise on an
-    item that conforms.
+    float in [0, 1]. It then evaluates the checks check_sample makes, in
+    its order: the precondition, and when it holds the postcondition, every
+    sufficient condition of every label but the predicted one and every
+    necessary condition of the predicted label. Its answer is the row, the
+    tuple of the floats of the probabilistic constraints' fields in
+    constraint order (an empty tuple for a spec with none), when every
+    check passes. When one fails, it evaluates each check on its own and
+    answers with a list: the row, then the numbers (places in
+    _checks(spec)) of the failing checks in check order; a failing
+    precondition is the only number then. On any
+    other data it returns None or raises, and it may raise on data that
+    conforms, wherever a condition cannot be evaluated. So a tuple means the
+    exact checks find nothing on the item, and a list means check_sample
+    reports exactly those checks, with no EVAL_ERROR, and conformance_errors
+    and prediction_errors find nothing.
 
     The spec is read once, here: build a new function after changing it.
     The conformance part is written by records.conformance_guard,
     records.prediction_guard and schema.value_guard, next to the exact rules
     it must agree with; the conditions' part by speclang.codegen.
     """
+    predicted = OutputRef("label")
+    fails = []  # per check, (test, negation): the check fails where negation + test holds
+    for kind, label, _, expr in _checks(spec):
+        if kind is ViolationKind.SUFFICIENT:
+            other = Binary("!=", predicted, Str(label))
+            fails.append((Binary("&&", other, expr), ""))
+        elif kind is ViolationKind.NECESSARY:
+            this = Binary("==", predicted, Str(label))
+            fails.append((Binary("&&", this, Unary("!", expr)), ""))
+        else:
+            fails.append((expr, "not "))
+    # The clean test: every check after the precondition passes, label by
+    # label, stopping at the first that fails.
+    passes = [] if spec.postcondition is None else [spec.postcondition]
+    for label, exprs in spec.sufficient.items():
+        if exprs:  # predicted, or none holds
+            this = Binary("==", predicted, Str(label))
+            passes.append(Binary("||", this, Unary("!", any_of(exprs))))
+    for label, exprs in spec.necessary.items():
+        if exprs:  # not predicted, or all hold
+            other = Binary("!=", predicted, Str(label))
+            passes.append(Binary("||", other, all_of(exprs)))
 
     def write(emit: Emitter, guard: list[str]) -> list[str]:
-        conditions = [spec.precondition]
-        if spec.postcondition is not None:
-            conditions.append(spec.postcondition)
-        fails = [(c, "not ") for c in conditions]  # (test, negation) that fail the record
-        predicted = OutputRef("label")
-        for label, exprs in spec.sufficient.items():
-            if exprs:
-                other = Binary("!=", predicted, Str(label))
-                fails.append((Binary("&&", other, any_of(exprs)), ""))
-        for label, exprs in spec.necessary.items():
-            if exprs:
-                this = Binary("==", predicted, Str(label))
-                fails.append((Binary("&&", this, Unary("!", all_of(exprs))), ""))
-        checks: list[str] = []
-        for test, negation in fails:
-            held = emit.condition(test, checks)
-            checks.append(f"if {negation}{held}: return False")
         floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
         line = [
             "if data.__class__ is not dict or data['id'].__class__ is not str:",
@@ -291,7 +337,15 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
         line += prediction_guard(
             spec.schema, emit.constant, "output['label']", "output['confidence']"
         )
-        return line + checks + [f"return ({floats})"]
+        line.append(f"row = ({floats})")
+        held = emit.condition(fails[0][0], line)
+        line.append(f"if not {held}: return [row, 0]")
+        held = emit.condition(all_of(passes), line)
+        line += [f"if {held}: return row", "failing = [row]"]
+        for number, (test, negation) in enumerate(fails[1:], start=1):
+            held = emit.condition(test, line)
+            line.append(f"if {negation}{held}: failing.append({number})")
+        return line + ["return failing"]
 
     return spec_function(spec.schema, "clean_line(data)", write)
 
@@ -363,49 +417,65 @@ def check_batch_probabilistic(
     return violations
 
 
-def _action_for(kind: ViolationKind, policy: MonitorPolicy) -> PolicyAction:
-    if kind is ViolationKind.PRE:
-        return policy.on_pre_violation
-    if kind in (ViolationKind.POST, ViolationKind.SUFFICIENT, ViolationKind.NECESSARY):
-        return policy.on_post_class_violation
-    # PROBABILISTIC and EVAL_ERROR: fixed escalation, see MonitorPolicy docs.
-    return PolicyAction.DEGRADE
-
-
 class _Run:
     """One run of the monitor: the spec's fast path, the state machine, the
     tumbling window and every violation so far. run_trace drives it over
     the decoded lines of a trace file or the views of in-memory items
-    (take); an item clean_line does not decide clean takes the record step
-    (step)."""
+    (take): an item clean_line answers with failing checks takes failed,
+    and one it does not answer takes the record step (step)."""
 
     def __init__(self, spec: PartialSpec, policy: MonitorPolicy) -> None:
         require_well_formed(spec)
         self.spec, self.policy = spec, policy
         self.clean_line = clean_line_function(spec)
+        # Per violation kind, the rank of the state its policy action moves
+        # to; PROBABILISTIC and EVAL_ERROR always degrade (see MonitorPolicy).
+        post = _ACTION_RANK[policy.on_post_class_violation]
+        degrade = _ACTION_RANK[PolicyAction.DEGRADE]
+        self.moves_to = {
+            ViolationKind.PRE: _ACTION_RANK[policy.on_pre_violation],
+            ViolationKind.POST: post,
+            ViolationKind.SUFFICIENT: post,
+            ViolationKind.NECESSARY: post,
+            ViolationKind.PROBABILISTIC: degrade,
+            ViolationKind.EVAL_ERROR: degrade,
+        }
+        # Per check number of clean_line's answers: its kind, the detail
+        # check_sample gives it up to the predicted label, whether the
+        # predicted label follows, and the rank its action moves to.
+        self.table: list[tuple[ViolationKind, dict, bool, int]] = []
+        if self.clean_line is not None:
+            for kind, label, index, expr in _checks(spec):
+                detail: dict[str, Any] = {"condition": to_source(expr)}
+                if kind is ViolationKind.PRE:
+                    detail["output_untrusted"] = True
+                elif kind is not ViolationKind.POST:
+                    detail = {"label": label, "index": index, **detail}
+                tagged = kind is ViolationKind.POST or kind is ViolationKind.SUFFICIENT
+                self.table.append((kind, detail, tagged, self.moves_to[kind]))
         self.violations: list[Violation] = []
-        self.state = MonitorState.NOMINAL
+        self.rank = 0  # of the state so far; the machine never moves back
         self.processed = 0
         # The tumbling window: one row per record, the floats of the
-        # constraints' fields in constraint order (a clean item's row is
-        # clean_line's tuple). A record reaches it only once it conforms,
-        # and static_errors makes every constrained field a number.
+        # constraints' fields in constraint order (clean_line's row for an
+        # item it answers). A record reaches it only once it conforms, and
+        # static_errors makes every constrained field a number.
         self.rows: list[tuple[float, ...]] = []
         self.window_index = 0
 
     def report(self) -> MonitorReport:
-        return MonitorReport(self.violations, self.state, self.processed)
+        return MonitorReport(self.violations, _STATES[self.rank], self.processed)
 
     def absorb(self, violations: list[Violation], window_label: Optional[int] = None) -> None:
-        already_failsafe = self.state is MonitorState.FAILSAFE
+        already_failsafe = self.rank == _FAILSAFE
         for violation in violations:
             if already_failsafe:
                 violation.post_failsafe = True
             if window_label is not None:
                 violation.detail.setdefault("window", window_label)
-            next_state = _ACTION_STATE[_action_for(violation.kind, self.policy)]
-            if _STATE_RANK[next_state] > _STATE_RANK[self.state]:
-                self.state = next_state
+            rank = self.moves_to[violation.kind]
+            if rank > self.rank:
+                self.rank = rank
             self.violations.append(violation)
 
     def take(
@@ -415,38 +485,54 @@ class _Run:
     ) -> None:
         """Each (key, data) of pairs, in order: data is what clean_line
         reads, and item(key, data) the trace item it stands for. An item
-        clean_line decides clean only adds its floats to the window; every
-        other item takes the record step with clean_line's verdict."""
+        clean_line answers adds its row to the window, once failed has
+        absorbed the violations of its failing checks, if any; every other
+        item takes the record step."""
         clean_line, rows = self.clean_line, self.rows
         full = self.policy.probabilistic_window
         for key, data in pairs:
             try:
-                verdict = None if clean_line is None else clean_line(data)
+                answer = None if clean_line is None else clean_line(data)
             except Exception:  # the record step says what is wrong
-                verdict = None
-            if verdict.__class__ is tuple:
-                self.processed += 1
-                rows.append(verdict)
-                if len(rows) == full:
-                    self._tumble()
-            else:
-                self.step(item(key, data), verdict)
+                answer = None
+            if answer is None:
+                self.step(item(key, data))
+                continue
+            self.processed += 1
+            if answer.__class__ is list:
+                self.failed(data["id"], data["output"]["label"], answer)
+                answer = answer[0]
+            rows.append(answer)
+            if len(rows) == full:
+                self._tumble()
 
-    def step(self, item: Union[TraceRecord, MalformedLine], verdict: Optional[bool]) -> None:
-        """The record step: check one item, then add its input to the window.
-        A False verdict has shown the item to conform."""
+    def failed(self, rid: str, predicted: str, answer: list) -> None:
+        """check_sample's violations of a conforming item on which the
+        checks numbered answer[1:] fail, built from the table and absorbed."""
+        already_failsafe, rank, table = self.rank == _FAILSAFE, self.rank, self.table
+        for number in answer[1:]:
+            kind, detail, tagged, moves_to = table[number]
+            detail = detail.copy()
+            if tagged:
+                detail["predicted"] = predicted
+            self.violations.append(Violation(rid, kind, detail, already_failsafe))
+            if moves_to > rank:
+                rank = moves_to
+        self.rank = rank
+
+    def step(self, item: Union[TraceRecord, MalformedLine]) -> None:
+        """The record step: check one item, then add its input to the window."""
         self.processed += 1
         if isinstance(item, MalformedLine):
             detail = {"stage": "trace", "line": item.line, "error": item.error}
             self.absorb([Violation(None, ViolationKind.EVAL_ERROR, detail)])
             return
-        if verdict is not False:
-            structural = conformance_errors(item.input.fields, self.spec.schema)
-            structural += prediction_errors(item.output, self.spec.schema)
-            if structural:
-                detail = {"stage": "conformance", "errors": structural}
-                self.absorb([Violation(item.id, ViolationKind.EVAL_ERROR, detail)])
-                return
+        structural = conformance_errors(item.input.fields, self.spec.schema)
+        structural += prediction_errors(item.output, self.spec.schema)
+        if structural:
+            detail = {"stage": "conformance", "errors": structural}
+            self.absorb([Violation(item.id, ViolationKind.EVAL_ERROR, detail)])
+            return
         self.absorb(check_sample(self.spec, item, self.policy))
         fields = item.input.fields
         self.rows.append(tuple([float(fields[c.field]) for c in self.spec.probabilistic]))
@@ -482,10 +568,10 @@ def run_trace(
 
     The spec's fast-path function is generated once per call, before the
     first record (see the module docstring). It reads each line of a file
-    and the view of each in-memory record. A line it calls clean never
-    becomes a TraceRecord, and a record it calls clean skips the exact
-    checks. An item it has shown to conform skips the conformance checks,
-    and every other item gets them all. The report is the one the exact
+    and the view of each in-memory record. An item it answers, clean or
+    with failing checks, never becomes a TraceRecord (a line) and skips the
+    exact checks: its violations come from the run's table of checks. Every
+    other item gets the exact checks. The report is the one the exact
     checks alone would give on read_trace's items, and the same for a path
     and for read_trace(path).
 
@@ -495,7 +581,7 @@ def run_trace(
     """
     run = _Run(spec, policy)
     if isinstance(trace, (str, os.PathLike)):
-        run.take(_decoded_lines(trace), _trace_item)
+        run.take(_decoded_lines(trace), partial(_trace_item, build=_record_builder()))
     else:
         run.take(_views(trace), lambda item, view: item)
     return run.report()
@@ -521,9 +607,11 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
 
     The file is read one line at a time. Lines end at "\n" (a "\r" before
     it is dropped too), as JSON Lines defines; no other character ends a
-    line. Blank lines are skipped. A line that is not UTF-8 or not a valid
-    record comes back as a MalformedLine, so the monitor can log it and keep
-    going. An unreadable file raises FormatError.
+    line. A blank line, empty or holding only spaces, tabs and carriage
+    returns (errors.JSON_SPACE), is skipped; one of any other whitespace
+    is not JSON. A line that is not UTF-8 or not a valid record comes back
+    as a MalformedLine, so the monitor can log it and keep going. An
+    unreadable file raises FormatError.
 
     Each line is decoded by errors.json_line: one call of the JSON scanner,
     or json.loads where the scanner does not take the whole line, so every
@@ -531,9 +619,12 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     the decoder is a MalformedLine too. A value that passes the record
     checks is built without the dataclasses' __init__ and keeps the decoded
     input dict; the items are equal to what the constructors would build.
+    With the fast paths off (see specguard._exact), each line is decoded by
+    json.loads and each record built by the constructors.
     """
+    build = _record_builder()
     for line_no, data in _decoded_lines(path):
-        yield _trace_item(line_no, data)
+        yield _trace_item(line_no, data, build)
 
 
 def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
@@ -545,6 +636,7 @@ def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
         handle = path.open("rb")
     except OSError as exc:
         raise FormatError(f"cannot read trace file {path}: {exc}") from exc
+    decode = line_decoder()
     with handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
@@ -554,29 +646,33 @@ def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
                 continue
             if line.endswith("\n"):
                 line = line[:-2] if line.endswith("\r\n") else line[:-1]
-            if not line.strip():
+            if not line.strip(JSON_SPACE):
                 continue
             try:
-                data = json_line(line)
+                data = decode(line)
             except ValueError as exc:  # not JSON, an int with too many digits,
                 # or a value nested too deeply (see errors.json_line)
                 data = MalformedLine(line_no, str(exc))
             yield line_no, data
 
 
-def _trace_item(line_no: int, data: Any) -> Union[TraceRecord, MalformedLine]:
-    """read_trace's item for one line's decoded value (or MalformedLine)."""
+_Builder = Callable[[str, dict, str, Optional[float]], TraceRecord]
+
+
+def _trace_item(line_no: int, data: Any, build: _Builder) -> Union[TraceRecord, MalformedLine]:
+    """read_trace's item for one line's decoded value (or MalformedLine),
+    a record built by build."""
     if isinstance(data, MalformedLine):
         return data
     try:
-        return _trace_record_from_json(data)
+        return _trace_record_from_json(data, build)
     except FormatError as exc:
         return MalformedLine(line_no, str(exc))
 
 
-def _trace_record_from_json(data: Any) -> TraceRecord:
-    """The TraceRecord of one freshly decoded trace line; FormatError says
-    what is wrong with any other value."""
+def _trace_record_from_json(data: Any, build: _Builder) -> TraceRecord:
+    """The TraceRecord of one freshly decoded trace line, built by build;
+    FormatError says what is wrong with any other value."""
     if not isinstance(data, dict):
         raise FormatError("trace record must be a JSON object")
     rid = data.get("id")
@@ -591,9 +687,22 @@ def _trace_record_from_json(data: Any) -> TraceRecord:
     confidence = raw_output.get("confidence")
     if confidence is not None and not is_number(confidence):
         raise FormatError(f"trace record {rid!r} confidence must be a number")
-    return _built_trace_record(
+    return build(
         rid, raw_input, raw_output["label"], None if confidence is None else float(confidence)
     )
+
+
+def _record_builder() -> _Builder:
+    """_built_trace_record, or _constructed_trace_record when the fast
+    paths are off (see specguard._exact); asked once per file."""
+    return _constructed_trace_record if exact() else _built_trace_record
+
+
+def _constructed_trace_record(
+    rid: str, fields: dict, label: str, confidence: Optional[float]
+) -> TraceRecord:
+    """_built_trace_record's record, built by the constructors."""
+    return TraceRecord(rid, FeatureRecord(fields, rid), Prediction(label, confidence))
 
 
 def _built_trace_record(

@@ -17,8 +17,9 @@ condition fails to evaluate (division by zero, comparing an int literal
 with a float). Such a record goes through the exact path, so every
 PatternError text comes from it alone. A GatedConfig refuses a spec that
 fails static_errors; one that holds a literal that is not exactly an int a
-float can hold, a float, a str or a bool has no fast path. The spec is read
-once: after changing it, make a new config.
+float can hold, a float, a str or a bool has no fast path, and neither has
+a config made while the fast paths are off (see specguard._exact). The spec
+is read once: after changing it, make a new config.
 """
 from __future__ import annotations
 

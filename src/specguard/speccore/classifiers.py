@@ -18,7 +18,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from ..errors import (
     ClassifierError,
     FormatError,
-    json_line,
+    line_decoder,
     read_json_file,
     read_json_streamed,
 )
@@ -112,6 +112,7 @@ class SubprocessClassifier:
         self.timeout = float(timeout)
         self._proc: subprocess.Popen | None = None
         self._buffer = bytearray()
+        self._decode = line_decoder()
 
     def _start(self) -> None:
         try:
@@ -167,7 +168,7 @@ class SubprocessClassifier:
             raise ClassifierError(f"subprocess refused the request: {exc}") from exc
         line = self._read_line()
         try:
-            data = json_line(line.decode("utf-8"))
+            data = self._decode(line.decode("utf-8"))
         except ValueError as exc:  # also not UTF-8, a huge int or too deep a nesting
             self.close()
             raise ClassifierError(f"subprocess sent malformed JSON: {exc}") from exc

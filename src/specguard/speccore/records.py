@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional
 
+from .._exact import exact, forget_on_switch
 from ..errors import FormatError
 from ..speclang.schema import Schema, is_number, value_errors, value_guard
 
@@ -111,22 +112,26 @@ _quote = json.encoder.encode_basestring_ascii
 
 # Per tuple of field names, in insertion order: the names sorted, the
 # picker that puts the values into that order, and canonical_key's text as
-# a list with a None slot for each value (odd positions). Both keys read
-# it. Cleared when full, so any number of distinct name tuples costs
-# bounded memory. An entry depends on the names alone, so threads that race
-# here only rebuild one.
+# a list with a None slot for each value (odd positions), or None while
+# the fast paths are off (see specguard._exact). Both keys read it.
+# Cleared when full, so any number of distinct name tuples costs bounded
+# memory, and when the switch moves. An entry depends on the names alone,
+# so threads that race here only rebuild one.
 _ORDER_CAP = 256
-_orders: dict[tuple, tuple[tuple, Callable[[Any], Any], list]] = {}
+_orders: dict[tuple, tuple[tuple, Callable[[Any], Any], Optional[list]]] = {}
+forget_on_switch(_orders.clear)
 
 
-def _order(names: tuple) -> Optional[tuple[tuple, Callable[[Any], Any], list]]:
+def _order(names: tuple) -> Optional[tuple[tuple, Callable[[Any], Any], Optional[list]]]:
     if not all(isinstance(name, str) for name in names):
         return None  # the caller names the first bad name or value
     order = sorted(range(len(names)), key=names.__getitem__)
-    parts: list = []
-    for n, i in enumerate(order):
-        parts += ("," if n else "{") + _quote(names[i]) + ":", None
-    parts.append("}" if order else "{}")
+    parts: Optional[list] = None
+    if not exact():
+        parts = []
+        for n, i in enumerate(order):
+            parts += ("," if n else "{") + _quote(names[i]) + ":", None
+        parts.append("}" if order else "{}")
     pick = itemgetter(*order) if len(order) > 1 else tuple
     entry = tuple(names[i] for i in order), pick, parts
     if len(_orders) >= _ORDER_CAP:
@@ -198,7 +203,8 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     _CELL_CAP (4096) entries; the memo is never cleared, so once full it
     serves the values it holds and a stream of distinct values costs an
     inline format per row. Every other record (a subclass of str, int or
-    float, any other list, a bad value or name) is rendered from the shape
+    float, any other list, a bad value or name), and every record while the
+    fast paths are off (see specguard._exact), is rendered from the shape
     tokens and numbers value_key is built from, so keys and exceptions do
     not depend on the path taken.
 
@@ -210,7 +216,7 @@ def canonical_key(fields: Mapping[str, Any]) -> str:
     """
     names = tuple(fields)
     entry = _orders.get(names) or _order(names)
-    if entry is None:
+    if entry is None or entry[2] is None:
         return _render_key(fields)
     values = []
     for value in fields.values():

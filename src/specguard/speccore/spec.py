@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
+from .._exact import exact
 from ..errors import EvalError, FormatError, SpecSyntaxError, TypeCheckError, read_json_file
 from ..speclang.ast import Bool, Expression, to_source
 from ..speclang.codegen import Emitter, Unsupported
@@ -224,7 +225,8 @@ def spec_function(
     """Compile ``def signature:`` with the body write(emit, guard) gives: a
     fast path over records of the schema. Return None when the body holds
     what the Emitter does not translate (a literal that is not exactly an
-    int a float can hold, a float, a str or a bool).
+    int a float can hold, a float, a str or a bool), and when the fast
+    paths are off (see specguard._exact).
 
     The caller has run require_well_formed on the spec whose conditions
     write hands to emit, so each of them typechecks against the schema.
@@ -234,6 +236,8 @@ def spec_function(
     the schema with exact builtin types. After it, emit knows the local that
     holds each field's value.
     """
+    if exact():
+        return None
     names = {field_name: f"x{i}" for i, field_name in enumerate(schema.fields)}
     emit = Emitter(schema, names)
     try:

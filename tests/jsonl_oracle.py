@@ -63,7 +63,7 @@ def read_trace(path: Union[str, Path]) -> list[Union[TraceRecord, MalformedLine]
                 continue
             if line.endswith("\n"):
                 line = line[:-2] if line.endswith("\r\n") else line[:-1]
-            if not line.strip():
+            if not line.strip(" \t\r"):  # JSON whitespace only
                 continue
             try:
                 items.append(trace_record_from_json(loads(line)))
@@ -76,7 +76,7 @@ def iter_json_lines(path: Union[str, Path], what: str, build: Callable[[Any], T]
     for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
             line = raw.removesuffix(b"\r").decode("utf-8")
-            if not line.strip():
+            if not line.strip(" \t\r"):  # JSON whitespace only
                 continue
             value = build(loads(line))
         except ValueError as exc:

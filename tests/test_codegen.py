@@ -25,7 +25,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
@@ -181,9 +181,10 @@ def _view(fields, prediction):
 
 
 def _kind(answer):
-    """True for clean_line's tuple (clean), else its False or None."""
-    assert answer is False or answer is None or answer.__class__ is tuple
-    return True if answer.__class__ is tuple else answer
+    """True for clean_line's row (clean), False for its list of failing
+    checks, else None."""
+    assert answer is None or answer.__class__ is tuple or answer.__class__ is list
+    return None if answer is None else answer.__class__ is tuple
 
 
 def _answer(clean_line, fields, prediction):
@@ -395,6 +396,59 @@ def test_a_line_off_the_record_shape_is_never_decided_clean(tmp_path, off):
         assert _outcome(spec, jsonl_oracle.read_trace(path), policy) == from_lines
 
 
+def _answered_violations(spec, fields, prediction, policy):
+    """The violations run_trace builds from clean_line's answer on the
+    record's view, or None when clean_line raises or does not answer."""
+    run = monitor._Run(spec, policy)
+    try:
+        answer = run.clean_line(_view(fields, prediction))
+    except Exception:
+        return None
+    if answer is None or answer.__class__ is tuple:
+        return None if answer is None else []
+    run.failed("r", prediction.label, answer)
+    return run.violations
+
+
+_conforming_predictions = st.builds(Prediction, st.sampled_from(LABELS), st.floats(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_specs, _mostly_failing), _typed_inputs, _conforming_predictions, _policies)
+def test_failing_checks_build_the_violations_check_sample_reports(
+    spec, fields, prediction, policy
+):
+    assume(not static_errors(spec))
+    record = TraceRecord("r", FeatureRecord(fields, "r"), prediction)
+    exact = check_sample(spec, record, policy)
+    fast = _answered_violations(spec, fields, prediction, policy)
+    if any(v.kind is ViolationKind.EVAL_ERROR for v in exact):
+        assert fast is None
+    else:
+        assert fast is not None
+        assert [v.to_json_dict() for v in fast] == [v.to_json_dict() for v in exact]
+
+
+def test_a_condition_that_fails_after_one_that_holds_takes_the_exact_path(tmp_path):
+    spec = PartialSpec(
+        schema=SCHEMA,
+        sufficient={
+            "cyclist": (parse("input.height > 0"), parse("1 / (input.height - input.height) > 0"))
+        },
+    )
+    with pytest.raises(EvalError):
+        clean_line_function(spec)(_view(CONFORMING, Prediction("pedestrian", 0.5)))
+    report = run_trace(spec, _one_line_trace(tmp_path, CONFORMING))
+    assert [v.to_json_dict() for v in report.violations] == [
+        {
+            "record_id": "r",
+            "kind": "EVAL_ERROR",
+            "detail": {"stage": "sufficient", "error": "division by zero"},
+            "post_failsafe": False,
+        }
+    ]
+
+
 def _one_line_trace(tmp_path, fields):
     path = tmp_path / "trace.jsonl"
     output = {"label": "pedestrian", "confidence": 0.5}
@@ -429,15 +483,15 @@ def test_a_clean_line_never_becomes_a_trace_record(tmp_path, probabilistic):
     assert clean_line(json.loads(_one_line_trace(tmp_path, CONFORMING).read_text())) == (
         (1.0,) * len(probabilistic)
     )
-    for fields, built in [(CONFORMING, 0), ({**CONFORMING, "height": -1.0}, 1)]:
+    for fields, kinds in [(CONFORMING, []), ({**CONFORMING, "height": -1.0}, ["PRE"])]:
         path = _one_line_trace(tmp_path, fields)
         with mock.patch.object(
             monitor, "_built_trace_record", wraps=monitor._built_trace_record
         ) as record:
             report = run_trace(spec, path, MonitorPolicy(probabilistic_window=1))
-        assert record.call_count == built
+        assert record.call_count == 0
         assert report.records_processed == 1
-        assert [v.kind.value for v in report.violations] == ["PRE"] * built
+        assert [v.kind.value for v in report.violations] == kinds
 
 
 def test_a_clean_line_that_raises_takes_the_exact_path(tmp_path):
@@ -621,15 +675,19 @@ def test_benchmark_style_spec_decides_clean_records_and_only_those():
     assert _answer(clean_line, ok, Prediction("pedestrian", 0.9)) is True
     assert _answer(clean_line, {**ok, "lane": 1.0}, Prediction("pedestrian", 0.9)) is True
     assert _answer(clean_line, {**ok, "height": 3}, Prediction("cyclist", 0.9)) is True
-    for fields, prediction in [
-        ({**ok, "height": -1.0}, Prediction("pedestrian", 0.9)),  # PRE
-        (ok, Prediction("pedestrian", 0.1)),  # POST
-        ({**ok, "height": 3, "zone": "rural"}, Prediction("cyclist", 0.9)),  # SUFFICIENT 0
-        (ok, Prediction("cyclist", 0.9)),  # SUFFICIENT 1 of pedestrian
-        ({**ok, "lane": 2}, Prediction("pedestrian", 0.9)),  # NECESSARY 1
-        ({**ok, "lane": 3}, Prediction("pedestrian", 0.9)),  # NECESSARY 0 and 1
+    # check numbers: 0 PRE, 1 POST, 2 and 3 the sufficient conditions of
+    # pedestrian, 4 the necessary one of cyclist, 5 and 6 those of pedestrian
+    for fields, prediction, failing in [
+        ({**ok, "height": -1.0}, Prediction("pedestrian", 0.1), [0]),  # PRE alone
+        (ok, Prediction("pedestrian", 0.1), [1]),
+        ({**ok, "height": 3, "zone": "rural"}, Prediction("cyclist", 0.9), [2]),
+        (ok, Prediction("cyclist", 0.9), [3]),
+        ({**ok, "height": 1.5, "zone": "rural"}, Prediction("cyclist", 0.1), [1, 2, 3]),
+        ({**ok, "lane": 2}, Prediction("pedestrian", 0.9), [6]),
+        ({**ok, "lane": 3}, Prediction("pedestrian", 0.9), [5, 6]),
+        ({**ok, "height": 0.5}, Prediction("cyclist", 0.9), [4]),
     ]:
-        assert _answer(clean_line, fields, prediction) is False
+        assert clean_line(_view(fields, prediction)) == [(), *failing]
     for fields, prediction in [
         ({**ok, "lane": 1.5}, Prediction("pedestrian", 0.9)),  # not an integer
         ({**ok, "lane": 2**53 + 1}, Prediction("pedestrian", 0.9)),  # float() rounds it

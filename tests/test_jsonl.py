@@ -28,6 +28,13 @@ ADVERSARIAL = [
     b"",
     b"   ",
     b"\t",
+    b" \t\r ",
+    # whitespace to str.strip but not to JSON: not blank, so not skipped
+    "\u00a0".encode(),
+    "\u2028".encode(),
+    b"\x0c",
+    b"\x1c",
+    b" \x0b\t",
     b"\xef\xbb\xbf" + GOOD,  # a UTF-8 BOM
     b"  " + GOOD + b"  ",
     b"\t" + GOOD,
@@ -260,3 +267,39 @@ def test_monitor_run_reports_a_deep_line_and_reads_on(tmp_path, capsys, lines):
     (violation,) = report["violations"]
     assert violation["detail"]["line"] == lines.index(DEEP) + 1
     assert violation["detail"]["error"].startswith("JSON value nests too deeply: ")
+
+
+UNICODE_BLANKS = ["\u00a0", "\u2028", "\x0c", "\x1c"]
+
+
+@pytest.mark.parametrize("blank", UNICODE_BLANKS, ids=repr)
+def test_monitor_run_reports_a_line_of_non_json_whitespace(tmp_path, capsys, blank):
+    spec, trace = tmp_path / "spec.json", tmp_path / "trace.jsonl"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    trace.write_bytes(GOOD + b"\n" + blank.encode() + b"\n \t\n" + GOOD + b"\n")
+    assert main(["monitor", "run", "--spec", str(spec), "--trace", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["records_processed"] == 3  # the line of spaces and tabs is blank
+    (violation,) = report["violations"]
+    assert violation["kind"] == "EVAL_ERROR"
+    assert violation["detail"] == {
+        "stage": "trace",
+        "line": 2,
+        "error": "Expecting value: line 1 column 1 (char 0)",
+    }
+
+
+@pytest.mark.parametrize("blank", UNICODE_BLANKS, ids=repr)
+def test_a_data_set_line_of_non_json_whitespace_is_refused(tmp_path, capsys, blank):
+    data = tmp_path / "data.jsonl"
+    good = b'{"input": {"x": 1}, "label": "a"}'
+    data.write_bytes(good + b"\n\t \n" + blank.encode() + b"\n" + good + b"\n")
+    assert main(["dataset", "split", "--data", str(data), "--ratios", "1,0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["detail"].endswith(
+        "data.jsonl:3: not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    )

@@ -98,6 +98,15 @@ class TestPolicyValidation:
         with pytest.raises(FormatError, match="DEGRADE or FAILSAFE"):
             MonitorPolicy(on_post_class_violation=PolicyAction.MARK_UNTRUSTED)
 
+    @pytest.mark.parametrize(
+        "action", [{"on_pre_violation": "DEGRADE"}, {"on_post_class_violation": "MARK_UNTRUSTED"}]
+    )
+    def test_an_action_must_be_a_policy_action(self, action):
+        # a str would fail only at the first violation, or slip past the
+        # MARK_UNTRUSTED rule
+        with pytest.raises(FormatError, match="must be a PolicyAction"):
+            MonitorPolicy(**action)
+
     def test_window_must_be_positive(self):
         with pytest.raises(FormatError, match=">= 1"):
             MonitorPolicy(probabilistic_window=0)
