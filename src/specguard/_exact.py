@@ -18,16 +18,14 @@ declines where it is chosen, and only the exact code runs:
 
 Each reads the switch once per call or per file, never per line or per
 key, so it costs nothing where records are processed. It is meant for
-differential tests: run a command both ways and compare every byte. Set
-SPECGUARD_EXACT=1 in the environment before specguard is imported, or
-call set_exact.
+differential tests: run a command both ways and compare every byte.
+set_exact is the only way to set it; it starts off.
 """
 from __future__ import annotations
 
-import os
 from typing import Callable
 
-_exact = os.environ.get("SPECGUARD_EXACT", "") not in ("", "0")
+_exact = False
 _caches: list[Callable[[], None]] = []  # emptied when the switch moves
 
 

@@ -11,24 +11,24 @@ either input form: a trace line's decoded JSON value, or the view
 {"id", "input": fields, "output": {"label", "confidence"}} of an in-memory
 TraceRecord (_views). It answers only when the value is an object with a
 str "id", its input conforms to the schema and its prediction to the label
-alphabet, with a float confidence. Its answer is then the row, the floats
-the probabilistic window needs, when check_sample would report nothing:
-the item only adds the row to the window, and a line never becomes a
-TraceRecord. When checks fail, it evaluates each of them on its own, in
-check_sample's order, and answers with the row and the numbers of the
-failing checks (_checks). The run builds each Violation from a table made
-once per run, with each check's kind, label, index, condition text and the
-state its policy action moves to, plus the item's id and predicted label:
-again no TraceRecord is built and check_sample is not called. Every other
-item, including one on which the generated function raises (a condition
-that cannot be evaluated, even one after a check that already failed),
-goes through conformance_errors, prediction_errors and check_sample
-exactly as it would without the fast path. So every violation, its
-detail, its error text and the order of the checks are the exact
-functions'. A spec that holds a literal that is not exactly an int a
-float can hold, a float, a str or a bool has no fast path; one that fails
-static_errors is refused first. The private switch of specguard._exact
-turns the fast path off.
+alphabet, with a float confidence. It then evaluates each check on its
+own, in check_sample's order, in one pass. Its answer is the row, the
+floats the probabilistic window needs, when check_sample would report
+nothing: the item only adds the row to the window, and a line never
+becomes a TraceRecord. When checks fail, it answers with the row and the
+numbers of the failing checks (_checks). The run builds each Violation
+from a table made once per run, with each check's kind, label, index and
+condition text, plus the item's id and predicted label, and absorbs them
+as any other violations: again no TraceRecord is built and check_sample
+is not called. Every other item, including one on which the generated
+function raises (a condition that cannot be evaluated, even one after a
+check that already failed), goes through conformance_errors,
+prediction_errors and check_sample exactly as it would without the fast
+path. So every violation, its detail, its error text and the order of the
+checks are the exact functions'. A spec that holds a literal that is not
+exactly an int a float can hold, a float, a str or a bool has no fast
+path; one that fails static_errors is refused first. The private switch
+of specguard._exact turns the fast path off.
 
 How much the fast path saves depends on the share of records it answers:
 about 98% on the benchmark's monitor_trace workload, whose other lines are
@@ -54,6 +54,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -78,8 +79,8 @@ from .speccore.spec import (
     require_well_formed,
     spec_function,
 )
-from .speclang.ast import Binary, Expression, OutputRef, Str, Unary, to_source
-from .speclang.codegen import Emitter, all_of, any_of
+from .speclang.ast import Expression, to_source
+from .speclang.codegen import Emitter
 from .speclang.schema import is_number
 
 
@@ -280,49 +281,27 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
     its "input" is a dict that conforms to the schema with exact builtin
     types (float, int, str, bool, lists of rows), and its "output" is a
     dict whose "label" is a str in the alphabet and whose "confidence" is a
-    float in [0, 1]. It then evaluates the checks check_sample makes, in
-    its order: the precondition, and when it holds the postcondition, every
-    sufficient condition of every label but the predicted one and every
-    necessary condition of the predicted label. Its answer is the row, the
-    tuple of the floats of the probabilistic constraints' fields in
-    constraint order (an empty tuple for a spec with none), when every
-    check passes. When one fails, it evaluates each check on its own and
-    answers with a list: the row, then the numbers (places in
-    _checks(spec)) of the failing checks in check order; a failing
-    precondition is the only number then. On any
-    other data it returns None or raises, and it may raise on data that
-    conforms, wherever a condition cannot be evaluated. So a tuple means the
-    exact checks find nothing on the item, and a list means check_sample
-    reports exactly those checks, with no EVAL_ERROR, and conformance_errors
-    and prediction_errors find nothing.
+    float in [0, 1]. It then evaluates each check check_sample makes on
+    its own, in its order: the precondition, and when it holds the
+    postcondition, every sufficient condition of every label but the
+    predicted one and every necessary condition of the predicted label.
+    Its answer is the row, the tuple of the floats of the probabilistic
+    constraints' fields in constraint order (an empty tuple for a spec with
+    none), when every check passes. When one fails, it answers with a list:
+    the row, then the numbers (places in _checks(spec)) of the failing
+    checks in check order; a failing precondition is the only number then.
+    On any other data it returns None or raises, and it may raise on data
+    that conforms, wherever a condition cannot be evaluated. So a tuple
+    means the exact checks find nothing on the item, and a list means
+    check_sample reports exactly those checks, with no EVAL_ERROR, and
+    conformance_errors and prediction_errors find nothing.
 
     The spec is read once, here: build a new function after changing it.
     The conformance part is written by records.conformance_guard,
     records.prediction_guard and schema.value_guard, next to the exact rules
     it must agree with; the conditions' part by speclang.codegen.
     """
-    predicted = OutputRef("label")
-    fails = []  # per check, (test, negation): the check fails where negation + test holds
-    for kind, label, _, expr in _checks(spec):
-        if kind is ViolationKind.SUFFICIENT:
-            other = Binary("!=", predicted, Str(label))
-            fails.append((Binary("&&", other, expr), ""))
-        elif kind is ViolationKind.NECESSARY:
-            this = Binary("==", predicted, Str(label))
-            fails.append((Binary("&&", this, Unary("!", expr)), ""))
-        else:
-            fails.append((expr, "not "))
-    # The clean test: every check after the precondition passes, label by
-    # label, stopping at the first that fails.
-    passes = [] if spec.postcondition is None else [spec.postcondition]
-    for label, exprs in spec.sufficient.items():
-        if exprs:  # predicted, or none holds
-            this = Binary("==", predicted, Str(label))
-            passes.append(Binary("||", this, Unary("!", any_of(exprs))))
-    for label, exprs in spec.necessary.items():
-        if exprs:  # not predicted, or all hold
-            other = Binary("!=", predicted, Str(label))
-            passes.append(Binary("||", other, all_of(exprs)))
+    checks = list(enumerate(_checks(spec)))
 
     def write(emit: Emitter, guard: list[str]) -> list[str]:
         floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
@@ -338,14 +317,27 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
             spec.schema, emit.constant, "output['label']", "output['confidence']"
         )
         line.append(f"row = ({floats})")
-        held = emit.condition(fails[0][0], line)
-        line.append(f"if not {held}: return [row, 0]")
-        held = emit.condition(all_of(passes), line)
-        line += [f"if {held}: return row", "failing = [row]"]
-        for number, (test, negation) in enumerate(fails[1:], start=1):
-            held = emit.condition(test, line)
-            line.append(f"if {negation}{held}: failing.append({number})")
-        return line + ["return failing"]
+        held = emit.condition(spec.precondition, line)
+        line += [f"if not {held}: return [row, 0]", "failing = ()"]
+        # Each other check on its own; a label's conditions run under one
+        # test of the predicted label, as check_sufficient and
+        # check_necessary choose them. Only the predicted label's necessary
+        # conditions run, so their tests form one if/elif chain.
+        head = "if"
+        for (kind, label), group in groupby(checks[1:], key=lambda check: check[1][:2]):
+            block = []
+            for number, (_, _, _, expr) in group:
+                held = emit.condition(expr, block)
+                negation = "" if kind is ViolationKind.SUFFICIENT else "not "
+                block.append(f"if {negation}{held}: failing += ({number},)")
+            if kind is ViolationKind.POST:
+                line += block
+            else:
+                op = "!=" if kind is ViolationKind.SUFFICIENT else "=="
+                line.append(f"{head} label {op} {emit.constant(label)}:")
+                line += [f"    {statement}" for statement in block]
+                head = "elif" if kind is ViolationKind.NECESSARY else "if"
+        return line + ["return [row, *failing] if failing else row"]
 
     return spec_function(spec.schema, "clean_line(data)", write)
 
@@ -441,9 +433,9 @@ class _Run:
             ViolationKind.EVAL_ERROR: degrade,
         }
         # Per check number of clean_line's answers: its kind, the detail
-        # check_sample gives it up to the predicted label, whether the
-        # predicted label follows, and the rank its action moves to.
-        self.table: list[tuple[ViolationKind, dict, bool, int]] = []
+        # check_sample gives it up to the predicted label, and whether the
+        # predicted label follows.
+        self.table: list[tuple[ViolationKind, dict, bool]] = []
         if self.clean_line is not None:
             for kind, label, index, expr in _checks(spec):
                 detail: dict[str, Any] = {"condition": to_source(expr)}
@@ -452,7 +444,7 @@ class _Run:
                 elif kind is not ViolationKind.POST:
                     detail = {"label": label, "index": index, **detail}
                 tagged = kind is ViolationKind.POST or kind is ViolationKind.SUFFICIENT
-                self.table.append((kind, detail, tagged, self.moves_to[kind]))
+                self.table.append((kind, detail, tagged))
         self.violations: list[Violation] = []
         self.rank = 0  # of the state so far; the machine never moves back
         self.processed = 0
@@ -507,18 +499,14 @@ class _Run:
                 self._tumble()
 
     def failed(self, rid: str, predicted: str, answer: list) -> None:
-        """check_sample's violations of a conforming item on which the
-        checks numbered answer[1:] fail, built from the table and absorbed."""
-        already_failsafe, rank, table = self.rank == _FAILSAFE, self.rank, self.table
+        """Absorb check_sample's violations of a conforming item on which
+        the checks numbered answer[1:] fail, built from the table."""
+        violations = []
         for number in answer[1:]:
-            kind, detail, tagged, moves_to = table[number]
-            detail = detail.copy()
-            if tagged:
-                detail["predicted"] = predicted
-            self.violations.append(Violation(rid, kind, detail, already_failsafe))
-            if moves_to > rank:
-                rank = moves_to
-        self.rank = rank
+            kind, detail, tagged = self.table[number]
+            detail = {**detail, "predicted": predicted} if tagged else detail.copy()
+            violations.append(Violation(rid, kind, detail))
+        self.absorb(violations)
 
     def step(self, item: Union[TraceRecord, MalformedLine]) -> None:
         """The record step: check one item, then add its input to the window."""

@@ -343,9 +343,9 @@ def _and(condition, source):
 
 
 # Specs on which most lines conform but fail a condition, so clean_line
-# answers False and the record step takes its verdict: the precondition
-# holds only for the tallest inputs, or the postcondition only for the
-# most confident predictions.
+# answers with the failing checks and the run builds their violations: the
+# precondition holds only for the tallest inputs, or the postcondition only
+# for the most confident predictions.
 _mostly_failing = st.one_of(
     _specs.map(
         lambda spec: dataclasses.replace(

@@ -1,9 +1,9 @@
 """The private switch that turns every fast path off (specguard._exact).
 
 Each command is run on small inputs from the benchmark's generators, and
-each demo as a script, once with the fast paths on and once with them off,
-and must give the same stdout, stderr and exit code byte for byte
-(differential testing:
+each demo as __main__, once with the fast paths on and once with them off,
+and must give the same stdout and stderr, and a command the same exit
+code, byte for byte (differential testing:
 McKeeman, "Differential testing for software", Digital Technical Journal
 10(1), 1998). The generators are imported read-only, as bench/tests does.
 """
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import re
-import subprocess
+import runpy
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -107,25 +107,20 @@ def test_every_fast_path_declines_with_the_switch_set(tmp_path):
     assert monitor._record_builder() is monitor._built_trace_record
 
 
-def _python(exact: str, *args: str, **env: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SPECGUARD_EXACT": exact, **env}
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
-    )
-
-
-@pytest.mark.parametrize("exact,on", [("1", True), ("yes", True), ("", False), ("0", False)])
-def test_the_environment_sets_the_switch_at_import(exact, on):
-    done = _python(exact, "-c", "from specguard import _exact; print(_exact.exact())")
-    assert done.stdout == f"{on}\n"
-
-
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
-def test_every_demo_prints_the_same_with_the_fast_paths_off(tmp_path, demo):
-    def run(exact: str) -> tuple[int, str, str]:
-        done = _python(exact, str(demo), TMPDIR=str(tmp_path))
-        # a demo's scratch directory has a random name
-        scratch = re.escape(str(tmp_path)) + r"/[^/\s]+"
-        return done.returncode, re.sub(scratch, "<tmp>", done.stdout), done.stderr
+def test_every_demo_prints_the_same_with_the_fast_paths_off(tmp_path, monkeypatch, demo):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    # a demo's scratch directory has a random name
+    scratch = re.escape(str(tmp_path)) + r"/[^/\s]+"
 
-    assert run("1") == run("")
+    def run() -> tuple[str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runpy.run_path(str(demo), run_name="__main__")
+        return re.sub(scratch, "<tmp>", out.getvalue()), err.getvalue()
+
+    fast = run()
+    with _exact_paths():
+        exact = run()
+    assert fast[0]  # each demo prints something
+    assert exact == fast
