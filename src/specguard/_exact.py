@@ -5,8 +5,10 @@ the same answers, and falls back to it. With the switch set, each of them
 declines where it is chosen, and only the exact code runs:
 - speccore.spec.spec_function returns None, so the monitor's clean_line
   (monitor.clean_line_function, its failing-check answers included), the
-  gated pattern's decide (patterns.gated_decide_function) and dataset's
-  generated conformance guard do not exist;
+  gated pattern's decide (patterns.gated_decide_function), dataset's
+  generated conformance guard and the schema key
+  (speccore.spec.schema_key_function) do not exist, and tables and
+  augment key every record by value_key;
 - records.canonical_key renders every key from its tokens, without its
   name templates and grid-cell memo;
 - errors.read_json_streamed returns None, so its callers read the file

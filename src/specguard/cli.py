@@ -35,7 +35,7 @@ from .monitor import (
 # read_trace is not called here; bench/tracer.py wraps it under this name in
 # this module, as it wraps run_trace and json.
 from .monitor import read_trace  # noqa: F401
-from .patterns import load_harness, simulate
+from .patterns import GatedConfig, load_harness, simulate
 from .process.catalog import (
     Asil,
     MethodType,
@@ -339,9 +339,12 @@ def _cmd_patterns_simulate(args) -> tuple[dict, str, int]:
     file, oracle file, the oracle on a record (see _read_first).
     """
     subject = load_harness(args.harness)
+    # A gated subject's spec says what the domain's records are, so the
+    # oracle keys them by its schema.
+    schema = subject.spec.schema if isinstance(subject, GatedConfig) else None
     domain = iter_json_lines(args.domain, "records", record_from_json_dict)
     with _read_first(domain):
-        report = simulate(domain, load_classifier(args.oracle), subject)
+        report = simulate(domain, load_classifier(args.oracle, schema), subject)
     payload = report.to_json_dict()
     text = (
         f"records: {report.total}  mismatches: {len(report.mismatches)}  "

@@ -22,13 +22,13 @@ from .errors import (
     read_json_file,
     read_json_lines,
 )
+from .speccore.classifiers import table_key_function
 from .speccore.records import (
     FeatureRecord,
     Prediction,
     canonical_key,
     conformance_errors,
     record_ref,
-    value_key,
 )
 from .speccore.spec import (
     PartialSpec,
@@ -331,9 +331,11 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
     Originals come first, unchanged. Each COLLECTED record is pushed through
     every invariant (same label) and equivariant (transformed label); results
     whose input duplicates an original or an earlier augmentation (equal
-    value_key) are dropped. AUGMENTED records are not transformed again, which
-    makes augmenting an already-augmented set idempotent. A transformation
-    failure on a record is reported and that pair skipped.
+    keys, as a table for the spec's schema keys inputs: see
+    classifiers.table_key_function) are dropped. AUGMENTED records are not
+    transformed again, which makes augmenting an already-augmented set
+    idempotent. A transformation failure on a record is reported and that
+    pair skipped.
 
     A spec that static_errors rejects, or a record whose input does not
     conform to the spec's schema, raises FormatError before anything is
@@ -342,7 +344,8 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
     require_well_formed(spec)
     _require_conforming([r.input for r in data], spec.schema, "record")
     out = list(data)
-    seen = {value_key(r.input.fields) for r in data}
+    key = table_key_function(spec.schema)
+    seen = {key(r.input.fields) for r in data}
     errors: list[dict] = []
     relations: list[tuple[Transformation, Optional[Any]]] = [
         (t, None) for t in spec.invariants
@@ -362,10 +365,10 @@ def augment(data: Sequence[LabeledRecord], spec: PartialSpec) -> AugmentResult:
             except (TransformError, EvalError) as exc:
                 errors.append({"record": ref, "transform": t.name, "error": str(exc)})
                 continue
-            key = value_key(new_input.fields)
-            if key in seen:
+            new_key = key(new_input.fields)
+            if new_key in seen:
                 continue
-            seen.add(key)
+            seen.add(new_key)
             out.append(
                 LabeledRecord(
                     FeatureRecord(new_input.fields, id=f"{ref}~{t.name}"),

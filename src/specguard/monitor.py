@@ -104,6 +104,11 @@ class ViolationKind(Enum):
     PROBABILISTIC = "PROBABILISTIC"
     EVAL_ERROR = "EVAL_ERROR"
 
+    # Members compare by identity, so they may hash by it: object's hash is
+    # a C slot, where Enum.__hash__ is a Python call on every lookup of
+    # _Run.moves_to (about 23 against 100 ns).
+    __hash__ = object.__hash__
+
 
 class PolicyAction(Enum):
     MARK_UNTRUSTED = "MARK_UNTRUSTED"

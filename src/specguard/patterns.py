@@ -55,7 +55,7 @@ from .speclang.codegen import Emitter, all_of, any_of
 # evaluate_condition is not called here; it stays a module attribute because
 # bench/tracer.py times the evaluation layer under this name in this module.
 from .speclang.evaluate import evaluate_condition  # noqa: F401
-from .speclang.schema import is_number
+from .speclang.schema import Schema, is_number
 
 
 class FusionMode(Enum):
@@ -501,11 +501,11 @@ def load_harness(path: Union[str, Path]) -> Subject:
         raise FormatError("harness must be a JSON object")
     base = path.parent
 
-    def sub_classifier(key: str) -> Classifier:
+    def sub_classifier(key: str, schema: Optional[Schema] = None) -> Classifier:
         ref = data.get(key)
         if not isinstance(ref, str):
             raise FormatError(f"harness key {key!r} must be a classifier file path")
-        return load_classifier(base / ref)
+        return load_classifier(base / ref, schema)
 
     kind = data.get("pattern")
     if kind == "ensemble":
@@ -529,7 +529,8 @@ def load_harness(path: Union[str, Path]) -> Subject:
         ref = data.get("spec")
         if not isinstance(ref, str):
             raise FormatError("gated harness needs a 'spec' file path")
-        return GatedConfig(load_spec(base / ref), sub_classifier("ml"))
+        spec = load_spec(base / ref)
+        return GatedConfig(spec, sub_classifier("ml", spec.schema))
     if kind == "envelope":
         safety = sub_classifier("safety")
         if not isinstance(safety, ExpressionClassifier):

@@ -13,7 +13,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, Union
 
 from ..errors import (
     ClassifierError,
@@ -25,8 +25,15 @@ from ..errors import (
 from ..speclang.ast import Expression, to_source
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
-from ..speclang.schema import is_number
-from .records import FeatureRecord, Prediction, key_input, value_key
+from ..speclang.schema import Schema, is_number
+from .records import (
+    FeatureRecord,
+    Prediction,
+    key_input,
+    schema_key_input,
+    schema_width,
+    value_key,
+)
 
 # The benchmark's tracer wraps the canonical_key it finds in this module.
 from .records import canonical_key  # noqa: F401
@@ -34,34 +41,86 @@ from .records import canonical_key  # noqa: F401
 _LINE_CAP = 16 << 20  # bytes a subprocess classifier's pending response line may hold
 
 
+def table_key_function(schema: Optional[Schema]) -> Callable[[Mapping[str, Any]], Hashable]:
+    """The key of an input in a table for records of the schema: value_key
+    without a schema or while the fast paths are off (specguard._exact).
+    Otherwise the input's schema key (spec.schema_key_function), else that
+    of its value_key's fields (key_input), so a twin of another type (an
+    IntEnum, a float, str or dict subclass) finds its exact twin's entry,
+    else the value_key triple. Keys are equal exactly when canonical_key
+    texts are."""
+    if schema is None:
+        return value_key
+    from .spec import schema_key_function  # spec imports this module
+
+    packed = schema_key_function(schema)
+    if packed is None:
+        return value_key
+
+    def table_key(fields: Mapping[str, Any]) -> Hashable:
+        try:
+            key = packed(fields)
+        except Exception:  # an input off the schema; value_key says what is wrong
+            key = None
+        if key is not None:
+            return key
+        triple = value_key(fields)
+        try:
+            key = packed(key_input(triple))
+        except Exception:
+            key = None
+        return triple if key is None else key
+
+    return table_key
+
+
 @dataclass(frozen=True)
 class TableClassifier:
     """Explicit input -> prediction map keyed by value, with a default.
 
-    Keys are value_key() triples: the sorted field names, the shape of the
-    values and their numbers packed as doubles. An input finds its entry
-    whenever its canonical_key text equals the entry's (3 and 3.0, -0.0
-    and 0.0 alike, any field order), so lookups survive reserialization.
-    A key of any other form, such as a canonical_key string, would never
-    be found, so it raises TypeError.
+    Each entry is keyed by table_key_function(schema) of its input: a
+    value_key() triple (sorted names, value shape, numbers packed as
+    doubles) or, with a schema, a conforming input's schema key (its values
+    packed in schema order). An input finds its entry whenever its
+    canonical_key text equals the entry's (3 and 3.0, -0.0 and 0.0 alike,
+    any field order), so lookups survive reserialization. A key of any
+    other form, or bytes of other than the schema's length, raises
+    TypeError: it would never be found.
     In a table built from JSON (load_classifier streams a file's entries
     into it), entries with equal label and confidence share one Prediction.
+    The key function is kept outside the dataclass fields; pickling drops
+    and rebuilds it.
     """
 
-    entries: dict[tuple, Prediction] = field(default_factory=dict)
+    entries: dict[Hashable, Prediction] = field(default_factory=dict)
     default: Optional[Prediction] = None
+    schema: Optional[Schema] = None
 
     def __post_init__(self) -> None:
+        key_of = table_key_function(self.schema)
+        object.__setattr__(self, "_key", key_of)
+        size = None if key_of is value_key else 8 * schema_width(self.schema)
         for key in self.entries:
-            if key.__class__ is not tuple or len(key) != 3:
+            if key.__class__ is bytes:
+                if len(key) != size:
+                    raise TypeError(f"table classifier key {key!r} is not a schema key here")
+            elif key.__class__ is not tuple or len(key) != 3:
                 raise TypeError(
                     f"table classifier key {key!r} is not a value_key triple "
                     "(build keys with value_key, not canonical_key)"
                 )
 
+    def __getstate__(self) -> dict:
+        return {"entries": self.entries, "default": self.default, "schema": self.schema}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
     def classify(self, fields: Mapping[str, Any]) -> Prediction:
         try:
-            key = value_key(fields)
+            key = self._key(fields)  # type: ignore[attr-defined]
         except (FormatError, OverflowError) as exc:  # a value no key holds
             raise ClassifierError(f"table classifier cannot key this input: {exc}") from exc
         hit = self.entries.get(key)
@@ -247,11 +306,14 @@ def _prediction_from_json(
 
 
 class _Table:
-    """A table classifier built one entry at a time, in file order; entries
-    with equal answers share one Prediction."""
+    """A table classifier for records of the schema (see TableClassifier),
+    built one entry at a time, in file order; entries with equal answers
+    share one Prediction."""
 
-    def __init__(self) -> None:
-        self.entries: dict[tuple, Prediction] = {}
+    def __init__(self, schema: Optional[Schema] = None) -> None:
+        self.schema = schema
+        self.key = table_key_function(schema)
+        self.entries: dict[Hashable, Prediction] = {}
         self.shared: dict[tuple, Prediction] = {}
         self.count = 0
 
@@ -260,7 +322,7 @@ class _Table:
         if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
             raise FormatError(f"table entry {i} needs an 'input' object")
         try:
-            key = value_key(entry["input"])
+            key = self.key(entry["input"])
         except (FormatError, OverflowError) as exc:
             raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
         self.entries[key] = _prediction_from_json(entry, f"table entry {i}", self.shared)
@@ -270,6 +332,7 @@ class _Table:
         return TableClassifier(
             self.entries,
             None if default is None else _prediction_from_json(default, "table default"),
+            self.schema,
         )
 
 
@@ -284,7 +347,9 @@ def classifier_from_json_dict(data: Any, base_dir: Union[str, Path, None] = None
     return _classifier_from_owned_json(data, base_dir)
 
 
-def _classifier_from_owned_json(data: Any, base_dir: Union[str, Path, None]) -> Classifier:
+def _classifier_from_owned_json(
+    data: Any, base_dir: Union[str, Path, None], schema: Optional[Schema] = None
+) -> Classifier:
     """classifier_from_json_dict on a value the caller gives up: each item
     of a table's entries list is set to None once it is keyed, so the
     decoded entries are freed while the table grows."""
@@ -295,7 +360,7 @@ def _classifier_from_owned_json(data: Any, base_dir: Union[str, Path, None]) -> 
         raw_entries = data.get("entries")
         if not isinstance(raw_entries, list):
             raise FormatError("table classifier needs an 'entries' list")
-        table = _Table()
+        table = _Table(schema)
         for i, entry in enumerate(raw_entries):
             table.add(entry)
             raw_entries[i] = None
@@ -353,8 +418,10 @@ def _classifier_from_owned_json(data: Any, base_dir: Union[str, Path, None]) -> 
 def classifier_to_json_dict(classifier: Classifier) -> dict:
     if isinstance(classifier, TableClassifier):
         entries = []
+        schema = classifier.schema
         for key, prediction in classifier.entries.items():
-            entry: dict[str, Any] = {"input": key_input(key), "label": prediction.label}
+            fields = schema_key_input(key, schema) if key.__class__ is bytes else key_input(key)
+            entry: dict[str, Any] = {"input": fields, "label": prediction.label}
             if prediction.confidence is not None:
                 entry["confidence"] = prediction.confidence
             entries.append(entry)
@@ -387,7 +454,7 @@ def _prediction_json(prediction: Prediction) -> dict:
     return data
 
 
-def load_classifier(path: Union[str, Path]) -> Classifier:
+def load_classifier(path: Union[str, Path], schema: Optional[Schema] = None) -> Classifier:
     """Read a classifier JSON file; subprocess commands resolve relative to it.
 
     The file is decoded by one stream (errors.read_json_streamed). A
@@ -397,13 +464,16 @@ def load_classifier(path: Union[str, Path]) -> Classifier:
     file the stream does not take is read again whole, which gives every
     error and the order they are checked in: JSON syntax, then the kind,
     then the entries in order.
+
+    With a schema, a table keys its entries for that schema's records (see
+    TableClassifier), so its entries hold bytes keys beside triples.
     """
     path = Path(path)
-    table = _Table()
+    table = _Table(schema)
     data = read_json_streamed(path, "entries", table.add)
     if data is not None and data.get("kind") == "table" and "entries" in data:
         return table.classifier(data.get("default"))
     del table  # entries keyed before the stream gave up, or of another kind
     if data is None:
         data = read_json_file(path, "classifier file")
-    return _classifier_from_owned_json(data, path.parent)
+    return _classifier_from_owned_json(data, path.parent, schema)

@@ -4,18 +4,31 @@ A record has two identity keys: canonical_key's text (split's order) and
 value_key's hashable triple (lookups). One walk, _value_tokens, turns a
 value into shape tokens and numbers and raises for what no record holds;
 value_key packs those, and canonical_key renders them as text for every
-record its templates do not take."""
+record its templates do not take.
+
+A record that conforms to a known schema also has a schema key
+(spec.schema_key_function): its values packed in schema order, for tables
+and augment's seen set (classifiers.table_key_function)."""
 from __future__ import annotations
 
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional
 
 from .._exact import exact, forget_on_switch
 from ..errors import FormatError
-from ..speclang.schema import Schema, is_number, value_errors, value_guard
+from ..speclang.schema import (
+    BooleanType,
+    CategoryType,
+    GridType,
+    Schema,
+    is_number,
+    value_errors,
+    value_guard,
+)
 
 
 @dataclass(frozen=True)
@@ -439,6 +452,32 @@ def key_input(key: tuple[tuple, tuple, bytes]) -> dict[str, Any]:
         else:
             stack[-1].append(_BOOLS[token])
     return dict(zip(names, values))
+
+
+def schema_width(schema: Schema) -> int:
+    """How many doubles a schema key of the schema packs: one per scalar
+    field, one per grid cell."""
+    return sum(
+        ftype.rows * ftype.cols if isinstance(ftype, GridType) else 1
+        for ftype in schema.fields.values()
+    )
+
+
+def schema_key_input(key: bytes, schema: Schema) -> dict[str, Any]:
+    """The input fields a schema key stands for, written as key_input
+    writes a value_key's."""
+    numbers = map(_json_number, struct.unpack(f"{len(key) // 8}d", key))
+    fields: dict[str, Any] = {}
+    for name, ftype in schema.fields.items():
+        if isinstance(ftype, GridType):
+            fields[name] = [list(islice(numbers, ftype.cols)) for _ in range(ftype.rows)]
+        elif isinstance(ftype, BooleanType):
+            fields[name] = next(numbers) == 1
+        elif isinstance(ftype, CategoryType):
+            fields[name] = ftype.values[next(numbers)]
+        else:
+            fields[name] = next(numbers)
+    return dict(sorted(fields.items()))
 
 
 def record_from_json_dict(data: Any) -> FeatureRecord:

@@ -7,6 +7,7 @@ equivariants, and probabilistic constraints over batches of inputs.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -18,6 +19,8 @@ from ..speclang.codegen import Emitter, Unsupported
 from ..speclang.evaluate import evaluate_condition
 from ..speclang.parser import parse
 from ..speclang.schema import (
+    CategoryType,
+    GridType,
     IntegerType,
     NumberType,
     Schema,
@@ -29,7 +32,7 @@ from ..speclang.schema import (
 # bench/tracer.py times the typecheck layer under both names in this module.
 from ..speclang.typecheck import BOOLEAN, type_errors, typecheck  # noqa: F401
 from .classifiers import Classifier, classify
-from .records import FeatureRecord, Prediction, conformance_guard, record_ref
+from .records import FeatureRecord, Prediction, conformance_guard, record_ref, schema_width
 from .transforms import (
     IdentityOutput,
     LabelMap,
@@ -245,6 +248,34 @@ def spec_function(
         return emit.function(signature, write(emit, guard))
     except (Unsupported, TypeError):  # TypeError: a field type value_guard does not know
         return None
+
+
+def schema_key_function(schema: Schema) -> Optional[Callable[[Any], Optional[bytes]]]:
+    """The generated schema_key(fields) (see spec_function), or None.
+
+    For a dict that conforms to the schema with exact builtin types, it
+    packs every field as doubles in schema order: a number as x + 0.0 (so
+    -0.0 and 0.0 pack alike; the guard has refused NaN and ±inf), a bool
+    as 1.0 or 0.0, a category as its index, a grid cell by cell, row by
+    row. Anything else gets None or raises. Two conforming records get
+    equal keys exactly when their canonical_key texts are equal.
+    """
+    pack = struct.Struct(f"{schema_width(schema)}d").pack
+
+    def write(emit: Emitter, guard: list[str]) -> list[str]:
+        values = []
+        for name, ftype in schema.fields.items():
+            x = emit.names[name]
+            if isinstance(ftype, CategoryType):
+                index = {value: float(i) for i, value in enumerate(ftype.values)}
+                values.append(f"{emit.constant(index)}[{x}]")
+            elif isinstance(ftype, GridType):
+                values.append(f"*[cell + 0.0 for row in {x} for cell in row]")
+            else:  # the guard made a number a float; a bool adds as 1 or 0
+                values.append(f"{x} + 0.0")
+        return guard + [f"return {emit.constant(pack)}({', '.join(values)})"]
+
+    return spec_function(schema, "schema_key(fields)", write)
 
 
 # --------------------------------------------------------------------------

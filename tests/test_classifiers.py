@@ -31,6 +31,14 @@ from specguard.speccore.classifiers import (
 )
 from specguard.speccore.records import FeatureRecord, Prediction, canonical_key, value_key
 from specguard.speclang.parser import parse
+from specguard.speclang.schema import (
+    BooleanType,
+    CategoryType,
+    GridType,
+    IntegerType,
+    NumberType,
+    Schema,
+)
 
 
 class TestTableClassifier:
@@ -221,6 +229,96 @@ class TestSubprocessClassifier:
     def test_empty_command_rejected(self):
         with pytest.raises(FormatError, match="non-empty command"):
             SubprocessClassifier([])
+
+
+class Reading(float):
+    pass
+
+
+class Fields(dict):
+    pass
+
+
+SCHEMA = Schema(
+    {
+        "n": IntegerType(),
+        "x": NumberType(),
+        "on": BooleanType(),
+        "k": CategoryType(("a", "b")),
+        "g": GridType(1, 2),
+    },
+    ("yes", "no"),
+)
+FITTING = {"n": 3, "x": -0.0, "on": True, "k": "b", "g": [[1, 2.5]]}
+MIXED = {
+    "kind": "table",
+    "entries": [
+        {"input": FITTING, "label": "yes", "confidence": 0.9},
+        {"input": {**FITTING, "k": "c"}, "label": "no"},  # off the schema
+        {"input": {**FITTING, "n": 2**53 + 1}, "label": "no"},  # keyed as 2**53
+        {"input": {"x": 1.5}, "label": "no", "confidence": 0.25},
+    ],
+    "default": {"label": "no", "confidence": 0.5},
+}
+
+
+def schema_table(directory: Path, data: dict) -> TableClassifier:
+    path = directory / "table.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return load_classifier(path, SCHEMA)
+
+
+class TestSchemaKeyedTable:
+    """A table given the schema of its inputs keys a conforming one by its
+    schema key (bytes) and any other by its value_key triple."""
+
+    def test_one_table_holds_both_kinds_and_finds_each_entry(self, tmp_path):
+        table = schema_table(tmp_path, MIXED)
+        assert sorted(type(key).__name__ for key in table.entries) == [
+            "bytes", "bytes", "tuple", "tuple"
+        ]
+        twin = Fields(g=[[Reading(1.0), 2.5]], k="b", on=True, x=0, n=3.0)
+        assert table.classify(twin) == table.classify(FITTING) == Prediction("yes", 0.9)
+        assert table.classify({**FITTING, "k": "c"}) == Prediction("no")
+        assert table.classify({**FITTING, "n": 2**53}) == Prediction("no")
+        assert table.classify({"x": Reading(1.5)}) == Prediction("no", 0.25)
+        assert table.classify({**FITTING, "k": "a"}) == Prediction("no", 0.5)  # the default
+        with pytest.raises(ClassifierError, match="value None cannot appear"):
+            table.classify({**FITTING, "x": None})
+
+    def test_it_pickles_compares_and_prints_by_its_fields(self, tmp_path):
+        table = schema_table(tmp_path, MIXED)
+        same = TableClassifier(dict(table.entries), table.default, SCHEMA)
+        assert same == table
+        assert repr(same) == repr(table) and "schema=Schema(" in repr(table)
+        assert "_key" not in repr(table)
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied == table
+            assert copied.classify(dict(reversed(FITTING.items()))) == Prediction("yes", 0.9)
+        assert table != classifier_from_json_dict(MIXED)  # no schema, triples only
+
+    def test_its_json_form_is_the_unkeyed_tables(self, tmp_path):
+        table = schema_table(tmp_path, MIXED)
+        data = classifier_to_json_dict(table)
+        assert data == classifier_to_json_dict(classifier_from_json_dict(MIXED))
+        written = {"g": [[1, 2.5]], "k": "b", "n": 3, "on": True, "x": 0}
+        assert data["entries"][0]["input"] == written
+        assert schema_table(tmp_path, data) == table
+
+    def test_a_table_the_stream_does_not_take_is_keyed_alike(self, tmp_path):
+        streamed = schema_table(tmp_path, MIXED)
+        with mock.patch.object(classifiers, "read_json_streamed", return_value=None):
+            assert load_classifier(tmp_path / "table.json", SCHEMA) == streamed
+
+    def test_a_key_it_would_never_find_is_refused(self, tmp_path):
+        good = schema_table(tmp_path, MIXED)
+        packed = next(key for key in good.entries if type(key) is bytes)
+        with pytest.raises(TypeError, match="not a schema key here"):
+            TableClassifier({packed[:-8]: Prediction("no")}, schema=SCHEMA)
+        with pytest.raises(TypeError, match="not a schema key here"):
+            TableClassifier({packed: Prediction("no")})
+        off = value_key({"x": 1.5})
+        assert TableClassifier({off: Prediction("no")}, schema=SCHEMA).classify({"x": 1.5})
 
 
 class TestJsonForms:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import runpy
 import sys
@@ -26,7 +27,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 from specguard import _exact, cli, errors, monitor, patterns  # noqa: E402
-from specguard.speccore import records  # noqa: E402
+from specguard.speccore import classifiers, records  # noqa: E402
 from specguard.speccore.spec import PartialSpec  # noqa: E402
 from specguard.speclang.parser import parse  # noqa: E402
 from specguard.speclang.schema import GridType, NumberType, Schema  # noqa: E402
@@ -94,6 +95,7 @@ def test_every_fast_path_declines_with_the_switch_set(tmp_path):
     with _exact_paths():
         assert monitor.clean_line_function(spec) is None
         assert patterns.gated_decide_function(spec) is None
+        assert classifiers.table_key_function(spec.schema) is records.value_key
         assert errors.read_json_streamed(table, "entries", print) is None
         assert errors.line_decoder() is not errors.json_line
         assert monitor._record_builder() is monitor._constructed_trace_record
@@ -103,8 +105,71 @@ def test_every_fast_path_declines_with_the_switch_set(tmp_path):
     assert records.canonical_key(fields) == exact_key
     assert records._orders[names][2] is not None
     assert monitor.clean_line_function(spec) is not None
+    assert classifiers.table_key_function(spec.schema) is not records.value_key
     assert errors.line_decoder() is errors.json_line
     assert monitor._record_builder() is monitor._built_trace_record
+
+
+def test_a_table_with_off_schema_entries_answers_the_same(tmp_path):
+    """patterns simulate with an oracle that holds entries off the gated
+    spec's schema, and their records in the domain, beside conforming ones:
+    one table then holds schema keys and value_key triples."""
+    prepared = WORKLOADS["gated_simulate"].generate(7, tmp_path, records=60)
+    oracle = json.loads((tmp_path / "oracle.json").read_text(encoding="utf-8"))
+    domain = (tmp_path / "domain.jsonl").read_text(encoding="utf-8").splitlines()
+    variants = [
+        {"zone": "moon"},  # a category value off the schema
+        {"lane": 1.5},  # an integer field that holds no integer
+        {"lane": 2**53 + 1},  # off the schema, keyed as 2**53
+        {"lane": True},
+        {"extra": 1.0},
+    ]
+    for n, change in enumerate(variants):
+        fields = {**json.loads(domain[n])["input"], **change}
+        oracle["entries"].append({"input": fields, "label": "cyclist"})
+        domain.append(json.dumps({"id": f"off{n}", "input": fields}))
+    (tmp_path / "oracle.json").write_text(json.dumps(oracle), encoding="utf-8")
+    (tmp_path / "domain.jsonl").write_text("\n".join(domain) + "\n", encoding="utf-8")
+    fast = _run(prepared.argv)
+    with _exact_paths():
+        exact = _run(prepared.argv)
+    assert '"off4"' in fast[1]
+    assert exact == fast
+
+
+def test_augment_drops_the_same_duplicates(tmp_path):
+    """dataset augment whose transformations lead onto records equal to
+    others: 0.0 and -0.0, 1 and 1.0, one value set on every record."""
+    spec = {
+        "schema": {
+            "fields": {"lane": {"type": "integer"}, "x": {"type": "number"}},
+            "labels": ["a", "b"],
+        },
+        "precondition": "true",
+        "sufficient": {},
+        "necessary": {},
+        "invariants": [
+            {"name": "up", "kind": "add", "field": "lane", "c": 1},
+            {"name": "flip", "kind": "scale", "field": "x", "k": -1.0},
+            {"name": "zero", "kind": "set", "field": "x", "value": 0},
+        ],
+        "equivariants": [],
+        "probabilistic": [],
+    }
+    rows = [
+        {"lane": 1, "x": 0.0}, {"lane": 1, "x": 2.5}, {"lane": 2, "x": -0.0}, {"lane": 1.0, "x": 5}
+    ]
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "data.jsonl").write_text(
+        "".join(json.dumps({"input": row, "label": "a"}) + "\n" for row in rows), encoding="utf-8"
+    )
+    argv = ["dataset", "augment", "--spec", str(tmp_path / "spec.json")]
+    argv += ["--data", str(tmp_path / "data.jsonl")]
+    fast = _run(argv)
+    with _exact_paths():
+        exact = _run(argv)
+    assert fast[0] == 0 and fast[1].count('"transform": "') == 5  # of 12 results
+    assert exact == fast
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)

@@ -147,6 +147,12 @@ class TestStateMachine:
         assert report.counts["POST"] == 1
         assert report.counts["NECESSARY"] == 1
 
+    def test_a_violation_kind_hashes_in_c(self):
+        """Every absorbed violation looks its kind up in the run's
+        escalation table; Enum.__hash__ would make that a Python call."""
+        assert ViolationKind.__hash__ is object.__hash__
+        assert {kind: kind.value for kind in ViolationKind}[ViolationKind.POST] == "POST"
+
     @pytest.mark.parametrize(
         "pre,post,expected",
         [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import canonical_oracle as oracle
 from specguard.errors import FormatError
 from specguard.speccore import records
+from specguard.speccore.classifiers import TableClassifier
 from specguard.speccore.records import (
     FeatureRecord,
     Prediction,
@@ -22,6 +23,7 @@ from specguard.speccore.records import (
     prediction_errors,
     record_from_json_dict,
     record_to_json_dict,
+    schema_key_input,
     value_key,
 )
 from specguard.speclang.schema import (
@@ -527,6 +529,113 @@ class TestValueKey:
         for i in range(2 * records._ORDER_CAP):
             value_key({f"f{i}": 1, "g": [0.5] * i})
         assert 0 < len(records._orders) <= records._ORDER_CAP
+
+
+class Fields(dict):
+    pass
+
+
+SCHEMA_FIELDS = st.dictionaries(
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(
+        [
+            NumberType(),
+            IntegerType(),
+            BooleanType(),
+            CategoryType(("x", "y")),
+            GridType(1, 2),
+            GridType(2, 1),
+        ]
+    ),
+    max_size=3,
+)
+# Per field type: values that conform, their twins of another type, and
+# values that meet them in canonical_key (2**53 + 1 keys as 2**53).
+_NUMBERS = [0, 0.0, -0.0, 1, 1.0, 2.5, 2**53, float(2**53), 2**53 + 1, Level.LOW, Reading(-0.0)]
+_FITTING = {
+    NumberType: st.sampled_from(_NUMBERS + [Reading(2.5)]),
+    IntegerType: st.sampled_from(_NUMBERS),
+    BooleanType: st.booleans(),
+    CategoryType: st.sampled_from(["x", "y", Tag("x")]),
+}
+# Values off every schema, or off most: no key holds the last two.
+_ANY = st.sampled_from(
+    [True, 1, -0.0, 2.5, "x", "z", Tag("z"), math.nan, math.inf]
+    + [[1, 2.5], [[1], [-0.0]], None, 2**1024]
+)
+
+
+@st.composite
+def schema_records(draw, schema):
+    """A field map for the schema: mostly conforming, or its twin, and now
+    and then off it (a field missing or unknown, a value of another type)."""
+    items = []
+    for name, ftype in schema.fields.items():
+        if draw(st.integers(0, 9)) == 0:
+            continue  # missing
+        if draw(st.integers(0, 4)) == 0:
+            value = draw(_ANY)
+        elif isinstance(ftype, GridType):
+            cell = st.sampled_from([0, -0.0, 1, 1.0, 2.5, Level.LOW, Reading(2.5)])
+            row = st.lists(cell, min_size=ftype.cols, max_size=ftype.cols)
+            value = draw(st.lists(row, min_size=ftype.rows, max_size=ftype.rows))
+        else:
+            value = draw(_FITTING[type(ftype)])
+        items.append((name, value))
+    if draw(st.integers(0, 9)) == 0:
+        items.append(("d", draw(_ANY)))  # unknown
+    items = draw(st.permutations(items))
+    return draw(st.sampled_from([dict, Fields]))(items)
+
+
+class TestSchemaKey:
+    """A table's key for a schema (classifiers.table_key_function) against
+    the reference canonical_key: equal keys exactly when the texts are
+    equal, a schema key (bytes) for every record a conforming one equals,
+    and value_key's exceptions where no key holds the record."""
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_keys_are_equal_exactly_when_canonical_keys_are(self, data):
+        schema = Schema(data.draw(SCHEMA_FIELDS), ("yes",))
+        self.check(schema, data.draw(schema_records(schema)), data.draw(schema_records(schema)))
+
+    @pytest.mark.parametrize(
+        "ftype,a,b",
+        [
+            (IntegerType(), 2**53 + 1, 2**53),
+            (NumberType(), 2**53 + 1, float(2**53)),
+            (NumberType(), -0.0, Reading(0.0)),
+            (IntegerType(), Level.LOW, 1.0),
+            (BooleanType(), True, 1),
+            (CategoryType(("x", "y")), Tag("y"), "y"),
+            (GridType(1, 2), [[1, -0.0]], [[Reading(1.0), 0]]),
+            (NumberType(), math.nan, math.nan),
+        ],
+    )
+    def test_examples(self, ftype, a, b):
+        schema = Schema({"a": ftype, "b": BooleanType()}, ("yes",))
+        self.check(schema, {"a": a, "b": False}, Fields(b=False, a=b))
+
+    def check(self, schema, a, b):
+        key = TableClassifier(schema=schema)._key
+        outcomes = []
+        for record in (a, b):
+            got = key_outcome(key, record)
+            want = key_outcome(oracle.canonical_key, record)
+            if isinstance(want, tuple):  # no key holds it
+                assert got == key_outcome(value_key, record)
+                return
+            if got.__class__ is bytes:
+                fitting = schema_key_input(got, schema)
+                assert not conformance_errors(fitting, schema)
+                assert oracle.canonical_key(fitting) == want
+            else:
+                assert got == value_key(record)
+                assert conformance_errors(record, schema)
+            outcomes.append((got, want))
+        (key_a, text_a), (key_b, text_b) = outcomes
+        assert (key_a == key_b) == (text_a == text_b)
 
 
 class TestRecordJson:
