@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import dataset as ds
 from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file, read_json_lines
@@ -91,12 +91,7 @@ def _wants_text(args: argparse.Namespace) -> bool:
     return getattr(args, "format", "json") == "text"
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="specguard", description=__doc__)
-    _add_globals(parser)
-    commands = parser.add_subparsers(dest="command", metavar="command")
-
-    p_spec = commands.add_parser("spec", help="behavioural specification checks")
+def _build_spec(p_spec: argparse.ArgumentParser) -> None:
     spec_sub = p_spec.add_subparsers(dest="subcommand", metavar="subcommand")
     p_validate = spec_sub.add_parser("validate", help="well-formedness of a spec file")
     p_validate.add_argument(
@@ -108,7 +103,8 @@ def build_parser() -> _Parser:
     p_validate.add_argument("--samples", help="JSON Lines records for conflict search")
     _add_globals(p_validate)
 
-    p_monitor = commands.add_parser("monitor", help="trace monitoring")
+
+def _build_monitor(p_monitor: argparse.ArgumentParser) -> None:
     monitor_sub = p_monitor.add_subparsers(dest="subcommand", metavar="subcommand")
     p_run = monitor_sub.add_parser("run", help="replay a trace against a spec")
     p_run.add_argument("--spec", required=True)
@@ -116,7 +112,8 @@ def build_parser() -> _Parser:
     p_run.add_argument("--policy", help="policy JSON file")
     _add_globals(p_run)
 
-    p_dataset = commands.add_parser("dataset", help="data set checks and tools")
+
+def _build_dataset(p_dataset: argparse.ArgumentParser) -> None:
     dataset_sub = p_dataset.add_subparsers(dest="subcommand", metavar="subcommand")
     p_coverage = dataset_sub.add_parser("coverage", help="coverage vs requirements")
     p_coverage.add_argument("--data", required=True)
@@ -140,7 +137,8 @@ def build_parser() -> _Parser:
     p_uncertainty.add_argument("--depth", type=int, default=1)
     _add_globals(p_uncertainty)
 
-    p_patterns = commands.add_parser("patterns", help="architecture patterns")
+
+def _build_patterns(p_patterns: argparse.ArgumentParser) -> None:
     patterns_sub = p_patterns.add_subparsers(dest="subcommand", metavar="subcommand")
     p_simulate = patterns_sub.add_parser("simulate", help="error rate vs an oracle")
     p_simulate.add_argument("--harness", required=True)
@@ -148,7 +146,8 @@ def build_parser() -> _Parser:
     p_simulate.add_argument("--oracle", required=True, help="classifier JSON file")
     _add_globals(p_simulate)
 
-    p_catalog = commands.add_parser("catalog", help="method catalog scoring")
+
+def _build_catalog(p_catalog: argparse.ArgumentParser) -> None:
     catalog_sub = p_catalog.add_subparsers(dest="subcommand", metavar="subcommand")
     p_score = catalog_sub.add_parser("score", help="applicability score per ASIL")
     p_score.add_argument("--catalog", required=True)
@@ -164,22 +163,55 @@ def build_parser() -> _Parser:
     p_impact.add_argument("--catalog", required=True)
     _add_globals(p_impact)
 
-    p_gate = commands.add_parser("gate", help="ML decision gate")
+
+def _build_gate(p_gate: argparse.ArgumentParser) -> None:
     gate_sub = p_gate.add_subparsers(dest="subcommand", metavar="subcommand")
     p_assess = gate_sub.add_parser("assess", help="verdict from a questionnaire")
     p_assess.add_argument("--questionnaire", required=True)
     _add_globals(p_assess)
 
-    p_diagnose = commands.add_parser("diagnose", help="failure diagnosis plan")
+
+def _build_diagnose(p_diagnose: argparse.ArgumentParser) -> None:
     p_diagnose.add_argument("--failure", required=True)
     _add_globals(p_diagnose)
 
-    p_safetycase = commands.add_parser("safetycase", help="traceability checks")
+
+def _build_safetycase(p_safetycase: argparse.ArgumentParser) -> None:
     safetycase_sub = p_safetycase.add_subparsers(dest="subcommand", metavar="subcommand")
     p_check = safetycase_sub.add_parser("check", help="gap analysis of a graph")
     p_check.add_argument("--graph", required=True)
     _add_globals(p_check)
 
+
+# Each command's help and what fills in its parser, in the order --help lists them.
+_COMMANDS = {
+    "spec": ("behavioural specification checks", _build_spec),
+    "monitor": ("trace monitoring", _build_monitor),
+    "dataset": ("data set checks and tools", _build_dataset),
+    "patterns": ("architecture patterns", _build_patterns),
+    "catalog": ("method catalog scoring", _build_catalog),
+    "gate": ("ML decision gate", _build_gate),
+    "diagnose": ("failure diagnosis plan", _build_diagnose),
+    "safetycase": ("traceability checks", _build_safetycase),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """The command-line parser. Without argv, every command's parser is
+    filled in. With argv, every command is still registered with its help,
+    so top-level --help and an unknown command read the same, but only the
+    command argv runs gets its subcommands and arguments: the first token
+    of argv that names a command. A token before the command is an option
+    or the value of --format or --seed, and a command name there fails at
+    the top level whichever parser is built."""
+    parser = _Parser(prog="specguard", description=__doc__)
+    _add_globals(parser)
+    commands = parser.add_subparsers(dest="command", metavar="command")
+    chosen = None if argv is None else next((t for t in argv if t in _COMMANDS), None)
+    for name, (help_text, fill) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        if argv is None or name == chosen:
+            fill(command)
     return parser
 
 
@@ -443,7 +475,9 @@ def _dispatch(args) -> tuple[Optional[dict], Union[str, Iterable[str]], int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         payload, text, code = _dispatch(args)

@@ -15,11 +15,20 @@ requirements; goals without an ASIL are ignored. When the requirement's own
 ASIL differs from that one, it gets a single ASIL_MISMATCH gap naming the
 goal that carries the inherited ASIL (the smallest goal id on ties). The
 verdict does not depend on node or edge order.
+
+Loading a graph costs a few microseconds a node. A kind in the JSON is
+looked up in its enum's value map, and only a value the map does not hold
+(an unknown or unhashable value, or a member given itself) goes through
+Enum(value), so results and error texts are those of Enum(value). The four
+kinds hash by identity, so the edge typing check and the id lookups hash
+in C; no set of kinds is iterated to make output. Node, Edge and Gap are
+slotted; Node and Edge have hand-written constructors that set their slots
+directly, past the frozen __setattr__.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -32,11 +41,18 @@ class NodeKind(enum.Enum):
     REQUIREMENT = "REQUIREMENT"
     EVIDENCE = "EVIDENCE"
 
+    # Members compare by identity, so they may hash by it: object's hash is
+    # a C slot, where Enum.__hash__ is a Python call. The same holds for the
+    # three kinds below.
+    __hash__ = object.__hash__
+
 
 class RequirementKind(enum.Enum):
     BEHAVIOURAL_SPEC = "behavioural-spec"
     DATA_REQUIREMENTS = "data-requirements"
     OTHER = "other"
+
+    __hash__ = object.__hash__
 
 
 class EvidenceKind(enum.Enum):
@@ -45,11 +61,15 @@ class EvidenceKind(enum.Enum):
     SIMULATION_REPORT = "simulation-report"
     DOCUMENT = "document"
 
+    __hash__ = object.__hash__
+
 
 class EdgeKind(enum.Enum):
     MITIGATES = "mitigates"  # goal -> hazard
     REFINES = "refines"  # requirement -> goal | requirement -> requirement
     SUPPORTS = "supports"  # evidence -> requirement
+
+    __hash__ = object.__hash__
 
 
 class GapKind(enum.Enum):
@@ -60,7 +80,7 @@ class GapKind(enum.Enum):
     ASIL_MISMATCH = "ASIL_MISMATCH"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     id: str
     kind: NodeKind
@@ -71,20 +91,55 @@ class Node:
     evidence_kind: Optional[EvidenceKind] = None
     artifact: Optional[str] = None  # path of the evidence artifact
 
-    def __post_init__(self) -> None:
-        if self.asil is not None and self.asil not in ("A", "B", "C", "D"):
-            raise FormatError(f"node {self.id!r}: ASIL must be A, B, C or D")
-        if self.kind is NodeKind.EVIDENCE and self.evidence_kind is None:
-            raise FormatError(f"evidence node {self.id!r} needs an evidence kind")
-        if self.kind is not NodeKind.EVIDENCE and self.artifact is not None:
-            raise FormatError(f"node {self.id!r}: only evidence nodes carry artifacts")
+    def __init__(
+        self,
+        id: str,
+        kind: NodeKind,
+        text: str = "",
+        asil: Optional[str] = None,
+        requirement_kind: Optional[RequirementKind] = None,
+        requirement_ref: Optional[str] = None,
+        evidence_kind: Optional[EvidenceKind] = None,
+        artifact: Optional[str] = None,
+    ) -> None:
+        if asil is not None and asil not in ("A", "B", "C", "D"):
+            raise FormatError(f"node {id!r}: ASIL must be A, B, C or D")
+        if kind is NodeKind.EVIDENCE:
+            if evidence_kind is None:
+                raise FormatError(f"evidence node {id!r} needs an evidence kind")
+        elif artifact is not None:
+            raise FormatError(f"node {id!r}: only evidence nodes carry artifacts")
+        set_id, set_kind, set_text, set_asil, set_rkind, set_ref, set_ekind, set_artifact = (
+            _NODE_SLOTS
+        )
+        set_id(self, id)
+        set_kind(self, kind)
+        set_text(self, text)
+        set_asil(self, asil)
+        set_rkind(self, requirement_kind)
+        set_ref(self, requirement_ref)
+        set_ekind(self, evidence_kind)
+        set_artifact(self, artifact)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     kind: EdgeKind
     source: str
     target: str
+
+    def __init__(self, kind: EdgeKind, source: str, target: str) -> None:
+        set_kind, set_source, set_target = _EDGE_SLOTS
+        set_kind(self, kind)
+        set_source(self, source)
+        set_target(self, target)
+
+
+# The slot descriptors' setters, in field order: a frozen class's own
+# __setattr__ refuses every write, and object.__setattr__ finds the same
+# setter by name on each call.
+_NODE_SLOTS = tuple(getattr(Node, f.name).__set__ for f in fields(Node))
+_EDGE_SLOTS = tuple(getattr(Edge, f.name).__set__ for f in fields(Edge))
 
 
 # Allowed (edge kind, source kind, target kind) triples. A requirement may
@@ -105,21 +160,24 @@ class SafetyCaseGraph:
     base_dir: Path = Path(".")  # artifact paths resolve relative to this
 
     def __post_init__(self) -> None:
-        by_id: dict[str, Node] = {}
-        for node in self.nodes:
-            if node.id in by_id:
-                raise FormatError(f"duplicate node id {node.id!r}")
-            by_id[node.id] = node
+        by_id = {node.id: node for node in self.nodes}
+        if len(by_id) != len(self.nodes):
+            seen: set[str] = set()
+            for node in self.nodes:
+                if node.id in seen:
+                    raise FormatError(f"duplicate node id {node.id!r}")
+                seen.add(node.id)
+        lookup = by_id.get
         for edge in self.edges:
-            for end in (edge.source, edge.target):
-                if end not in by_id:
-                    raise FormatError(f"edge references unknown node {end!r}")
-            triple = (edge.kind, by_id[edge.source].kind, by_id[edge.target].kind)
-            if triple not in _ALLOWED:
+            source, target = lookup(edge.source), lookup(edge.target)
+            if source is None or target is None:
+                end = edge.source if source is None else edge.target
+                raise FormatError(f"edge references unknown node {end!r}")
+            if (edge.kind, source.kind, target.kind) not in _ALLOWED:
                 raise FormatError(
                     f"edge {edge.source!r} -{edge.kind.value}-> {edge.target!r} "
-                    f"connects {by_id[edge.source].kind.value} to "
-                    f"{by_id[edge.target].kind.value}, which is not allowed"
+                    f"connects {source.kind.value} to {target.kind.value}, "
+                    "which is not allowed"
                 )
         # The id index is not a field, so ==, hash and repr are unchanged.
         object.__setattr__(self, "_by_id", by_id)
@@ -128,7 +186,7 @@ class SafetyCaseGraph:
         return self._by_id[node_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     kind: GapKind
     node_id: str
@@ -272,57 +330,74 @@ def trace_check(graph: SafetyCaseGraph) -> GapReport:
     return GapReport(gaps)
 
 
+def _kind(kinds: type[enum.Enum], value: object) -> Optional[enum.Enum]:
+    """The member of kinds that Enum(value) gives, or None where it raises
+    ValueError. The value map holds every member by its value; a value it
+    does not hold, cannot hash or that is a member itself is left to
+    Enum(value)."""
+    try:
+        return kinds._value2member_map_[value]
+    except (KeyError, TypeError):
+        try:
+            return kinds(value)
+        except ValueError:
+            return None
+
+
+def _valid(kinds: type[enum.Enum]) -> str:
+    return ", ".join(k.value for k in kinds)
+
+
 def _node_from_json(data: object) -> Node:
     if not isinstance(data, dict) or not isinstance(data.get("id"), str):
         raise FormatError("graph node needs a string 'id'")
-    raw_kind = data.get("kind")
-    try:
-        kind = NodeKind(raw_kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in NodeKind)
+    get = data.get
+    node_id = data["id"]
+    raw_kind = get("kind")
+    kind = _kind(NodeKind, raw_kind)
+    if kind is None:
         raise FormatError(
-            f"node {data['id']!r}: unknown kind {raw_kind!r} (use {valid})"
-        ) from None
-    requirement_kind = None
-    if data.get("requirement_kind") is not None:
-        try:
-            requirement_kind = RequirementKind(data["requirement_kind"])
-        except ValueError:
-            valid = ", ".join(k.value for k in RequirementKind)
+            f"node {node_id!r}: unknown kind {raw_kind!r} (use {_valid(NodeKind)})"
+        )
+    requirement_kind = get("requirement_kind")
+    if requirement_kind is not None:
+        requirement_kind = _kind(RequirementKind, requirement_kind)
+        if requirement_kind is None:
             raise FormatError(
-                f"node {data['id']!r}: unknown requirement kind (use {valid})"
-            ) from None
-    evidence_kind = None
-    if data.get("evidence_kind") is not None:
-        try:
-            evidence_kind = EvidenceKind(data["evidence_kind"])
-        except ValueError:
-            valid = ", ".join(k.value for k in EvidenceKind)
+                f"node {node_id!r}: unknown requirement kind (use {_valid(RequirementKind)})"
+            )
+    evidence_kind = get("evidence_kind")
+    if evidence_kind is not None:
+        evidence_kind = _kind(EvidenceKind, evidence_kind)
+        if evidence_kind is None:
             raise FormatError(
-                f"node {data['id']!r}: unknown evidence kind (use {valid})"
-            ) from None
+                f"node {node_id!r}: unknown evidence kind (use {_valid(EvidenceKind)})"
+            )
+    requirement_ref, artifact = get("requirement_ref"), get("artifact")
+    for name, path in (("requirement_ref", requirement_ref), ("artifact", artifact)):
+        if path is not None and not isinstance(path, str):
+            raise FormatError(f"node {node_id!r}: {name!r} must be a string path")
     return Node(
-        id=data["id"],
-        kind=kind,
-        text=str(data.get("text", "")),
-        asil=data.get("asil"),
-        requirement_kind=requirement_kind,
-        requirement_ref=data.get("requirement_ref"),
-        evidence_kind=evidence_kind,
-        artifact=data.get("artifact"),
+        node_id,
+        kind,
+        str(get("text", "")),
+        get("asil"),
+        requirement_kind,
+        requirement_ref,
+        evidence_kind,
+        artifact,
     )
 
 
 def _edge_from_json(data: object) -> Edge:
     if not isinstance(data, dict):
         raise FormatError("graph edge must be a JSON object")
-    raw_kind = data.get("kind")
-    try:
-        kind = EdgeKind(raw_kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in EdgeKind)
-        raise FormatError(f"unknown edge kind {raw_kind!r} (use {valid})") from None
-    source, target = data.get("source"), data.get("target")
+    get = data.get
+    raw_kind = get("kind")
+    kind = _kind(EdgeKind, raw_kind)
+    if kind is None:
+        raise FormatError(f"unknown edge kind {raw_kind!r} (use {_valid(EdgeKind)})")
+    source, target = get("source"), get("target")
     if not isinstance(source, str) or not isinstance(target, str):
         raise FormatError("graph edge needs string 'source' and 'target'")
     return Edge(kind, source, target)
@@ -337,8 +412,8 @@ def graph_from_json_dict(data: object, base_dir: Union[str, Path] = ".") -> Safe
         raise FormatError("safety case graph needs a non-empty 'nodes' list")
     if not isinstance(raw_edges, list):
         raise FormatError("safety case graph 'edges' must be a list")
-    nodes = tuple(_node_from_json(n) for n in raw_nodes)
-    edges = tuple(_edge_from_json(e) for e in raw_edges)
+    nodes = tuple(map(_node_from_json, raw_nodes))
+    edges = tuple(map(_edge_from_json, raw_edges))
     return SafetyCaseGraph(nodes, edges, Path(base_dir))
 
 

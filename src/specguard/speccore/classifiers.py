@@ -11,7 +11,7 @@ import os
 import select
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, Union
 
@@ -40,8 +40,10 @@ from .records import canonical_key  # noqa: F401
 
 _LINE_CAP = 16 << 20  # bytes a subprocess classifier's pending response line may hold
 
+_KeyFunction = Callable[[Mapping[str, Any]], Hashable]
 
-def table_key_function(schema: Optional[Schema]) -> Callable[[Mapping[str, Any]], Hashable]:
+
+def table_key_function(schema: Optional[Schema]) -> _KeyFunction:
     """The key of an input in a table for records of the schema: value_key
     without a schema or while the fast paths are off (specguard._exact).
     Otherwise the input's schema key (spec.schema_key_function), else that
@@ -89,15 +91,17 @@ class TableClassifier:
     In a table built from JSON (load_classifier streams a file's entries
     into it), entries with equal label and confidence share one Prediction.
     The key function is kept outside the dataclass fields; pickling drops
-    and rebuilds it.
+    and rebuilds it. key_function, when given, is table_key_function(schema)
+    as the loader that keyed the entries built it, so it is not built twice.
     """
 
     entries: dict[Hashable, Prediction] = field(default_factory=dict)
     default: Optional[Prediction] = None
     schema: Optional[Schema] = None
+    key_function: InitVar[Optional[_KeyFunction]] = None
 
-    def __post_init__(self) -> None:
-        key_of = table_key_function(self.schema)
+    def __post_init__(self, key_function: Optional[_KeyFunction] = None) -> None:
+        key_of = table_key_function(self.schema) if key_function is None else key_function
         object.__setattr__(self, "_key", key_of)
         size = None if key_of is value_key else 8 * schema_width(self.schema)
         for key in self.entries:
@@ -308,11 +312,13 @@ def _prediction_from_json(
 class _Table:
     """A table classifier for records of the schema (see TableClassifier),
     built one entry at a time, in file order; entries with equal answers
-    share one Prediction."""
+    share one Prediction. The key function is built for the first entry,
+    so a file of another kind builds none, and is handed to the
+    classifier."""
 
     def __init__(self, schema: Optional[Schema] = None) -> None:
         self.schema = schema
-        self.key = table_key_function(schema)
+        self.key: Optional[_KeyFunction] = None
         self.entries: dict[Hashable, Prediction] = {}
         self.shared: dict[tuple, Prediction] = {}
         self.count = 0
@@ -321,8 +327,11 @@ class _Table:
         i = self.count
         if not isinstance(entry, dict) or not isinstance(entry.get("input"), dict):
             raise FormatError(f"table entry {i} needs an 'input' object")
+        key_of = self.key
+        if key_of is None:
+            key_of = self.key = table_key_function(self.schema)
         try:
-            key = self.key(entry["input"])
+            key = key_of(entry["input"])
         except (FormatError, OverflowError) as exc:
             raise FormatError(f"table entry {i} input cannot be keyed: {exc}") from exc
         self.entries[key] = _prediction_from_json(entry, f"table entry {i}", self.shared)
@@ -333,6 +342,7 @@ class _Table:
             self.entries,
             None if default is None else _prediction_from_json(default, "table default"),
             self.schema,
+            self.key,
         )
 
 

@@ -310,6 +310,35 @@ class TestSchemaKeyedTable:
         with mock.patch.object(classifiers, "read_json_streamed", return_value=None):
             assert load_classifier(tmp_path / "table.json", SCHEMA) == streamed
 
+    def test_the_schema_key_is_built_once_per_table_and_never_for_rules(
+        self, tmp_path, monkeypatch
+    ):
+        """load_classifier builds spec.schema_key_function once for a table,
+        when its first entry arrives, and hands it to the classifier; an
+        expression file with a schema builds none."""
+        from specguard.speccore import spec
+
+        built = spec.schema_key_function
+        calls = []
+
+        def counted(schema):
+            calls.append(schema)
+            return built(schema)
+
+        monkeypatch.setattr(spec, "schema_key_function", counted)
+        table = schema_table(tmp_path, MIXED)
+        assert (len(calls), table.classify(FITTING)) == (1, Prediction("yes", 0.9))
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"kind": "expression", "rules": []}), encoding="utf-8")
+        load_classifier(rules, SCHEMA)
+        assert len(calls) == 1
+        with mock.patch.object(classifiers, "read_json_streamed", return_value=None):
+            load_classifier(tmp_path / "table.json", SCHEMA)
+            load_classifier(rules, SCHEMA)
+        assert len(calls) == 2
+        empty = schema_table(tmp_path, {"kind": "table", "entries": []})
+        assert (len(calls), empty.schema) == (3, SCHEMA)
+
     def test_a_key_it_would_never_find_is_refused(self, tmp_path):
         good = schema_table(tmp_path, MIXED)
         packed = next(key for key in good.entries if type(key) is bytes)

@@ -679,6 +679,23 @@ class TestPatternsSimulate:
         oracle = files.write("oracle.json", {"kind": "table", "entries": entries})
         return harness, files.data, oracle
 
+    def test_a_gated_simulate_builds_the_schema_key_once(self, capsys, files, monkeypatch):
+        """The table oracle builds it; the gated ML member is an expression
+        file, loaded with the spec's schema, and builds none."""
+        from specguard.speccore import spec
+
+        built = spec.schema_key_function
+        calls = []
+        monkeypatch.setattr(
+            spec, "schema_key_function", lambda schema: calls.append(schema) or built(schema)
+        )
+        harness, domain, oracle = self.gated_files(files)
+        code, payload = run_json(
+            capsys, "patterns", "simulate", "--harness", harness,
+            "--domain", domain, "--oracle", oracle,
+        )
+        assert (code, payload["total"], len(calls)) == (0, len(DATA), 1)
+
     @pytest.mark.parametrize("where", ["domain", "oracle", "harness", "spec"])
     def test_an_int_of_over_4300_digits_is_an_invocation_error(self, capsys, files, where):
         harness, domain, oracle = self.gated_files(files)
@@ -1052,6 +1069,26 @@ class TestProcessCommands:
         assert code == 2
         assert json.loads(err)["error"] == "CycleError"
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"id": "E1", "kind": "EVIDENCE", "evidence_kind": "document", "artifact": 5},
+            {"id": "R1", "kind": "REQUIREMENT", "requirement_ref": ["spec.json"]},
+        ],
+        ids=["artifact", "requirement_ref"],
+    )
+    def test_safetycase_non_string_path_exits_two(self, capsys, files, node):
+        """A path that is not a string is refused while loading, naming the
+        node, not left to fail as a traceback in the gap analysis."""
+        graph = files.write("case.json", {"nodes": [node], "edges": []})
+        code, out, err = run(capsys, "safetycase", "check", "--graph", graph)
+        assert (code, out) == (2, "")
+        field = "artifact" if "artifact" in node else "requirement_ref"
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "detail": f"node {node['id']!r}: {field!r} must be a string path",
+        }
+
 
 def every_command(files):
     """One argv per command main dispatches: each (command, subcommand) of
@@ -1230,6 +1267,75 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+
+def parser_run(capsys, argv, build):
+    """(exit code, stdout, stderr) of main(argv) with cli.build_parser
+    replaced by build; --help exits through SystemExit."""
+    original = cli.build_parser
+    cli.build_parser = build
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        cli.build_parser = original
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestNarrowedParser:
+    """main builds only the running command's parser (build_parser(argv));
+    what it prints must be what the full parser prints."""
+
+    @staticmethod
+    def argvs(command, subcommand):
+        named = [command] if subcommand is None else [command, subcommand]
+        yield ["--help"]
+        yield [command, "--help"]
+        yield [*named, "--help"]
+        yield named  # a missing required argument (spec validate has none)
+        yield [command, "bogus"]
+        yield ["--format", "text", *named, "--help"]
+        yield ["--seed", "3", *named]
+        yield ["--seed", command, *named]
+        yield ["--format", command, *named]
+        yield ["--timestamps", command]
+
+    @pytest.mark.parametrize(
+        "command,subcommand", sorted(cli._HANDLERS) + [("diagnose", None)], ids=str
+    )
+    def test_it_prints_what_the_full_parser_prints(
+        self, capsys, monkeypatch, command, subcommand
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("SPECGUARD_SPEC", raising=False)
+        full = cli.build_parser
+        for argv in self.argvs(command, subcommand):
+            narrowed = parser_run(capsys, argv, full)
+            whole = parser_run(capsys, argv, lambda argv=None: full())
+            assert narrowed == whole, argv
+            assert narrowed[0] in (0, 2), argv
+
+    def test_only_the_running_command_is_filled_in(self, capsys, files, monkeypatch):
+        import argparse
+
+        init = argparse.ArgumentParser.__init__
+        parsers = []
+
+        def counted(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = every_command(files)["safetycase", "check"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        # specguard, its eight commands, and safetycase's one subcommand
+        assert len(parsers) == 10
+        parsers.clear()
+        cli.build_parser()
+        assert len(parsers) == 20
 
 
 class CountingSink:

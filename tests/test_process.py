@@ -2,8 +2,10 @@
 diagnosis walk, and safety-case gap analysis."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,7 @@ from specguard.process.safetycase import (
     GapKind,
     Node,
     NodeKind,
+    RequirementKind,
     SafetyCaseGraph,
     graph_from_json_dict,
     load_graph,
@@ -969,3 +972,182 @@ class TestSafetyCaseProperties:
     def test_gaps_match_the_brute_force_oracle(self, artifact_dir, data):
         graph = data.draw(acyclic_graphs(artifact_dir))
         assert trace_check(graph).gaps == oracle_gaps(graph)
+
+
+def constructed_graph(data):
+    """The graph the constructors build from valid graph JSON, with each
+    kind decoded by Enum(value) and the loader's error texts for a kind
+    that has none."""
+
+    def member(kinds, value, error):
+        try:
+            return kinds(value)
+        except ValueError:
+            raise FormatError(error) from None
+
+    nodes = []
+    for node in data["nodes"]:
+        where = f"node {node['id']!r}"
+        kind = member(
+            NodeKind,
+            node["kind"],
+            f"{where}: unknown kind {node['kind']!r} "
+            "(use HAZARD, SAFETY_GOAL, REQUIREMENT, EVIDENCE)",
+        )
+        optional = {}
+        for field, kinds, valid in (
+            ("requirement_kind", RequirementKind, "behavioural-spec, data-requirements, other"),
+            (
+                "evidence_kind",
+                EvidenceKind,
+                "monitor-report, coverage-report, simulation-report, document",
+            ),
+        ):
+            if node.get(field) is not None:
+                name = field.replace("_", " ")
+                optional[field] = member(
+                    kinds, node[field], f"{where}: unknown {name} (use {valid})"
+                )
+        nodes.append(
+            Node(
+                id=node["id"],
+                kind=kind,
+                text=node.get("text", ""),
+                asil=node.get("asil"),
+                requirement_ref=node.get("requirement_ref"),
+                artifact=node.get("artifact"),
+                **optional,
+            )
+        )
+    edges = [
+        Edge(
+            member(
+                EdgeKind,
+                edge["kind"],
+                f"unknown edge kind {edge['kind']!r} (use mitigates, refines, supports)",
+            ),
+            edge["source"],
+            edge["target"],
+        )
+        for edge in data["edges"]
+    ]
+    return SafetyCaseGraph(tuple(nodes), tuple(edges))
+
+
+_BAD_KINDS = st.one_of(
+    st.text(max_size=4),
+    st.integers(-2, 2),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "HAZARD"]), st.integers(0, 1), max_size=1),
+    st.sampled_from([*NodeKind, *RequirementKind, *EvidenceKind, *EdgeKind, None, True]),
+)
+
+
+@st.composite
+def kinds_of(draw, kinds, clean):
+    """A kind's value or the member itself; a bad kind a quarter of the
+    time unless clean."""
+    if not clean and draw(st.integers(0, 3)) == 0:
+        return draw(_BAD_KINDS)
+    return draw(st.sampled_from([*(k.value for k in kinds), *kinds]))
+
+
+_ALLOWED_EDGES = [
+    (EdgeKind.MITIGATES, NodeKind.SAFETY_GOAL, NodeKind.HAZARD),
+    (EdgeKind.REFINES, NodeKind.REQUIREMENT, NodeKind.SAFETY_GOAL),
+    (EdgeKind.REFINES, NodeKind.REQUIREMENT, NodeKind.REQUIREMENT),
+    (EdgeKind.SUPPORTS, NodeKind.EVIDENCE, NodeKind.REQUIREMENT),
+]
+
+
+@st.composite
+def graph_json(draw):
+    """Graph JSON with every node kind, optional field and edge kind. Half
+    the graphs are clean: valid kinds, fields that fit the node's kind and
+    edges of allowed kinds. The others may hold bad kinds, misplaced fields
+    and edges of any kinds."""
+    clean = draw(st.booleans())
+    nodes = []
+    for i in range(draw(st.integers(1, 6))):
+        node = {"id": f"N{i}", "kind": draw(kinds_of(NodeKind, clean))}
+        evidence = node["kind"] in (NodeKind.EVIDENCE, "EVIDENCE")
+        for field, values in (
+            ("text", st.text(max_size=3)),
+            ("asil", st.sampled_from([None, "A", "B", "C", "D"])),
+            ("requirement_kind", kinds_of(RequirementKind, clean)),
+            ("requirement_ref", st.sampled_from([None, "spec.json"])),
+            ("evidence_kind", kinds_of(EvidenceKind, clean)),
+            ("artifact", st.sampled_from([None, "report.json"])),
+        ):
+            if clean and field in ("evidence_kind", "artifact"):
+                present = evidence and (field == "evidence_kind" or draw(st.booleans()))
+            else:
+                present = draw(st.booleans())
+            if present:
+                node[field] = draw(values)
+        nodes.append(node)
+    if clean:
+        kind_of = {node["id"]: NodeKind(node["kind"]) for node in nodes}
+        candidates = [
+            (kind, source, target)
+            for kind, source_kind, target_kind in _ALLOWED_EDGES
+            for source in kind_of
+            for target in kind_of
+            if (kind_of[source], kind_of[target]) == (source_kind, target_kind)
+        ]
+        picked = draw(st.lists(st.sampled_from(candidates), max_size=6)) if candidates else []
+        edges = [
+            {"kind": draw(st.sampled_from([kind, kind.value])), "source": s, "target": t}
+            for kind, s, t in picked
+        ]
+    else:
+        ids = st.sampled_from([node["id"] for node in nodes])
+        edges = [
+            {"kind": draw(kinds_of(EdgeKind, clean)), "source": draw(ids), "target": draw(ids)}
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+    return {"nodes": nodes, "edges": edges}
+
+
+class TestSafetyCaseLoader:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_json())
+    def test_it_builds_what_the_constructors_build(self, data):
+        """Kinds decoded through the value maps give the graph, or the error
+        text, of decoding them with Enum(value)."""
+        try:
+            expected = constructed_graph(data)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                graph_from_json_dict(data)
+            assert str(got.value) == str(exc)
+        else:
+            assert graph_from_json_dict(data) == expected
+
+    def test_the_kinds_hash_by_identity(self):
+        """The edge typing check and the id lookups hash kinds; Enum.__hash__
+        would make each a Python call."""
+        for kinds in (NodeKind, RequirementKind, EvidenceKind, EdgeKind):
+            assert kinds.__hash__ is object.__hash__
+            for kind in kinds:
+                assert hash(kind) == object.__hash__(kind)
+
+    def test_nodes_edges_and_gaps_are_slotted_and_frozen(self, tmp_path):
+        node = Node("E1", NodeKind.EVIDENCE, evidence_kind=EvidenceKind.DOCUMENT,
+                    artifact="gone.json")
+        edge = Edge(EdgeKind.SUPPORTS, "E1", "R1")
+        (gap,) = trace_check(SafetyCaseGraph((node,), (), tmp_path)).gaps
+        for item in (node, edge, gap):
+            assert not hasattr(item, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                item.kind = None
+            assert pickle.loads(pickle.dumps(item)) == item
+        assert dataclasses.replace(node, text="x") == Node(
+            "E1", NodeKind.EVIDENCE, "x", evidence_kind=EvidenceKind.DOCUMENT,
+            artifact="gone.json",
+        )
+        assert repr(edge) == (
+            "Edge(kind=<EdgeKind.SUPPORTS: 'supports'>, source='E1', target='R1')"
+        )
+        with pytest.raises(FormatError, match="only evidence nodes carry artifacts"):
+            dataclasses.replace(node, kind=NodeKind.HAZARD)
