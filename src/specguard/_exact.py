@@ -14,9 +14,7 @@ declines where it is chosen, and only the exact code runs:
 - errors.read_json_streamed returns None, so its callers read the file
   whole;
 - the JSON Lines readers and the subprocess classifier decode a line with
-  json.loads (errors.line_decoder), not with errors.json_line's scanner;
-- monitor builds each trace record with the dataclasses' constructors,
-  not with monitor._built_trace_record.
+  json.loads (errors.line_decoder), not with errors.json_line's scanner.
 
 Each reads the switch once per call or per file, never per line or per
 key, so it costs nothing where records are processed. It is meant for

@@ -65,25 +65,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_globals(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=["json", "text"],
-        default=argparse.SUPPRESS,
-        help="output format (default json)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="random seed where applicable (default 0)",
-    )
-    parser.add_argument(
-        "--timestamps",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="include a generation timestamp in JSON output",
-    )
+# The options that the top level and every subcommand take, written as
+# _COMMANDS writes arguments.
+_GLOBALS = [
+    ("--format", {
+        "choices": ["json", "text"], "default": argparse.SUPPRESS,
+        "help": "output format (default json)",
+    }),
+    ("--seed", {
+        "type": int, "default": argparse.SUPPRESS,
+        "help": "random seed where applicable (default 0)",
+    }),
+    ("--timestamps", {
+        "action": "store_true", "default": argparse.SUPPRESS,
+        "help": "include a generation timestamp in JSON output",
+    }),
+]
 
 
 def _wants_text(args: argparse.Namespace) -> bool:
@@ -91,128 +88,36 @@ def _wants_text(args: argparse.Namespace) -> bool:
     return getattr(args, "format", "json") == "text"
 
 
-def _build_spec(p_spec: argparse.ArgumentParser) -> None:
-    spec_sub = p_spec.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_validate = spec_sub.add_parser("validate", help="well-formedness of a spec file")
-    p_validate.add_argument(
-        "spec",
-        nargs="?",
-        default=None,
-        help="spec file (default: $SPECGUARD_SPEC)",
-    )
-    p_validate.add_argument("--samples", help="JSON Lines records for conflict search")
-    _add_globals(p_validate)
-
-
-def _build_monitor(p_monitor: argparse.ArgumentParser) -> None:
-    monitor_sub = p_monitor.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_run = monitor_sub.add_parser("run", help="replay a trace against a spec")
-    p_run.add_argument("--spec", required=True)
-    p_run.add_argument("--trace", required=True, help="JSON Lines trace file")
-    p_run.add_argument("--policy", help="policy JSON file")
-    _add_globals(p_run)
-
-
-def _build_dataset(p_dataset: argparse.ArgumentParser) -> None:
-    dataset_sub = p_dataset.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_coverage = dataset_sub.add_parser("coverage", help="coverage vs requirements")
-    p_coverage.add_argument("--data", required=True)
-    p_coverage.add_argument("--requirements", required=True)
-    _add_globals(p_coverage)
-    p_augment = dataset_sub.add_parser("augment", help="grow a set via spec transforms")
-    p_augment.add_argument("--spec", required=True)
-    p_augment.add_argument("--data", required=True)
-    _add_globals(p_augment)
-    p_split = dataset_sub.add_parser("split", help="deterministic three-way split")
-    p_split.add_argument("--data", required=True)
-    p_split.add_argument("--ratios", required=True, help="train,validation,test")
-    p_split.add_argument("--stratify", help="partitioning JSON file")
-    _add_globals(p_split)
-    p_uncertainty = dataset_sub.add_parser(
-        "uncertainty", help="categorize probes by distance from known data"
-    )
-    p_uncertainty.add_argument("--known", required=True, help="labeled JSON Lines")
-    p_uncertainty.add_argument("--probes", required=True, help="JSON Lines inputs")
-    p_uncertainty.add_argument("--spec", required=True)
-    p_uncertainty.add_argument("--depth", type=int, default=1)
-    _add_globals(p_uncertainty)
-
-
-def _build_patterns(p_patterns: argparse.ArgumentParser) -> None:
-    patterns_sub = p_patterns.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_simulate = patterns_sub.add_parser("simulate", help="error rate vs an oracle")
-    p_simulate.add_argument("--harness", required=True)
-    p_simulate.add_argument("--domain", required=True, help="JSON Lines inputs")
-    p_simulate.add_argument("--oracle", required=True, help="classifier JSON file")
-    _add_globals(p_simulate)
-
-
-def _build_catalog(p_catalog: argparse.ArgumentParser) -> None:
-    catalog_sub = p_catalog.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_score = catalog_sub.add_parser("score", help="applicability score per ASIL")
-    p_score.add_argument("--catalog", required=True)
-    p_score.add_argument("--condition", required=True, choices=["no-spec", "no-interp"])
-    p_score.add_argument("--asil", choices=["A", "B", "C", "D"])
-    p_score.add_argument(
-        "--method-type",
-        choices=[t.value for t in MethodType],
-        help="score only methods of this type",
-    )
-    _add_globals(p_score)
-    p_impact = catalog_sub.add_parser("impact", help="mean/std per condition and type")
-    p_impact.add_argument("--catalog", required=True)
-    _add_globals(p_impact)
-
-
-def _build_gate(p_gate: argparse.ArgumentParser) -> None:
-    gate_sub = p_gate.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_assess = gate_sub.add_parser("assess", help="verdict from a questionnaire")
-    p_assess.add_argument("--questionnaire", required=True)
-    _add_globals(p_assess)
-
-
-def _build_diagnose(p_diagnose: argparse.ArgumentParser) -> None:
-    p_diagnose.add_argument("--failure", required=True)
-    _add_globals(p_diagnose)
-
-
-def _build_safetycase(p_safetycase: argparse.ArgumentParser) -> None:
-    safetycase_sub = p_safetycase.add_subparsers(dest="subcommand", metavar="subcommand")
-    p_check = safetycase_sub.add_parser("check", help="gap analysis of a graph")
-    p_check.add_argument("--graph", required=True)
-    _add_globals(p_check)
-
-
-# Each command's help and what fills in its parser, in the order --help lists them.
-_COMMANDS = {
-    "spec": ("behavioural specification checks", _build_spec),
-    "monitor": ("trace monitoring", _build_monitor),
-    "dataset": ("data set checks and tools", _build_dataset),
-    "patterns": ("architecture patterns", _build_patterns),
-    "catalog": ("method catalog scoring", _build_catalog),
-    "gate": ("ML decision gate", _build_gate),
-    "diagnose": ("failure diagnosis plan", _build_diagnose),
-    "safetycase": ("traceability checks", _build_safetycase),
-}
-
-
 def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
-    """The command-line parser. Without argv, every command's parser is
-    filled in. With argv, every command is still registered with its help,
-    so top-level --help and an unknown command read the same, but only the
-    command argv runs gets its subcommands and arguments: the first token
-    of argv that names a command. A token before the command is an option
-    or the value of --format or --seed, and a command name there fails at
-    the top level whichever parser is built."""
+    """The command-line parser, filled in from _COMMANDS. Without argv,
+    every command's parser is filled in. With argv, every command is still
+    registered with its help, so top-level --help and an unknown command
+    read the same, but only the command argv runs gets its subcommands and
+    arguments: the first token of argv that names a command. A token
+    before the command is an option or the value of --format or --seed,
+    and a command name there fails at the top level whichever parser is
+    built."""
     parser = _Parser(prog="specguard", description=__doc__)
-    _add_globals(parser)
+    _add_arguments(parser, [])
     commands = parser.add_subparsers(dest="command", metavar="command")
     chosen = None if argv is None else next((t for t in argv if t in _COMMANDS), None)
-    for name, (help_text, fill) in _COMMANDS.items():
+    for name, (help_text, subcommands) in _COMMANDS.items():
         command = commands.add_parser(name, help=help_text)
-        if argv is None or name == chosen:
-            fill(command)
+        if argv is not None and name != chosen:
+            continue
+        if None in subcommands:
+            _add_arguments(command, subcommands[None][2])
+            continue
+        sub = command.add_subparsers(dest="subcommand", metavar="subcommand")
+        for sub_name, (sub_help, _, arguments) in subcommands.items():
+            _add_arguments(sub.add_parser(sub_name, help=sub_help), arguments)
     return parser
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments: list) -> None:
+    """Add each (flag, add_argument keywords) of arguments, then _GLOBALS."""
+    for flag, keywords in (*arguments, *_GLOBALS):
+        parser.add_argument(flag, **keywords)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +229,8 @@ def _cmd_dataset_augment(args) -> tuple[dict, str, int]:
     return payload, text, 1 if result.errors else 0
 
 
-def _cmd_dataset_split(args, seed: int) -> tuple[dict, str, int]:
+def _cmd_dataset_split(args) -> tuple[dict, str, int]:
+    seed = getattr(args, "seed", 0)
     data = ds.read_dataset(args.data)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
@@ -442,36 +348,97 @@ def _cmd_safetycase_check(args) -> tuple[dict, str, int]:
     return payload, text, 0 if report.ok else 1
 
 
-_HANDLERS = {
-    ("spec", "validate"): _cmd_spec_validate,
-    ("monitor", "run"): _cmd_monitor_run,
-    ("dataset", "coverage"): _cmd_dataset_coverage,
-    ("dataset", "augment"): _cmd_dataset_augment,
-    ("dataset", "uncertainty"): _cmd_dataset_uncertainty,
-    ("patterns", "simulate"): _cmd_patterns_simulate,
-    ("catalog", "score"): _cmd_catalog_score,
-    ("catalog", "impact"): _cmd_catalog_impact,
-    ("gate", "assess"): _cmd_gate_assess,
-    ("safetycase", "check"): _cmd_safetycase_check,
+# The command set, in the order --help lists it: each command's help and
+# its subcommands. Each subcommand is (help, handler, arguments), and each
+# argument a (flag, add_argument keywords) pair in the order usage lists
+# them; a command that takes its arguments itself has one subcommand,
+# keyed None.
+_COMMANDS: dict[str, tuple[str, dict]] = {
+    "spec": ("behavioural specification checks", {
+        "validate": ("well-formedness of a spec file", _cmd_spec_validate, [
+            ("spec", {
+                "nargs": "?", "default": None, "help": "spec file (default: $SPECGUARD_SPEC)",
+            }),
+            ("--samples", {"help": "JSON Lines records for conflict search"}),
+        ]),
+    }),
+    "monitor": ("trace monitoring", {
+        "run": ("replay a trace against a spec", _cmd_monitor_run, [
+            ("--spec", {"required": True}),
+            ("--trace", {"required": True, "help": "JSON Lines trace file"}),
+            ("--policy", {"help": "policy JSON file"}),
+        ]),
+    }),
+    "dataset": ("data set checks and tools", {
+        "coverage": ("coverage vs requirements", _cmd_dataset_coverage, [
+            ("--data", {"required": True}),
+            ("--requirements", {"required": True}),
+        ]),
+        "augment": ("grow a set via spec transforms", _cmd_dataset_augment, [
+            ("--spec", {"required": True}),
+            ("--data", {"required": True}),
+        ]),
+        "split": ("deterministic three-way split", _cmd_dataset_split, [
+            ("--data", {"required": True}),
+            ("--ratios", {"required": True, "help": "train,validation,test"}),
+            ("--stratify", {"help": "partitioning JSON file"}),
+        ]),
+        "uncertainty": (
+            "categorize probes by distance from known data", _cmd_dataset_uncertainty, [
+                ("--known", {"required": True, "help": "labeled JSON Lines"}),
+                ("--probes", {"required": True, "help": "JSON Lines inputs"}),
+                ("--spec", {"required": True}),
+                ("--depth", {"type": int, "default": 1}),
+            ],
+        ),
+    }),
+    "patterns": ("architecture patterns", {
+        "simulate": ("error rate vs an oracle", _cmd_patterns_simulate, [
+            ("--harness", {"required": True}),
+            ("--domain", {"required": True, "help": "JSON Lines inputs"}),
+            ("--oracle", {"required": True, "help": "classifier JSON file"}),
+        ]),
+    }),
+    "catalog": ("method catalog scoring", {
+        "score": ("applicability score per ASIL", _cmd_catalog_score, [
+            ("--catalog", {"required": True}),
+            ("--condition", {"required": True, "choices": ["no-spec", "no-interp"]}),
+            ("--asil", {"choices": ["A", "B", "C", "D"]}),
+            ("--method-type", {
+                "choices": [t.value for t in MethodType],
+                "help": "score only methods of this type",
+            }),
+        ]),
+        "impact": ("mean/std per condition and type", _cmd_catalog_impact, [
+            ("--catalog", {"required": True}),
+        ]),
+    }),
+    "gate": ("ML decision gate", {
+        "assess": ("verdict from a questionnaire", _cmd_gate_assess, [
+            ("--questionnaire", {"required": True}),
+        ]),
+    }),
+    "diagnose": ("failure diagnosis plan", {
+        None: (None, _cmd_diagnose, [("--failure", {"required": True})]),
+    }),
+    "safetycase": ("traceability checks", {
+        "check": ("gap analysis of a graph", _cmd_safetycase_check, [
+            ("--graph", {"required": True}),
+        ]),
+    }),
 }
 
 
 def _dispatch(args) -> tuple[Optional[dict], Union[str, Iterable[str]], int]:
     """(JSON payload, text, exit code) of the command; the text is a str or
     its lines, printed one at a time."""
-    seed = getattr(args, "seed", 0)
     command = getattr(args, "command", None)
-    subcommand = getattr(args, "subcommand", None)
     if command is None:
         raise _UsageError("a command is required (see --help)")
-    if command == "diagnose":
-        return _cmd_diagnose(args)
-    if command == "dataset" and subcommand == "split":
-        return _cmd_dataset_split(args, seed)
-    handler = _HANDLERS.get((command, subcommand))
-    if handler is None:
+    subcommand = _COMMANDS[command][1].get(getattr(args, "subcommand", None))
+    if subcommand is None:
         raise _UsageError(f"a {command} subcommand is required (see '{command} --help')")
-    return handler(args)
+    return subcommand[1](args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -64,6 +64,9 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.kind not in (COLLECTED, AUGMENTED):
             raise FormatError(f"unknown provenance kind {self.kind!r}")
+        for name, value in (("transform", self.transform), ("source", self.source)):
+            if value is not None and not isinstance(value, str):
+                raise FormatError(f"provenance {name!r} must be a string, got {value!r}")
         if self.kind == AUGMENTED and (self.transform is None or self.source is None):
             raise FormatError("AUGMENTED provenance needs 'transform' and 'source'")
 
@@ -114,8 +117,18 @@ class DataSetRequirements:
     def __post_init__(self) -> None:
         if self.base_min_samples < 1:
             raise FormatError("base_min_samples must be >= 1")
-        if self.risk_multiplier < 1.0:
-            raise FormatError("risk_multiplier must be >= 1")
+        if not 1.0 <= self.risk_multiplier < math.inf:  # NaN fails too
+            raise FormatError("risk_multiplier must be a finite number >= 1")
+        risk = max((p.risk_weight for pt in self.partitionings for p in pt.partitions), default=1)
+        try:
+            finite = math.isfinite(self.required_for(risk))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise FormatError(
+                f"base_min_samples x risk_multiplier^{risk - 1} (risk weight {risk}) "
+                "is too large for a float"
+            )
 
     def required_for(self, risk: int) -> float:
         return self.base_min_samples * self.risk_multiplier ** (risk - 1)

@@ -37,28 +37,24 @@ costs about as much whether it is clean or fails checks.
 
 Reading. run_trace takes either the path of a JSON Lines trace file or an
 iterable of items, such as read_trace(path) gives. Both read the file a
-line at a time. Each line is decoded by one call of the JSON scanner
+line at a time and decode each line by one call of the JSON scanner
 (errors.json_line), which falls back to json.loads, and so to its exact
 value and error text, on any line the scanner does not take whole. From a
-path, the decoded value goes to clean_line first. read_trace, and the path
-form for a line clean_line does not answer, build a value that passes the
-record checks without the frozen dataclasses' __init__ (see
-_built_trace_record); the checks name what is wrong with any other value.
-With the fast path answering most lines, decoding a line costs more than
-checking it, so it is kept to one call per line, and a line clean_line
-answers costs no record at all.
+path, the decoded value goes to clean_line first. Every line read_trace
+reads, and a line clean_line does not answer, becomes a TraceRecord built
+by the constructors, or a MalformedLine that says what is wrong with it.
+Decoding a line costs more than checking it, so a line clean_line answers
+costs no record at all.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from ._exact import exact
 from .errors import JSON_SPACE, EvalError, FormatError, line_decoder
 from .speccore.records import (
     FeatureRecord,
@@ -220,37 +216,45 @@ def check_sample(spec: PartialSpec, record: TraceRecord, policy: MonitorPolicy) 
     except EvalError as exc:
         return [_eval_error(rid, "pre", exc)]
     if not pre_holds:
-        detail = {"condition": to_source(spec.precondition), "output_untrusted": True}
+        detail = _check_detail(ViolationKind.PRE, None, 0, spec.precondition, predicted.label)
         return [Violation(rid, ViolationKind.PRE, detail)]
     violations: list[Violation] = []
     try:
         if not check_post(spec, fields, predicted):
-            detail = {"condition": to_source(spec.postcondition), "predicted": predicted.label}
+            detail = _check_detail(ViolationKind.POST, None, 0, spec.postcondition, predicted.label)
             violations.append(Violation(rid, ViolationKind.POST, detail))
     except EvalError as exc:
         violations.append(_eval_error(rid, "post", exc))
-    try:
-        for label, index in check_sufficient(spec, fields, predicted):
-            detail = {
-                "label": label,
-                "index": index,
-                "condition": to_source(spec.sufficient[label][index]),
-                "predicted": predicted.label,
-            }
-            violations.append(Violation(rid, ViolationKind.SUFFICIENT, detail))
-    except EvalError as exc:
-        violations.append(_eval_error(rid, "sufficient", exc))
-    try:
-        for label, index in check_necessary(spec, fields, predicted):
-            detail = {
-                "label": label,
-                "index": index,
-                "condition": to_source(spec.necessary[label][index]),
-            }
-            violations.append(Violation(rid, ViolationKind.NECESSARY, detail))
-    except EvalError as exc:
-        violations.append(_eval_error(rid, "necessary", exc))
+    for kind, stage, failing, conditions in (
+        (ViolationKind.SUFFICIENT, "sufficient", check_sufficient, spec.sufficient),
+        (ViolationKind.NECESSARY, "necessary", check_necessary, spec.necessary),
+    ):
+        try:
+            for label, index in failing(spec, fields, predicted):
+                condition = conditions[label][index]
+                detail = _check_detail(kind, label, index, condition, predicted.label)
+                violations.append(Violation(rid, kind, detail))
+        except EvalError as exc:
+            violations.append(_eval_error(rid, stage, exc))
     return violations
+
+
+def _check_detail(
+    kind: ViolationKind, label: Optional[str], index: int, condition: Expression,
+    predicted: Optional[str],
+) -> dict:
+    """The detail of the violation of a failing check, as _checks numbers
+    them, on a record with the predicted label: the label and index of a
+    class condition, the condition's text, and the predicted label where
+    the kind reports it (POST, SUFFICIENT), in that key order."""
+    detail: dict[str, Any] = {"condition": to_source(condition)}
+    if kind is ViolationKind.PRE:
+        detail["output_untrusted"] = True
+    elif kind is not ViolationKind.POST:
+        detail = {"label": label, "index": index, **detail}
+    if kind is ViolationKind.POST or kind is ViolationKind.SUFFICIENT:
+        detail["predicted"] = predicted
+    return detail
 
 
 def _eval_error(rid: Optional[str], stage: str, exc: EvalError) -> Violation:
@@ -437,19 +441,13 @@ class _Run:
             ViolationKind.PROBABILISTIC: degrade,
             ViolationKind.EVAL_ERROR: degrade,
         }
-        # Per check number of clean_line's answers: its kind, the detail
-        # check_sample gives it up to the predicted label, and whether the
-        # predicted label follows.
+        # Per check number of clean_line's answers: its kind, its detail with
+        # the predicted label None, and whether the detail holds that label.
         self.table: list[tuple[ViolationKind, dict, bool]] = []
         if self.clean_line is not None:
             for kind, label, index, expr in _checks(spec):
-                detail: dict[str, Any] = {"condition": to_source(expr)}
-                if kind is ViolationKind.PRE:
-                    detail["output_untrusted"] = True
-                elif kind is not ViolationKind.POST:
-                    detail = {"label": label, "index": index, **detail}
-                tagged = kind is ViolationKind.POST or kind is ViolationKind.SUFFICIENT
-                self.table.append((kind, detail, tagged))
+                detail = _check_detail(kind, label, index, expr, None)
+                self.table.append((kind, detail, "predicted" in detail))
         self.violations: list[Violation] = []
         self.rank = 0  # of the state so far; the machine never moves back
         self.processed = 0
@@ -574,7 +572,7 @@ def run_trace(
     """
     run = _Run(spec, policy)
     if isinstance(trace, (str, os.PathLike)):
-        run.take(_decoded_lines(trace), partial(_trace_item, build=_record_builder()))
+        run.take(_decoded_lines(trace), _trace_item)
     else:
         run.take(_views(trace), lambda item, view: item)
     return run.report()
@@ -609,15 +607,12 @@ def read_trace(path: Union[str, Path]) -> Iterator[Union[TraceRecord, MalformedL
     Each line is decoded by errors.json_line: one call of the JSON scanner,
     or json.loads where the scanner does not take the whole line, so every
     value and error text is json.loads's, and a value nested too deeply for
-    the decoder is a MalformedLine too. A value that passes the record
-    checks is built without the dataclasses' __init__ and keeps the decoded
-    input dict; the items are equal to what the constructors would build.
-    With the fast paths off (see specguard._exact), each line is decoded by
-    json.loads and each record built by the constructors.
+    the decoder is a MalformedLine too. A record keeps the decoded input
+    dict as its fields. With the fast paths off (see specguard._exact), each
+    line is decoded by json.loads.
     """
-    build = _record_builder()
     for line_no, data in _decoded_lines(path):
-        yield _trace_item(line_no, data, build)
+        yield _trace_item(line_no, data)
 
 
 def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
@@ -649,23 +644,19 @@ def _decoded_lines(path: Union[str, os.PathLike]) -> Iterator[tuple[int, Any]]:
             yield line_no, data
 
 
-_Builder = Callable[[str, dict, str, Optional[float]], TraceRecord]
-
-
-def _trace_item(line_no: int, data: Any, build: _Builder) -> Union[TraceRecord, MalformedLine]:
-    """read_trace's item for one line's decoded value (or MalformedLine),
-    a record built by build."""
+def _trace_item(line_no: int, data: Any) -> Union[TraceRecord, MalformedLine]:
+    """read_trace's item for one line's decoded value (or MalformedLine)."""
     if isinstance(data, MalformedLine):
         return data
     try:
-        return _trace_record_from_json(data, build)
+        return _trace_record_from_json(data)
     except FormatError as exc:
         return MalformedLine(line_no, str(exc))
 
 
-def _trace_record_from_json(data: Any, build: _Builder) -> TraceRecord:
-    """The TraceRecord of one freshly decoded trace line, built by build;
-    FormatError says what is wrong with any other value."""
+def _trace_record_from_json(data: Any) -> TraceRecord:
+    """The TraceRecord of one freshly decoded trace line; FormatError says
+    what is wrong with any other value."""
     if not isinstance(data, dict):
         raise FormatError("trace record must be a JSON object")
     rid = data.get("id")
@@ -680,44 +671,5 @@ def _trace_record_from_json(data: Any, build: _Builder) -> TraceRecord:
     confidence = raw_output.get("confidence")
     if confidence is not None and not is_number(confidence):
         raise FormatError(f"trace record {rid!r} confidence must be a number")
-    return build(
-        rid, raw_input, raw_output["label"], None if confidence is None else float(confidence)
-    )
-
-
-def _record_builder() -> _Builder:
-    """_built_trace_record, or _constructed_trace_record when the fast
-    paths are off (see specguard._exact); asked once per file."""
-    return _constructed_trace_record if exact() else _built_trace_record
-
-
-def _constructed_trace_record(
-    rid: str, fields: dict, label: str, confidence: Optional[float]
-) -> TraceRecord:
-    """_built_trace_record's record, built by the constructors."""
-    return TraceRecord(rid, FeatureRecord(fields, rid), Prediction(label, confidence))
-
-
-def _built_trace_record(
-    rid: str, fields: dict, label: str, confidence: Optional[float]
-) -> TraceRecord:
-    """TraceRecord(rid, FeatureRecord(fields, rid), Prediction(label,
-    confidence)), built without the dataclasses' frozen __init__.
-
-    That __init__ sets each field through object.__setattr__, which costs
-    about as much per trace line as decoding the line; none of the three
-    classes has a __post_init__ to skip. Each __dict__ is filled in declared
-    field order, so the records are equal and repr-equal to the
-    constructor-built ones, hash as they do, and refuse assignment as they
-    do. The caller has checked every value; fields is the freshly decoded
-    dict, which nothing else holds, so it is kept uncopied.
-    """
-    record, features, prediction = (
-        object.__new__(TraceRecord),
-        object.__new__(FeatureRecord),
-        object.__new__(Prediction),
-    )
-    features.__dict__.update(fields=fields, id=rid)
-    prediction.__dict__.update(label=label, confidence=confidence)
-    record.__dict__.update(id=rid, input=features, output=prediction)
-    return record
+    prediction = Prediction(raw_output["label"], None if confidence is None else float(confidence))
+    return TraceRecord(rid, FeatureRecord(raw_input, rid), prediction)

@@ -1,13 +1,12 @@
 """Reference readers for specguard's JSON Lines files.
 
 monitor.read_trace and errors.iter_json_lines decode a line with one call
-of the JSON scanner, stream the file, and build a well-formed trace record
-without the dataclasses' __init__. These readers do none of that: the
-whole file read and split, json.loads on every line and records built by
-their constructors, with the input dict copied. They
-define the items, values and error texts the fast readers must keep, a
-value nested too deeply for the decoder included. test_jsonl.py checks the
-two against each other on random files.
+of the JSON scanner and stream the file. These readers do neither: the
+whole file read and split, and json.loads on every line; a trace record's
+input dict is copied. They define the items, values and error texts the
+fast readers must keep, a value nested too deeply for the decoder
+included. test_jsonl.py checks the two against each other on random
+files.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_help_golden
 import specguard
 from specguard import cli
 from specguard.cli import main
@@ -622,6 +623,67 @@ class TestDatasetCommands:
             assert detail["detail"].startswith(f"{ref} does not conform to the schema: ")
             assert error in detail["detail"]
 
+    @pytest.mark.parametrize(
+        "overrides,risk",
+        [
+            ({"risk_multiplier": 1e308}, 4),
+            ({"base_min_samples": 10**400}, 2),
+            ({"base_min_samples": 10**300, "risk_multiplier": 1e10}, 2),
+        ],
+        ids=["multiplier", "base", "product"],
+    )
+    def test_a_requirement_too_large_for_a_float_exits_two(
+        self, capsys, files, overrides, risk
+    ):
+        (partitioning,) = REQS["partitionings"]
+        short, tall = partitioning["partitions"]
+        reqs = dict(
+            REQS,
+            partitionings=[{**partitioning, "partitions": [{**short, "risk_weight": risk}, tall]}],
+            **overrides,
+        )
+        code, out, err = run(
+            capsys, "dataset", "coverage", "--data", files.data,
+            "--requirements", files.write("huge.json", reqs),
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "detail": f"base_min_samples x risk_multiplier^{risk - 1} (risk weight {risk}) "
+            "is too large for a float",
+        }
+
+    @pytest.mark.parametrize("command", ["split", "augment"])
+    @pytest.mark.parametrize(
+        "provenances,name,value",
+        [
+            ([{"transform": 5}, {"transform": "t"}], "transform", 5),
+            ([{"transform": "t"}, {"transform": "t", "source": ["r0"]}], "source", ["r0"]),
+        ],
+        ids=["int-transform", "list-source"],
+    )
+    def test_a_provenance_name_that_is_not_a_string_exits_two(
+        self, capsys, files, command, provenances, name, value
+    ):
+        """Two records that differ only in provenance, so split has to
+        order them by it; the reader stops at the line of the bad one."""
+        rows = [
+            {**DATA[0], "provenance": {"kind": "AUGMENTED", "source": "r0", **provenance}}
+            for provenance in provenances
+        ]
+        data = files.write("provenance.jsonl", DATA[1:] + rows)
+        argv = {
+            "split": ["--data", data, "--ratios", "0.6,0.2,0.2"],
+            "augment": ["--spec", files.spec, "--data", data],
+        }[command]
+        code, out, err = run(capsys, "dataset", command, *argv)
+        assert (code, out) == (2, "")
+        line = len(DATA) + [p.get(name) for p in provenances].index(value)  # DATA[1:], then rows
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "detail": f"{data}:{line}: provenance {name!r} must be a string, got {value!r}",
+        }
+
 
 class TestPatternsSimulate:
     def classifier(self, files, name, threshold):
@@ -1090,9 +1152,15 @@ class TestProcessCommands:
         }
 
 
+def table_commands() -> list[tuple[str, object]]:
+    """Each (command, subcommand) of cli._COMMANDS, in its order; the
+    subcommand is None for a command that takes its arguments itself."""
+    return [(command, sub) for command, (_, subs) in cli._COMMANDS.items() for sub in subs]
+
+
 def every_command(files):
     """One argv per command main dispatches: each (command, subcommand) of
-    cli._HANDLERS, plus diagnose and dataset split."""
+    cli._COMMANDS."""
     from specguard.process.catalog import packaged_catalog_path
 
     subject = {
@@ -1198,7 +1266,7 @@ class TestOutputDiscipline:
 
     def test_json_output_is_canonical(self, capsys, files):
         commands = every_command(files)
-        assert set(commands) == set(cli._HANDLERS) | {("diagnose", None), ("dataset", "split")}
+        assert set(commands) == set(table_commands())
         for command, argv in commands.items():
             for extra in ([], ["--timestamps"]):
                 code, out, err = run(capsys, *extra, *argv)
@@ -1302,9 +1370,7 @@ class TestNarrowedParser:
         yield ["--format", command, *named]
         yield ["--timestamps", command]
 
-    @pytest.mark.parametrize(
-        "command,subcommand", sorted(cli._HANDLERS) + [("diagnose", None)], ids=str
-    )
+    @pytest.mark.parametrize("command,subcommand", table_commands(), ids=str)
     def test_it_prints_what_the_full_parser_prints(
         self, capsys, monkeypatch, command, subcommand
     ):
@@ -1336,6 +1402,31 @@ class TestNarrowedParser:
         parsers.clear()
         cli.build_parser()
         assert len(parsers) == 20
+
+
+GOLDEN_HELP = json.loads(cli_help_golden.GOLDEN.read_text(encoding="utf-8"))
+
+
+class TestHelpGolden:
+    """What --help, no argument, an unknown subcommand and an unknown option
+    print at every level, against tests/golden/cli_help.json. The narrowed
+    and the full parser come from the same table, so only a golden file
+    written from an independent list of names catches a slip in it."""
+
+    @pytest.mark.skipif(
+        GOLDEN_HELP["python"] != "{}.{}".format(*sys.version_info[:2]),
+        reason="the golden help was written by another Python's argparse",
+    )
+    @pytest.mark.parametrize(
+        "case", GOLDEN_HELP["cases"], ids=lambda case: " ".join(case["argv"]) or "-"
+    )
+    def test_it_prints_the_golden_output(self, case):
+        assert cli_help_golden.capture(case["argv"]) == case
+
+    def test_the_golden_file_names_every_command_of_the_table(self):
+        table = [(c, [s for s in subs if s is not None]) for c, (_, subs) in cli._COMMANDS.items()]
+        assert table == list(cli_help_golden.COMMANDS.items())
+        assert [case["argv"] for case in GOLDEN_HELP["cases"]] == cli_help_golden.cases()
 
 
 class CountingSink:

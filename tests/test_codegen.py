@@ -486,7 +486,7 @@ def test_a_clean_line_never_becomes_a_trace_record(tmp_path, probabilistic):
     for fields, kinds in [(CONFORMING, []), ({**CONFORMING, "height": -1.0}, ["PRE"])]:
         path = _one_line_trace(tmp_path, fields)
         with mock.patch.object(
-            monitor, "_built_trace_record", wraps=monitor._built_trace_record
+            monitor, "_trace_record_from_json", wraps=monitor._trace_record_from_json
         ) as record:
             report = run_trace(spec, path, MonitorPolicy(probabilistic_window=1))
         assert record.call_count == 0

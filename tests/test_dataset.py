@@ -3,6 +3,7 @@ uncertainty categories, deterministic splitting, and the file formats."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -162,6 +163,12 @@ class TestCoverage:
             reqs(base_min_samples=0)
         with pytest.raises(FormatError, match="risk_multiplier"):
             reqs(risk_multiplier=0.5)
+        for multiplier in (math.nan, math.inf):
+            with pytest.raises(FormatError, match="risk_multiplier must be a finite number >= 1"):
+                reqs(risk_multiplier=multiplier)
+        with pytest.raises(FormatError, match=r"risk_multiplier\^1 \(risk weight 2\) is too large"):
+            reqs(risk_multiplier=10**400)
+        assert reqs(risk_multiplier=10**300).required_for(2) == 10**300
         with pytest.raises(FormatError, match="risk_weight"):
             part("bad", "true", risk=5)
         with pytest.raises(FormatError, match="no partitions"):
@@ -489,6 +496,11 @@ class TestFileFormats:
     def test_augmented_provenance_needs_transform_and_source(self):
         with pytest.raises(FormatError, match="needs 'transform' and 'source'"):
             Provenance(AUGMENTED)
+
+    @pytest.mark.parametrize("transform,source", [(5, None), ("t", b"r0"), (None, 1.0)])
+    def test_provenance_names_are_strings(self, transform, source):
+        with pytest.raises(FormatError, match="must be a string, got"):
+            Provenance(AUGMENTED, transform, source)
 
     def test_unknown_provenance_kind(self):
         with pytest.raises(FormatError, match="unknown provenance kind"):

@@ -98,7 +98,6 @@ def test_every_fast_path_declines_with_the_switch_set(tmp_path):
         assert classifiers.table_key_function(spec.schema) is records.value_key
         assert errors.read_json_streamed(table, "entries", print) is None
         assert errors.line_decoder() is not errors.json_line
-        assert monitor._record_builder() is monitor._constructed_trace_record
         with mock.patch.object(records, "_grid", side_effect=AssertionError):
             exact_key = records.canonical_key(fields)
         assert records._orders[names][2] is None  # no template
@@ -107,7 +106,6 @@ def test_every_fast_path_declines_with_the_switch_set(tmp_path):
     assert monitor.clean_line_function(spec) is not None
     assert classifiers.table_key_function(spec.schema) is not records.value_key
     assert errors.line_decoder() is errors.json_line
-    assert monitor._record_builder() is monitor._built_trace_record
 
 
 def test_a_table_with_off_schema_entries_answers_the_same(tmp_path):

@@ -1,23 +1,19 @@
 """The JSON Lines read path: errors.json_line, monitor.read_trace,
 errors.iter_json_lines and errors.read_json_lines against the reference
-readers in jsonl_oracle.py,
-and the trace records read_trace builds without their __init__."""
+readers in jsonl_oracle.py."""
 from __future__ import annotations
 
-import dataclasses
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
-from specguard import monitor
 from specguard.cli import main
 from specguard.errors import FormatError, iter_json_lines, json_line, read_json_lines
-from specguard.monitor import TraceRecord, _built_trace_record, read_trace
-from specguard.speccore.records import FeatureRecord, Prediction, record_from_json_dict
+from specguard.monitor import read_trace
+from specguard.speccore.records import record_from_json_dict
 
 GOOD = b'{"id": "r", "input": {"x": 1.5}, "output": {"label": "a", "confidence": 0.5}}'
 DEEP = b"[" * 100_000
@@ -210,35 +206,12 @@ def test_a_deep_value_is_refused_with_a_value_error():
         json_line(DEEP.decode())
 
 
-def test_a_fast_built_record_is_the_constructor_built_one():
-    fields = {"x": 1.5, "g": [[1, 2]]}
-    fast = _built_trace_record("r", fields, "a", 0.5)
-    slow = TraceRecord("r", FeatureRecord(dict(fields), "r"), Prediction("a", 0.5))
-    assert fast == slow and repr(fast) == repr(slow)
-    assert fast.input.fields is fields
-    for one, other in [(fast, slow), (fast.input, slow.input), (fast.output, slow.output)]:
-        assert type(one) is type(other)
-        assert list(vars(one)) == list(vars(other))
-    assert hash(fast.output) == hash(slow.output)
-    for record in (fast, slow):
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(record)
-    for obj, name in [(fast, "id"), (fast.input, "fields"), (fast.output, "confidence")]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, name, None)
-    relabelled = dataclasses.replace(fast, output=dataclasses.replace(fast.output, label="b"))
-    assert relabelled == TraceRecord("r", slow.input, Prediction("b", 0.5))
-    assert fast.output.label == "a"
-
-
-def test_every_well_formed_line_takes_the_built_record(tmp_path):
+def test_a_float_an_int_and_a_missing_confidence_read_as_the_oracle_reads_them(tmp_path):
     path = tmp_path / "trace.jsonl"
     lines = [GOOD, GOOD.replace(b"0.5}", b"1}"), GOOD.replace(b', "confidence": 0.5', b"")]
     assert len(set(lines)) == 3
     path.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
-    with mock.patch.object(monitor, "_built_trace_record", wraps=_built_trace_record) as built:
-        items = list(read_trace(path))
-    assert built.call_count == 3  # the int and the missing confidence too
+    items = list(read_trace(path))
     assert items == jsonl_oracle.read_trace(path)
     assert [type(item.output.confidence) for item in items[:3]] == [float, float, type(None)]
 
