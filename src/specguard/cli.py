@@ -30,6 +30,7 @@ from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file
 from .monitor import (
     MonitorPolicy,
     PolicyAction,
+    Violation,
     run_trace,
 )
 # read_trace is not called here; bench/tracer.py wraps it under this name in
@@ -185,7 +186,7 @@ def _cmd_monitor_run(args) -> tuple[Optional[dict], Iterable[str], int]:
     spec = load_spec(args.spec)
     policy = _policy_from_file(args.policy) if args.policy else MonitorPolicy()
     report = run_trace(spec, args.trace, policy)
-    payload = None if _wants_text(args) else report.to_json_dict()
+    payload = None if _wants_text(args) else report.json_members(_Violations(report.violations))
     summary = [
         f"final state: {report.final_state.value}",
         f"records: {report.records_processed}",
@@ -484,13 +485,36 @@ def main(argv: Optional[list[str]] = None) -> int:
 _JSON_BATCH = 4096
 
 
+# A report's violations, which _write_json writes as the list of their JSON
+# values: each violation's to_json_dict() is made as the encoder reaches it
+# and dropped once it is written. It is a list because that is what the
+# encoder writes as an array, but its own storage stays empty: it reads the
+# report's list through __len__ and __iter__, all that the pure-Python
+# encoder asks of a list. json's C encoder, which runs without indent, reads
+# the storage and would write [].
+class _Violations(list):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation]) -> None:
+        self.violations = violations
+
+    def __len__(self) -> int:
+        return len(self.violations)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(Violation.to_json_dict, self.violations)
+
+
 def _write_json(payload, out) -> None:
     """Write json.dumps(payload, sort_keys=True, indent=2) and a newline to
     out, joined in batches of _JSON_BATCH encoder chunks.
 
     With indent set, json.dumps runs the same pure-Python iterencode and
     joins the list of all its chunks, so the text is identical; only one
-    batch is held here at a time. The encoder is reached as cli.json's
+    batch is held here at a time. That encoder reads a list by iterating
+    it, so a list in payload may make its items as it is read: monitor run
+    passes its violations as _Violations, and only the violation being
+    written has a JSON value. The encoder is reached as cli.json's
     JSONEncoder because the benchmark's tracer replaces the json name of
     this module with a view of json.__all__.
     """

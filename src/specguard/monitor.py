@@ -11,7 +11,8 @@ either input form: a trace line's decoded JSON value, or the view
 {"id", "input": fields, "output": {"label", "confidence"}} of an in-memory
 TraceRecord (_views). It answers only when the value is an object with a
 str "id", its input conforms to the schema and its prediction to the label
-alphabet, with a float confidence. It then evaluates each check on its
+alphabet, with a float confidence (or none, for a spec whose conditions
+never read output.confidence). It then evaluates each check on its
 own, in check_sample's order, in one pass. Its answer is the row, the
 floats the probabilistic window needs, when check_sample would report
 nothing: the item only adds the row to the window, and a line never
@@ -75,7 +76,7 @@ from .speccore.spec import (
     require_well_formed,
     spec_function,
 )
-from .speclang.ast import Expression, to_source
+from .speclang.ast import Expression, reads_output, to_source
 from .speclang.codegen import Emitter
 from .speclang.schema import is_number
 
@@ -164,8 +165,11 @@ class MalformedLine:
     error: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
+    """One finding of the monitor. Slotted: a run keeps every violation, so
+    each costs its four fields and its detail dict, and no __dict__."""
+
     record_id: Optional[str]
     kind: ViolationKind
     detail: dict
@@ -194,11 +198,16 @@ class MonitorReport:
         return out
 
     def to_json_dict(self) -> dict:
+        return self.json_members([v.to_json_dict() for v in self.violations])
+
+    def json_members(self, violations: list) -> dict:
+        """The report's JSON object, with violations, the violations' JSON
+        values in order, as its "violations" member."""
         return {
             "final_state": self.final_state.value,
             "records_processed": self.records_processed,
             "counts": self.counts,
-            "violations": [v.to_json_dict() for v in self.violations],
+            "violations": violations,
         }
 
 
@@ -290,7 +299,8 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
     its "input" is a dict that conforms to the schema with exact builtin
     types (float, int, str, bool, lists of rows), and its "output" is a
     dict whose "label" is a str in the alphabet and whose "confidence" is a
-    float in [0, 1]. It then evaluates each check check_sample makes on
+    float in [0, 1], or missing or None where no condition reads
+    output.confidence. It then evaluates each check check_sample makes on
     its own, in its order: the precondition, and when it holds the
     postcondition, every sufficient condition of every label but the
     predicted one and every necessary condition of the predicted label.
@@ -311,6 +321,7 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
     it must agree with; the conditions' part by speclang.codegen.
     """
     checks = list(enumerate(_checks(spec)))
+    confidence_read = any(reads_output(check[3], "confidence") for _, check in checks)
 
     def write(emit: Emitter, guard: list[str]) -> list[str]:
         floats = "".join(f"{emit.names[c.field]}, " for c in spec.probabilistic)
@@ -322,9 +333,7 @@ def clean_line_function(spec: PartialSpec) -> Optional[Callable[[Any], Any]]:
             "    return None",
             *guard,
         ]
-        line += prediction_guard(
-            spec.schema, emit.constant, "output['label']", "output['confidence']"
-        )
+        line += prediction_guard(spec.schema, emit.constant, "output", confidence_read)
         line.append(f"row = ({floats})")
         held = emit.condition(spec.precondition, line)
         line += [f"if not {held}: return [row, 0]", "failing = ()"]

@@ -101,21 +101,27 @@ def conformance_guard(
 
 
 def prediction_guard(
-    schema: Schema, constant: Callable[[Any], str], label: str, confidence: str
+    schema: Schema, constant: Callable[[Any], str], output: str, confidence_read: bool
 ) -> list[str]:
     """Python source lines, for a generated function, that return None or
-    raise unless the prediction read by the source expressions label and
-    confidence has a str label on which prediction_errors finds nothing and
-    a float confidence.
+    raise unless the prediction dict read by the source expression output
+    has a str "label" on which prediction_errors finds nothing and a float
+    "confidence". Where no condition reads the confidence (confidence_read
+    false), a missing or None confidence passes too, as prediction_errors
+    lets it.
 
     Afterwards the locals label and confidence hold the prediction's.
     """
+    read = f"{output}['confidence']"
+    test = "confidence.__class__ is not float or not 0.0 <= confidence <= 1.0"
+    if not confidence_read:
+        read, test = f"{output}.get('confidence')", f"confidence is not None and ({test})"
     return [
-        f"label = {label}",
+        f"label = {output}['label']",
         f"if label.__class__ is not str or label not in {constant(frozenset(schema.labels))}:",
         "    return None",
-        f"confidence = {confidence}",
-        "if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:",
+        f"confidence = {read}",
+        f"if {test}:",
         "    return None",
     ]
 

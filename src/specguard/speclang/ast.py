@@ -131,6 +131,23 @@ def _string_text(value: str) -> str:
     return '"' + "".join(_STRING_ESCAPES.get(ch, ch) for ch in value) + '"'
 
 
+def reads_output(expr: Expression, attr: str) -> bool:
+    """Does expr hold OutputRef(attr) anywhere? An iterative walk, so a
+    chain of any length is searched."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, OutputRef) and node.attr == attr:
+            return True
+        if isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+        elif isinstance(node, Call):
+            stack += node.args
+    return False
+
+
 def to_source(expr: Expression) -> str:
     """Render an AST back to source text, memoised on the node (and on no
     node below it, so a chain's text is held once, not once per prefix).

@@ -2,6 +2,7 @@
 the error channel."""
 from __future__ import annotations
 
+import contextlib
 import errno
 import importlib.metadata
 import io
@@ -25,7 +26,12 @@ from specguard.cli import main
 from specguard.monitor import MonitorReport, run_trace
 from specguard.speccore.spec import load_spec
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+# The benchmark's generators, imported read-only, as bench/tests does.
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 PED_SPEC = {
     "schema": {
@@ -389,13 +395,13 @@ class TestMonitorRun:
         argv = ["monitor", "run", "--spec", files.spec, "--trace", files.trace]
         text = run(capsys, *argv, "--format", "text")
 
-        def refuse(report):
-            raise AssertionError("to_json_dict called")
+        def refuse(report, violations):
+            raise AssertionError("json_members called")
 
-        monkeypatch.setattr(MonitorReport, "to_json_dict", refuse)
+        monkeypatch.setattr(MonitorReport, "json_members", refuse)
         assert run(capsys, *argv, "--format", "text") == text
         assert text[0] == 1 and text[1].startswith("final state: ")
-        with pytest.raises(AssertionError, match="to_json_dict called"):
+        with pytest.raises(AssertionError, match="json_members called"):
             main(argv)
 
     def test_a_text_report_is_printed_line_by_line(self, capsys, files, monkeypatch):
@@ -415,6 +421,64 @@ class TestMonitorRun:
         assert (code, err) == (1, "")
         assert out == "\n".join(want) + "\n"
         assert printed == [(line,) for line in want]
+
+
+class TestMonitorReportWriter:
+    """monitor run writes its JSON report without a dict per violation; the
+    text is still the indented dump of MonitorReport.to_json_dict()."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_the_report_is_the_dump_of_to_json_dict(self, capsys, tmp_path, seed):
+        argv = WORKLOADS["monitor_trace"].generate(seed, tmp_path, lines=3000).argv
+        code, out, err = run(capsys, *argv)
+        options = dict(zip(argv[2::2], argv[3::2]))
+        policy = cli._policy_from_file(options["--policy"])
+        report = run_trace(load_spec(options["--spec"]), options["--trace"], policy)
+        assert (code, err) == (1, "")
+        assert out == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        details = [v.detail for v in report.violations]
+        assert any("window" in d for d in details)
+        assert {"conformance", "trace"} <= {d.get("stage") for d in details}
+
+    def test_a_report_without_violations_is_the_dump_too(self, capsys, files):
+        code, out, err = run(
+            capsys, "monitor", "run", "--spec", files.spec, "--trace", files.clean_trace
+        )
+        report = run_trace(load_spec(files.spec), files.clean_trace)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert '"violations": []' in out
+
+    def test_writing_the_report_does_not_grow_with_the_violations(self, files, monkeypatch):
+        """From the end of the run to the last byte written, the traced heap
+        peaks no higher for 20k violations than for 2k: the report never
+        holds the violations' JSON values at once."""
+        spec = files.write("spec.json", PED_SPEC)
+        peaks = {}
+
+        def measured_run(*args):
+            report = run_trace(*args)
+            tracemalloc.reset_peak()
+            peaks["start"] = tracemalloc.get_traced_memory()[0]
+            return report
+
+        monkeypatch.setattr(cli, "run_trace", measured_run)
+        for size in (2_000, 2_000, 20_000):  # the first run warms one-time caches
+            trace = files.write(
+                f"failing{size}.jsonl",
+                [{"id": f"r{i}", "input": {"height": -1.0}, "output": {"label": "pedestrian"}}
+                 for i in range(size)],
+            )
+            sink = CountingSink()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(["monitor", "run", "--spec", spec, "--trace", trace]) == 1
+                peaks[size] = tracemalloc.get_traced_memory()[1] - peaks["start"]
+            finally:
+                tracemalloc.stop()
+            assert sink.chars > 150 * size  # one PRE violation a line
+        assert peaks[20_000] < peaks[2_000] + 64 * 1024
 
 
 class TestDatasetCommands:
@@ -1439,6 +1503,9 @@ class CountingSink:
         self.chars += len(text)
         self.writes += 1
         self.largest = max(self.largest, len(text))
+
+    def flush(self) -> None:
+        pass
 
 
 BATCH = cli._JSON_BATCH

@@ -61,7 +61,17 @@ from specguard.speccore.spec import (
     static_errors,
 )
 from specguard.speclang import codegen
-from specguard.speclang.ast import Binary, Bool, Call, InputRef, Num, OutputRef, Str, Unary
+from specguard.speclang.ast import (
+    Binary,
+    Bool,
+    Call,
+    InputRef,
+    Num,
+    OutputRef,
+    Str,
+    Unary,
+    reads_output,
+)
 from specguard.speclang.codegen import Emitter
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import (
@@ -594,10 +604,21 @@ def _variants():
     "fields,prediction", [v[1:] for v in _variants()], ids=[v[0] for v in _variants()]
 )
 def test_a_record_off_the_schema_is_never_decided_clean(fields, prediction):
-    clean_line = clean_line_function(PartialSpec(schema=SCHEMA))
+    # The postcondition reads the confidence, so a missing one is off too.
+    clean_line = clean_line_function(
+        PartialSpec(schema=SCHEMA, postcondition=parse("output.confidence >= 0"))
+    )
     prediction = prediction or Prediction("pedestrian", 0.5)
     assert _answer(clean_line, CONFORMING, Prediction("pedestrian", 0.5)) is True
     assert _verdict(clean_line, fields, prediction) is None
+
+
+def test_reads_output_finds_a_reference_anywhere_in_a_chain_of_any_length():
+    chain = codegen.any_of([parse("input.height > 0")] * 20_000 + [parse("output.confidence > 0")])
+    assert reads_output(chain, "confidence") and not reads_output(chain, "label")
+    nested = parse('!(rows(input.img) > 1 && -input.height < 0 || output.label == "cyclist")')
+    assert reads_output(nested, "label") and not reads_output(nested, "confidence")
+    assert reads_output(parse("max(1, output.confidence) > 0"), "confidence")
 
 
 class Real(float):

@@ -63,14 +63,31 @@ def _commands(seed: int, directory: Path) -> dict[str, list[str]]:
     grid = directory / "grid_uncertainty"
     known, spec = str(grid / "known.jsonl"), str(grid / "spec.json")
     monitor_run = prepared["monitor_trace"].argv
+    # Most lines fail the postcondition, so most violations come from the
+    # generated check's failing-check answers, and the report writer
+    # converts a violation for nearly every line.
+    failing = _monitor_run_with(
+        monitor_run, directory / "failing.json", postcondition="output.confidence >= 0.999"
+    )
     return {
         "monitor run json": ["--format", "json", *monitor_run],
         "monitor run text": ["--format", "text", *monitor_run],
+        "monitor run mostly failing": ["--format", "json", *failing],
         "patterns simulate": prepared["gated_simulate"].argv,
         "dataset uncertainty": prepared["grid_uncertainty"].argv,
         "dataset split": ["dataset", "split", "--data", known, "--ratios", "0.5,0.25,0.25"],
         "dataset augment": ["dataset", "augment", "--spec", spec, "--data", known],
     }
+
+
+def _monitor_run_with(argv: list[str], path: Path, **changes) -> list[str]:
+    """argv of a monitor run whose spec is argv's with the changes made (a
+    None value deletes its key), written to path."""
+    at = argv.index("--spec") + 1
+    spec = json.loads(Path(argv[at]).read_text(encoding="utf-8"))
+    spec.update(changes)
+    path.write_text(json.dumps({k: v for k, v in spec.items() if v is not None}), encoding="utf-8")
+    return [*argv[:at], str(path), *argv[at + 1:]]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -81,6 +98,31 @@ def test_every_command_gives_the_same_bytes_with_the_fast_paths_off(tmp_path, se
             exact = _run(argv)
         assert fast[1], name  # each command reports something
         assert exact == fast, name
+
+
+def test_lines_without_a_confidence_skip_the_exact_checks_where_none_reads_it(tmp_path):
+    """The benchmark trace, with a spec whose conditions never read
+    output.confidence: a line without one, or with a null one, is then
+    answered by the generated check like any other conforming line."""
+    argv = WORKLOADS["monitor_trace"].generate(7, tmp_path, lines=2000).argv
+    argv = _monitor_run_with(argv, tmp_path / "no_confidence.json", postcondition=None)
+    path = tmp_path / "trace.jsonl"
+    # Five lines with a float confidence again, each with a null one.
+    lines = path.read_text(encoding="utf-8").splitlines()
+    nulls = [json.loads(line) for line in lines if '"confidence": 0.' in line][:5]
+    for record in nulls:
+        record["output"]["confidence"] = None
+    lines += [json.dumps(record) for record in nulls]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(nulls) == 5 and sum('"confidence"' not in line for line in lines) >= 5
+    with mock.patch.object(monitor, "check_sample", wraps=monitor.check_sample) as checked:
+        fast = _run(argv)
+        assert checked.call_count == 0
+        with _exact_paths():
+            exact = _run(argv)
+        assert checked.call_count > 0
+    assert fast[0] == 1 and '"kind": "NECESSARY"' in fast[1]
+    assert exact == fast
 
 
 def test_every_fast_path_declines_with_the_switch_set(tmp_path):

@@ -2,7 +2,9 @@
 trace reading, and concatenation behaviour."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 import runpy
 from pathlib import Path
@@ -17,6 +19,7 @@ from specguard.monitor import (
     MonitorState,
     PolicyAction,
     TraceRecord,
+    Violation,
     ViolationKind,
     check_batch_probabilistic,
     check_sample,
@@ -91,6 +94,56 @@ class TestCheckSample:
         violations = check_sample(make_spec(), record, MonitorPolicy())
         assert kinds(violations) == [ViolationKind.EVAL_ERROR]
         assert violations[0].detail["stage"] == "pre"
+
+
+class TestViolation:
+    """A run keeps every violation, so a Violation is slotted: it costs its
+    fields alone, and behaves as the plain dataclass did."""
+
+    @staticmethod
+    def violation(**changes):
+        fields = dict(
+            record_id="r1",
+            kind=ViolationKind.POST,
+            detail={"condition": "output.confidence > 0.1", "predicted": "pedestrian"},
+        )
+        return Violation(**{**fields, **changes})
+
+    def test_it_has_no_instance_dict(self):
+        violation = self.violation()
+        assert not hasattr(violation, "__dict__")
+        with pytest.raises(AttributeError):
+            violation.note = "anything"
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_it_pickles_by_its_fields(self, protocol):
+        violation = self.violation(post_failsafe=True)
+        copy = pickle.loads(pickle.dumps(violation, protocol))
+        assert copy == violation and copy is not violation
+        assert copy.to_json_dict() == violation.to_json_dict()
+
+    def test_replace_equality_and_repr_read_its_fields(self):
+        violation = self.violation()
+        moved = dataclasses.replace(violation, record_id="r2")
+        assert moved.detail is violation.detail and moved.kind is ViolationKind.POST
+        assert moved == self.violation(record_id="r2") and moved != violation
+        assert violation != self.violation(post_failsafe=True)
+        assert repr(violation) == (
+            "Violation(record_id='r1', kind=<ViolationKind.POST: 'POST'>, "
+            "detail={'condition': 'output.confidence > 0.1', 'predicted': 'pedestrian'}, "
+            "post_failsafe=False)"
+        )
+        with pytest.raises(TypeError):
+            hash(violation)  # mutable, as before
+
+    def test_post_failsafe_can_still_be_set(self):
+        violation = self.violation()
+        violation.post_failsafe = True
+        assert violation.to_json_dict()["post_failsafe"] is True
+        policy = MonitorPolicy(on_post_class_violation=PolicyAction.FAILSAFE)
+        report = run_trace(make_spec(), [tr("a", 9.0, "pedestrian"), tr("b", 9.0, "pedestrian")],
+                           policy)
+        assert [v.post_failsafe for v in report.violations] == [False, True]
 
 
 class TestPolicyValidation:
