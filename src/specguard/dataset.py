@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -424,9 +425,12 @@ def categorize_uncertainty(
     a known input by at most max_depth transform applications (breadth-first;
     the shortest transform path is reported). UNKNOWN_UNKNOWN: neither.
     Transform failures prune that branch of the search. max_depth is capped
-    at 4: the closure grows exponentially in depth. A known input or probe
-    that does not conform to the schema raises FormatError before the
-    search.
+    at 4: the closure grows exponentially in depth. The search holds a key
+    and path for every state reached, but a record only for the states still
+    to be expanded: a state first reached at max_depth is keyed and never
+    kept, and each frontier record is dropped once every transform has been
+    applied to it. A known input or probe that does not conform to the schema
+    raises FormatError before the search.
     """
     if max_depth < 0:
         raise FormatError("max_depth must be >= 0")
@@ -434,50 +438,51 @@ def categorize_uncertainty(
         raise FormatError(f"max_depth is capped at {MAX_UNCERTAINTY_DEPTH}")
     _require_conforming([r.input for r in known], schema, "known record")
     _require_conforming(probes, schema, "probe")
-    # Keyed by canonical_key, not value_key: the benchmark's tracer counts
-    # the closure's states from the keys this module's canonical_key
-    # returns. It can move to value_key once that count no longer depends
-    # on how the keys are made (ROADMAP item 4).
-    reached: dict[str, tuple[int, tuple[str, ...]]] = {}
-    # Each frontier state carries the transform path that first reached it.
-    frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []
+    # Keyed by canonical_key, not the schema key: the benchmark's tracer
+    # counts the closure's states from the keys this module's canonical_key
+    # returns. It can move to classifiers.table_key_function once that count
+    # no longer depends on how the keys are made (ROADMAP item 6, after
+    # item 2).
+    # Each state reached, with the transform path that first reached it; its
+    # depth is the path's length.
+    reached: dict[str, tuple[str, ...]] = {}
+    # The states still to be expanded, in breadth-first order.
+    frontier: deque[tuple[FeatureRecord, tuple[str, ...]]] = deque()
     for record in known:
         key = canonical_key(record.input.fields)
         if key not in reached:
-            reached[key] = (0, ())
-            frontier.append((record.input, ()))
-    for depth in range(1, max_depth + 1):
-        next_frontier: list[tuple[FeatureRecord, tuple[str, ...]]] = []
-        for record, base_path in frontier:
-            for t in transforms:
-                try:
-                    new_record = apply_transformation(t, record, schema)
-                except (TransformError, EvalError):
-                    continue
-                key = canonical_key(new_record.fields)
-                if key in reached:
-                    continue
-                path = base_path + (t.name,)
-                reached[key] = (depth, path)
-                next_frontier.append((new_record, path))
-        frontier = next_frontier
-        if not frontier:
-            break
+            reached[key] = ()
+            if max_depth:
+                frontier.append((record.input, ()))
+    while frontier:
+        record, base_path = frontier.popleft()
+        for t in transforms:
+            try:
+                new_record = apply_transformation(t, record, schema)
+            except (TransformError, EvalError):
+                continue
+            key = canonical_key(new_record.fields)
+            if key in reached:
+                continue
+            path = base_path + (t.name,)
+            reached[key] = path
+            if len(path) < max_depth:
+                frontier.append((new_record, path))
     per_probe: list[dict] = []
     tally = {KNOWN: 0, KNOWN_UNKNOWN: 0, UNKNOWN_UNKNOWN: 0}
     for index, probe in enumerate(probes):
         ref = record_ref(probe.id, index)
-        hit = reached.get(canonical_key(probe.fields))
-        if hit is None:
+        path = reached.get(canonical_key(probe.fields))
+        if path is None:
             entry = {"probe": ref, "category": UNKNOWN_UNKNOWN}
-        elif hit[0] == 0:
+        elif not path:
             entry = {"probe": ref, "category": KNOWN}
         else:
             entry = {
                 "probe": ref,
                 "category": KNOWN_UNKNOWN,
-                "depth": hit[0],
-                "path": list(hit[1]),
+                "depth": len(path),
+                "path": list(path),
             }
         tally[entry["category"]] += 1
         per_probe.append(entry)

@@ -180,7 +180,16 @@ def validate_transformation(t: Transformation, schema: Schema) -> list[str]:
     return errors
 
 
-def _require_integral(t: Transformation, field: str, value: float) -> float:
+def _number_result(t: Transformation, field: str, value: float, ftype: Any) -> float:
+    """value as a field of type ftype takes it: finite, and for an integer
+    field integral (returned as a float)."""
+    if not is_number(value):
+        raise TransformError(
+            f"transformation {t.name!r} produced {value!r} for field {field!r}, "
+            "not a finite number"
+        )
+    if not isinstance(ftype, IntegerType):
+        return value
     if float(value) != int(value):
         raise TransformError(
             f"transformation {t.name!r} produced non-integer {value!r} "
@@ -255,8 +264,9 @@ def apply_transformation(
 
     Raises TransformError when the record's shape defeats the operation (a
     missing field, a grid that is not rectangular or holds a cell that is
-    not an int or float, a non-numeric value to scale) or an integer field
-    would receive a non-integer value.
+    not an int or float, a non-numeric value to scale), a number or integer
+    field would receive a NaN or an infinity, or an integer field a
+    non-integer value. Grid cells are not checked for finiteness.
     """
     op = t.op
     if isinstance(op, FieldMap):
@@ -269,8 +279,9 @@ def apply_transformation(
                 raise TransformError(
                     f"transformation {t.name!r}, field {field!r}: {exc}"
                 ) from exc
-            if isinstance(schema.fields.get(field), IntegerType):
-                result = _require_integral(t, field, result)
+            ftype = schema.fields.get(field)
+            if isinstance(ftype, (NumberType, IntegerType)):
+                result = _number_result(t, field, result, ftype)
             updates[field] = result
         fields.update(updates)
         return FeatureRecord(fields, id=None)
@@ -286,9 +297,12 @@ def apply_transformation(
     else:
         if not is_number(value):
             raise TransformError(f"transformation {t.name!r}: {op.field!r} is not numeric")
-        new_value = float(value) * op.k if isinstance(op, Scale) else float(value) + op.c
-        if isinstance(schema.fields.get(op.field), IntegerType):
-            new_value = _require_integral(t, op.field, new_value)
+        new_value = _number_result(
+            t,
+            op.field,
+            float(value) * op.k if isinstance(op, Scale) else float(value) + op.c,
+            schema.fields.get(op.field),
+        )
     memo: dict = {}
     fields = {
         name: new_value if name == op.field else copy.deepcopy(v, memo)

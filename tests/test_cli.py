@@ -558,6 +558,35 @@ class TestDatasetCommands:
         assert payload["added"] == 10
         assert payload["records"][10]["provenance"]["transform"] == "taller"
 
+    @pytest.mark.parametrize("ftype, value", [("integer", 5), ("number", 5.5)])
+    def test_augment_lists_a_transform_past_float_range_as_an_error(
+        self, capsys, files, ftype, value
+    ):
+        spec = files.write("big_spec.json", dict(
+            PED_SPEC,
+            schema={"fields": {"n": {"type": ftype}}, "labels": ["a", "b"]},
+            precondition="true",
+            necessary={},
+            invariants=[{"name": "big", "kind": "scale", "field": "n", "k": 1e308}],
+        ))
+        data = files.write("big.jsonl", [{"id": "r0", "input": {"n": value}, "label": "a"}])
+        code, out, err = run(capsys, "dataset", "augment", "--spec", spec, "--data", data)
+        assert (code, err) == (1, "")
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["added"] == 0
+        assert [r["id"] for r in payload["records"]] == ["r0"]
+        assert payload["errors"] == [
+            {
+                "record": "r0",
+                "transform": "big",
+                "error": "transformation 'big' produced inf for field 'n', not a finite number",
+            }
+        ]
+
     def test_split_sizes_and_determinism(self, capsys, files):
         argv = ("dataset", "split", "--data", files.data, "--ratios", "0.6,0.2,0.2")
         code, out_a, _ = run(capsys, *argv)
@@ -631,6 +660,28 @@ class TestDatasetCommands:
         assert code == 1
         assert payload["fractions"]["unknown_unknown"] == 1.0
 
+
+    def test_uncertainty_prunes_a_transform_past_float_range(self, capsys, files):
+        spec = files.write("big_spec.json", dict(
+            PED_SPEC,
+            schema={"fields": {"n": {"type": "integer"}}, "labels": ["a", "b"]},
+            precondition="true",
+            necessary={},
+            invariants=[
+                {"name": "big", "kind": "scale", "field": "n", "k": 1e308},
+                {"name": "next", "kind": "add", "field": "n", "c": 1},
+            ],
+        ))
+        known = files.write("big.jsonl", [{"id": "r0", "input": {"n": 5}, "label": "a"}])
+        probes = files.write("big_probes.jsonl", [{"id": "p", "input": {"n": 7}}])
+        code, payload = run_json(
+            capsys, "dataset", "uncertainty", "--known", known,
+            "--probes", probes, "--spec", spec, "--depth", "2",
+        )
+        assert code == 0
+        assert payload["per_probe"] == [
+            {"probe": "p", "category": "KNOWN_UNKNOWN", "depth": 2, "path": ["next", "next"]}
+        ]
 
     @pytest.mark.parametrize(
         "bad_row, error",

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from uncertainty_oracle import closure_levels, oracle_uncertainty
+
+import specguard.dataset as dataset_module
 
 from specguard.dataset import (
     AUGMENTED,
@@ -31,17 +36,18 @@ from specguard.dataset import (
     verify_dataset,
 )
 from specguard.errors import FormatError
-from specguard.speccore.records import FeatureRecord
+from specguard.speccore.records import FeatureRecord, conformance_errors
 from specguard.speccore.spec import PartialSpec
 from specguard.speccore.transforms import (
     AddOffset,
     FieldMap,
     LabelMap,
     Scale,
+    ShiftGrid,
     Transformation,
 )
 from specguard.speclang.parser import parse
-from specguard.speclang.schema import NumberType, Schema
+from specguard.speclang.schema import GridType, IntegerType, NumberType, Schema
 
 SCHEMA = Schema({"x": NumberType(), "y": NumberType()}, ("yes", "no"))
 
@@ -278,6 +284,31 @@ class TestAugment:
         assert [r.input.id for r in result.records] == ["r0", "r0~fine"]
 
 
+_UNCERTAINTY_SCHEMA = Schema(
+    {"x": NumberType(), "n": IntegerType(), "g": GridType(2, 2)}, ("yes", "no")
+)
+_UNCERTAINTY_FIELDS = st.fixed_dictionaries(
+    {
+        "x": st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+        "n": st.integers(-2, 3),
+        "g": st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=2),
+            min_size=2,
+            max_size=2,
+        ),
+    }
+)
+# Some of these fail on some records: a shift of x (not a grid), a halved
+# odd n, or a scalar pushed past float range.
+_UNCERTAINTY_OPS = st.one_of(
+    st.builds(
+        ShiftGrid, st.sampled_from(["g", "x"]), st.integers(-1, 1), st.integers(-1, 1)
+    ),
+    st.builds(Scale, st.sampled_from(["x", "n", "g"]), st.sampled_from([2.0, 0.5, -1.0, 1e308])),
+    st.builds(AddOffset, st.sampled_from(["x", "n", "g"]), st.sampled_from([1.0, -1.0, 0.5])),
+)
+
+
 class TestUncertainty:
     def transforms(self):
         return [Transformation("right", AddOffset("x", 1.0))]
@@ -343,6 +374,93 @@ class TestUncertainty:
     def test_no_probes_gives_zero_fractions(self):
         report = categorize_uncertainty(self.known(0), [], self.transforms(), 1, SCHEMA)
         assert report.fractions == {"known": 0.0, "known_unknown": 0.0, "unknown_unknown": 0.0}
+
+    def test_the_search_holds_only_the_records_still_to_be_expanded(self, monkeypatch):
+        known = self.known(0, 10)
+        transforms = [
+            Transformation("right", AddOffset("x", 1.0)),
+            Transformation("not_a_grid", ShiftGrid("x", dx=1)),
+            Transformation("jump", AddOffset("x", 3.0)),
+        ]
+        probes = self.probes(0, 4, 99)
+        max_depth = 3
+        real_apply = dataset_module.apply_transformation
+        real_key = dataset_module.canonical_key
+        results: list[tuple[weakref.ref, int]] = []  # each record returned, its depth
+        pending: list[weakref.ref] = []  # the last record returned, until it is keyed
+        expanded: list[weakref.ref] = []  # the last record transformed, if one returned
+        keyed_outside: list[dict] = []  # fields keyed other than right after a transform
+        applied_after: list[int] = []  # len(keyed_outside) at each transformation
+        order = (
+            "bench/tracer.py counts the closure's states from the call order: each "
+            "dataset.apply_transformation result goes to dataset.canonical_key before "
+            "the next transformation, the known inputs are keyed first and the probes last"
+        )
+
+        def apply(t, record, schema):
+            assert not pending, order
+            applied_after.append(len(keyed_outside))
+            if expanded and expanded[-1]() is not record:
+                assert expanded.pop()() is None, "an expanded frontier record outlived its expansion"
+            depth = next((d for ref, d in results if ref() is record), 0) + 1
+            if depth > 1 and not expanded:
+                expanded.append(weakref.ref(record))
+            out = real_apply(t, record, schema)
+            results.append((weakref.ref(out), depth))
+            pending.append(weakref.ref(out))
+            return out
+
+        def key(fields):
+            if not pending:
+                keyed_outside.append(fields)
+            else:
+                assert fields is pending.pop()().fields, order
+                for ref, depth in results[:-1]:
+                    assert depth <= max_depth
+                    if depth == max_depth:
+                        assert ref() is None, "a record of the last depth outlived its keying"
+            return real_key(fields)
+
+        monkeypatch.setattr(dataset_module, "apply_transformation", apply)
+        monkeypatch.setattr(dataset_module, "canonical_key", key)
+        report = categorize_uncertainty(known, probes, transforms, max_depth, SCHEMA)
+        expected = [k.input.fields for k in known] + [p.fields for p in probes]
+        assert set(applied_after) == {len(known)}, order
+        assert len(keyed_outside) == len(expected), order
+        assert all(map(operator.is_, keyed_outside, expected)), order
+        assert sum(depth == max_depth for _, depth in results) > 1
+        assert [e.get("path") for e in report.per_probe] == [None, ["right", "jump"], None]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        known=st.lists(_UNCERTAINTY_FIELDS, max_size=3),
+        random_probes=st.lists(_UNCERTAINTY_FIELDS, max_size=3),
+        ops=st.lists(_UNCERTAINTY_OPS, max_size=4),
+        max_depth=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_equals_a_plain_breadth_first_search(
+        self, known, random_probes, ops, max_depth, data
+    ):
+        schema = _UNCERTAINTY_SCHEMA
+        known = [LabeledRecord(FeatureRecord(f, f"k{i}"), "yes") for i, f in enumerate(known)]
+        transforms = [Transformation(f"t{i}", op) for i, op in enumerate(ops)]
+        # Probes drawn also from the states reached within one step more than
+        # max_depth, so that paths and the depth bound get compared.
+        reached = [
+            record
+            for level in closure_levels(known, transforms, max_depth + 1, schema)
+            for _, record, _ in level
+            if not conformance_errors(record.fields, schema)
+        ]
+        drawn = data.draw(st.lists(st.sampled_from(reached), max_size=4)) if reached else []
+        probes = [FeatureRecord(f) for f in random_probes] + [
+            FeatureRecord(r.fields) for r in drawn
+        ]
+        report = categorize_uncertainty(known, probes, transforms, max_depth, schema)
+        assert report.to_json_dict() == oracle_uncertainty(
+            known, probes, transforms, max_depth, schema
+        )
 
 
 class TestSplit:

@@ -119,6 +119,20 @@ class TestNumericOps:
         out = apply_transformation(Transformation("x3", Scale("count", 3.0)), rec(), SCHEMA)
         assert out.fields["count"] == 12.0
 
+    @pytest.mark.parametrize(
+        "op, record",
+        [
+            (Scale("count", 1e308), rec()),
+            (AddOffset("count", 1e308), rec(count=10**308)),
+            (Scale("height", 1e308), rec()),
+            (AddOffset("height", -1e308), rec(height=-1e308)),
+        ],
+        ids=["scaled_integer", "offset_integer", "scaled_number", "offset_number"],
+    )
+    def test_a_result_past_float_range_is_a_transform_error(self, op, record):
+        with pytest.raises(TransformError, match="inf for field .*, not a finite number"):
+            apply_transformation(Transformation("big", op), record, SCHEMA)
+
     def test_missing_field_raises(self):
         with pytest.raises(TransformError, match="no field"):
             apply_transformation(
@@ -269,6 +283,20 @@ class TestFieldMap:
     def test_expression_failure_is_a_transform_error(self):
         t = Transformation("bad", FieldMap((("height", parse("input.height / 0")),)))
         with pytest.raises(TransformError, match="division by zero"):
+            apply_transformation(t, rec(), SCHEMA)
+
+    @pytest.mark.parametrize("field", ["count", "height"])
+    @pytest.mark.parametrize(
+        "source, value",
+        [
+            ("input.height * 1e308", "inf"),
+            ("input.height * 1e308 - input.height * 1e308", "nan"),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_a_non_finite_result_is_a_transform_error(self, field, source, value):
+        t = Transformation("huge", FieldMap(((field, parse(source)),)))
+        with pytest.raises(TransformError, match=f"produced {value} for field '{field}'"):
             apply_transformation(t, rec(), SCHEMA)
 
     def test_integer_target_enforced(self):
