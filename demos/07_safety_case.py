@@ -6,6 +6,7 @@ evidence, evidence whose artifact file is missing, and requirements whose
 ASIL falls short of the goal they serve. The demo starts from a gappy graph
 and repairs it one finding at a time.
 """
+import os
 import tempfile
 from pathlib import Path
 
@@ -54,7 +55,10 @@ with tempfile.TemporaryDirectory(prefix="safetycase_") as tmp:
     report = trace_check(graph)
     print("complete:", report.ok)
     for gap in report.gaps:
-        print(f"  {gap.kind.value:<18} {gap.node_id}: {gap.detail}")
+        # A path is shown relative to the work directory, whose name differs
+        # on every run.
+        detail = gap.detail.replace(f"{workdir}{os.sep}", "")
+        print(f"  {gap.kind.value:<18} {gap.node_id}: {detail}")
 
     # Repair 1: write the artifact the evidence node points at.
     (workdir / "monitor_report.json").write_text('{"final_state": "NOMINAL"}\n')

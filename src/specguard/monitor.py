@@ -18,18 +18,21 @@ floats the probabilistic window needs, when check_sample would report
 nothing: the item only adds the row to the window, and a line never
 becomes a TraceRecord. When checks fail, it answers with the row and the
 numbers of the failing checks (_checks). The run builds each Violation
-from a table made once per run, with each check's kind, label, index and
-condition text, plus the item's id and predicted label, and absorbs them
-as any other violations: again no TraceRecord is built and check_sample
-is not called. Every other item, including one on which the generated
-function raises (a condition that cannot be evaluated, even one after a
-check that already failed), goes through conformance_errors,
-prediction_errors and check_sample exactly as it would without the fast
-path. So every violation, its detail, its error text and the order of the
-checks are the exact functions'. A spec that holds a literal that is not
-exactly an int a float can hold, a float, a str or a bool has no fast
-path; one that fails static_errors is refused first. The private switch
-of specguard._exact turns the fast path off.
+from the item's id and a table made once per run, with each check's kind
+and detail (its label, index and condition text), and absorbs them as any
+other violations: again no TraceRecord is built and check_sample is not
+called. All violations of one check on one predicted label share one
+read-only detail (_SharedDetail), made on first use, so a run keeps at
+most one detail per check and label. Every other item, including one on
+which the generated function raises (a condition that cannot be
+evaluated, even one after a check that already failed), goes through
+conformance_errors, prediction_errors and check_sample exactly as it
+would without the fast path, and gets fresh details. So every violation,
+its detail's content, its error text and the order of the checks are the
+exact functions'. A spec that holds a literal that is not exactly an int
+a float can hold, a float, a str or a bool has no fast path; one that
+fails static_errors is refused first. The private switch of
+specguard._exact turns the fast path off.
 
 How much the fast path saves depends on the share of records it answers:
 about 98% on the benchmark's monitor_trace workload, whose other lines are
@@ -165,10 +168,32 @@ class MalformedLine:
     error: str
 
 
+class _SharedDetail(dict):
+    """A violation detail that many violations of one run share: a dict
+    that refuses every write with TypeError, so that no violation can
+    change its siblings' detail. It compares, prints, encodes as JSON and
+    copies (dict(detail), detail.copy()) as the plain dict it holds;
+    pickle, copy and deepcopy rebuild it read-only."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a shared violation detail is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple:
+        return _SharedDetail, (dict(self),)
+
+
 @dataclass(slots=True)
 class Violation:
     """One finding of the monitor. Slotted: a run keeps every violation, so
-    each costs its four fields and its detail dict, and no __dict__."""
+    each costs its four fields and no __dict__. A violation the fast path
+    builds shares its read-only detail (_SharedDetail) with every other
+    violation of its check on its predicted label; every other violation
+    holds a fresh dict of its own."""
 
     record_id: Optional[str]
     kind: ViolationKind
@@ -450,13 +475,20 @@ class _Run:
             ViolationKind.PROBABILISTIC: degrade,
             ViolationKind.EVAL_ERROR: degrade,
         }
-        # Per check number of clean_line's answers: its kind, its detail with
-        # the predicted label None, and whether the detail holds that label.
-        self.table: list[tuple[ViolationKind, dict, bool]] = []
+        # Per check number of clean_line's answers: its kind, and either its
+        # violations' shared detail and None, or, where the detail holds the
+        # predicted label (POST, SUFFICIENT), the detail with that label None
+        # and the shared details made from it so far, by predicted label.
+        # clean_line answers only labels of the schema, so the table stays
+        # within checks x labels.
+        self.table: list[tuple[ViolationKind, dict, Optional[dict[str, dict]]]] = []
         if self.clean_line is not None:
             for kind, label, index, expr in _checks(spec):
                 detail = _check_detail(kind, label, index, expr, None)
-                self.table.append((kind, detail, "predicted" in detail))
+                if "predicted" in detail:
+                    self.table.append((kind, detail, {}))
+                else:
+                    self.table.append((kind, _SharedDetail(detail), None))
         self.violations: list[Violation] = []
         self.rank = 0  # of the state so far; the machine never moves back
         self.processed = 0
@@ -512,11 +544,17 @@ class _Run:
 
     def failed(self, rid: str, predicted: str, answer: list) -> None:
         """Absorb check_sample's violations of a conforming item on which
-        the checks numbered answer[1:] fail, built from the table."""
+        the checks numbered answer[1:] fail, built from the table: each
+        holds the shared detail of its check on the predicted label, made
+        on the first violation that needs it."""
         violations = []
         for number in answer[1:]:
-            kind, detail, tagged = self.table[number]
-            detail = {**detail, "predicted": predicted} if tagged else detail.copy()
+            kind, detail, by_label = self.table[number]
+            if by_label is not None:
+                shared = by_label.get(predicted)
+                if shared is None:
+                    shared = by_label[predicted] = _SharedDetail(detail, predicted=predicted)
+                detail = shared
             violations.append(Violation(rid, kind, detail))
         self.absorb(violations)
 

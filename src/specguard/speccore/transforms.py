@@ -7,6 +7,7 @@ prediction becomes: unchanged (invariant) or relabeled (equivariant).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
@@ -208,6 +209,8 @@ def _transform_grid(
 
     The pass that builds each new row also checks the old one: a grid must be
     a list of equally long lists of ints and floats (bools are not numbers).
+    Every cell a Scale or an AddOffset writes must be a finite number, as
+    _number_result requires of a scalar result.
     """
     width = len(grid[0]) if grid and isinstance(grid[0], list) else 0
     rows = []
@@ -231,12 +234,27 @@ def _transform_grid(
                     )
         if isinstance(op, Scale):
             k = op.k
-            rows.append([x * k for x in row])
+            new_row = [x * k for x in row]
         elif isinstance(op, AddOffset):
             offset = op.c
-            rows.append([x + offset for x in row])
+            new_row = [x + offset for x in row]
         else:
             rows.append(row)  # the shift below slices it into a fresh list
+            continue
+        # A row of finite cells almost always has a finite sum, so only a row
+        # whose sum is not (or is an int too large for a float) is scanned.
+        try:
+            finite = math.isfinite(sum(new_row))
+        except OverflowError:
+            finite = False
+        if not finite:
+            for col, cell in enumerate(new_row):
+                if not is_number(cell):
+                    raise TransformError(
+                        f"transformation {t.name!r} produced {cell!r} for grid {op.field!r} "
+                        f"cell [{r}][{col}], not a finite number"
+                    )
+        rows.append(new_row)
     if not isinstance(op, ShiftGrid):
         return rows
     # Cells shifted in from outside the grid take the fill value.
@@ -265,8 +283,8 @@ def apply_transformation(
     Raises TransformError when the record's shape defeats the operation (a
     missing field, a grid that is not rectangular or holds a cell that is
     not an int or float, a non-numeric value to scale), a number or integer
-    field would receive a NaN or an infinity, or an integer field a
-    non-integer value. Grid cells are not checked for finiteness.
+    field or a grid cell would receive a NaN or an infinity, or an integer
+    field a non-integer value.
     """
     op = t.op
     if isinstance(op, FieldMap):

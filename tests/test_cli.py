@@ -587,6 +587,29 @@ class TestDatasetCommands:
             }
         ]
 
+    def test_augment_lists_a_grid_cell_past_float_range_as_an_error(self, capsys, files):
+        spec = files.write("grid_spec.json", dict(
+            PED_SPEC,
+            schema={"fields": {"g": {"type": "grid", "rows": 1, "cols": 2}}, "labels": ["a", "b"]},
+            precondition="true",
+            necessary={},
+            invariants=[{"name": "scale", "kind": "scale", "field": "g", "k": 1e308}],
+        ))
+        data = files.write("grid.jsonl", [{"id": "r0", "input": {"g": [[5, 0]]}, "label": "a"}])
+        code, out, err = run(capsys, "dataset", "augment", "--spec", spec, "--data", data)
+        assert (code, err) == (1, "")
+        assert "Infinity" not in out
+        payload = json.loads(out)
+        assert payload["added"] == 0
+        assert payload["errors"] == [
+            {
+                "record": "r0",
+                "transform": "scale",
+                "error": "transformation 'scale' produced inf for grid 'g' cell [0][0], "
+                "not a finite number",
+            }
+        ]
+
     def test_split_sizes_and_determinism(self, capsys, files):
         argv = ("dataset", "split", "--data", files.data, "--ratios", "0.6,0.2,0.2")
         code, out_a, _ = run(capsys, *argv)
@@ -682,6 +705,32 @@ class TestDatasetCommands:
         assert payload["per_probe"] == [
             {"probe": "p", "category": "KNOWN_UNKNOWN", "depth": 2, "path": ["next", "next"]}
         ]
+
+    def test_uncertainty_never_reaches_through_a_grid_cell_past_float_range(
+        self, capsys, files
+    ):
+        """The probe is one shift from scale(known), whose first cell is
+        inf: outside the input domain, and so not a path."""
+        spec = files.write("big_grid_spec.json", dict(
+            PED_SPEC,
+            schema={"fields": {"g": {"type": "grid", "rows": 1, "cols": 2}}, "labels": ["a", "b"]},
+            precondition="true",
+            necessary={},
+            invariants=[
+                {"name": "big", "kind": "scale", "field": "g", "k": 1e308},
+                {"name": "left", "kind": "shift_grid", "field": "g", "dx": -1, "fill": 1},
+            ],
+        ))
+        known = files.write(
+            "big_grid.jsonl", [{"id": "r0", "input": {"g": [[5, 1]]}, "label": "a"}]
+        )
+        probes = files.write("big_grid_probes.jsonl", [{"id": "p", "input": {"g": [[1e308, 1]]}}])
+        code, payload = run_json(
+            capsys, "dataset", "uncertainty", "--known", known,
+            "--probes", probes, "--spec", spec, "--depth", "2",
+        )
+        assert payload["per_probe"][0]["category"] == "UNKNOWN_UNKNOWN"
+        assert code == 1
 
     @pytest.mark.parametrize(
         "bad_row, error",

@@ -1,5 +1,5 @@
-"""Every demo runs to completion: exit 0, some output, nothing on stderr, and
-no temporary file left behind."""
+"""Every demo runs to completion: exit 0, some output, nothing on stderr, no
+temporary file left behind, and the same output on every run."""
 from __future__ import annotations
 
 import os
@@ -20,15 +20,19 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)},
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
-    assert done.stderr == ""
-    assert list(tmp_path.iterdir()) == []
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, str(demo)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip()
+        assert done.stderr == ""
+        assert list(tmp_path.iterdir()) == []
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -2,11 +2,15 @@
 trace reading, and concatenation behaviour."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import json
 import pickle
 import random
 import runpy
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,8 +37,14 @@ from specguard.speccore.spec import (
     RangeConstraint,
     spec_to_json_dict,
 )
+from specguard.speccore.spec import load_spec
 from specguard.speclang.parser import parse
 from specguard.speclang.schema import NumberType, Schema
+
+# The benchmark's generators, imported read-only, as bench/tests does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 SCHEMA = Schema({"height": NumberType()}, ("pedestrian", "not_pedestrian"))
 
@@ -144,6 +154,113 @@ class TestViolation:
         report = run_trace(make_spec(), [tr("a", 9.0, "pedestrian"), tr("b", 9.0, "pedestrian")],
                            policy)
         assert [v.post_failsafe for v in report.violations] == [False, True]
+
+
+class TestSharedDetails:
+    """The fast path gives all violations of one check on one predicted
+    label one read-only detail; check_sample gives each a fresh dict."""
+
+    TRACE = [
+        tr("a", 9.0, "pedestrian", 0.05),  # POST and NECESSARY
+        tr("b", 9.0, "pedestrian", 0.05),
+        tr("c", 5.0, "not_pedestrian", 0.05),  # POST on another label
+    ]
+
+    def violations(self):
+        return run_trace(make_spec(), self.TRACE).violations
+
+    def test_one_check_on_one_label_shares_one_detail(self):
+        a_post, a_necessary, b_post, b_necessary, c_post = self.violations()
+        assert a_post.detail is b_post.detail and a_necessary.detail is b_necessary.detail
+        assert c_post.detail is not a_post.detail
+        assert a_post.detail == {"condition": "output.confidence > 0.1", "predicted": "pedestrian"}
+        assert c_post.detail["predicted"] == "not_pedestrian"
+        exact = [
+            v.detail for record in self.TRACE
+            for v in check_sample(make_spec(), record, MonitorPolicy())
+        ]
+        assert [v.detail for v in self.violations()] == exact
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda d: d.__setitem__("condition", "true"),
+            lambda d: d.update(condition="true"),
+            lambda d: d.setdefault("window", 0),
+            lambda d: d.pop("condition"),
+            lambda d: d.popitem(),
+            lambda d: d.clear(),
+            lambda d: d.__delitem__("condition"),
+            lambda d: d.__ior__({"condition": "true"}),
+        ],
+        ids=["setitem", "update", "setdefault", "pop", "popitem", "clear", "del", "ior"],
+    )
+    def test_a_shared_detail_refuses_every_write(self, write):
+        violation = self.violations()[0]
+        before = dict(violation.detail)
+        with pytest.raises(TypeError, match="read-only"):
+            write(violation.detail)
+        assert violation.detail == before
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_pickled_report_keeps_its_details_shared_and_read_only(self, protocol):
+        violations = self.violations()
+        copies = pickle.loads(pickle.dumps(violations, protocol))
+        assert copies == violations
+        assert copies[0].detail is copies[2].detail  # still shared, and still read-only
+        with pytest.raises(TypeError):
+            copies[0].detail["condition"] = "true"
+
+    def test_copies_and_dataclass_helpers_give_equal_values(self):
+        violation = self.violations()[0]
+        assert copy.deepcopy(violation) == violation
+        assert copy.copy(violation.detail) == violation.detail
+        assert dataclasses.replace(violation, record_id="z").detail is violation.detail
+        assert dataclasses.asdict(violation)["detail"] == violation.detail
+        plain = violation.detail.copy()
+        plain["window"] = 0  # a plain copy is a dict of its own
+        assert type(plain) is dict and "window" not in violation.detail
+
+    def test_it_prints_and_encodes_as_a_plain_dict(self):
+        violation = self.violations()[0]
+        plain = dict(violation.detail)
+        assert repr(violation.detail) == repr(plain) and f"{violation.detail}" == f"{plain}"
+        assert json.dumps(violation.detail) == json.dumps(plain)
+        assert json.dumps(violation.detail, indent=2, sort_keys=True) == json.dumps(
+            plain, indent=2, sort_keys=True
+        )
+
+    def test_check_sample_builds_fresh_plain_details(self):
+        record = self.TRACE[0]
+        first, second = (check_sample(make_spec(), record, MonitorPolicy()) for _ in range(2))
+        for one, other in zip(first, second):
+            assert type(one.detail) is dict and one.detail == other.detail
+            assert one.detail is not other.detail
+        first[0].detail["window"] = 0  # its own dict to change
+
+    def test_a_mostly_failing_run_keeps_under_200_bytes_a_violation(self, tmp_path):
+        """Every violation is kept, so what each costs bounds a long run's
+        memory: its slots, its record id and its share of the report's
+        list. Copying the detail for each violation cost 184 B more."""
+        WORKLOADS["monitor_trace"].generate(7, tmp_path, lines=20000)
+        path = tmp_path / "spec.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["postcondition"] = "output.confidence >= 0.999"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        spec = load_spec(path)
+        trace = tmp_path / "trace.jsonl"
+        run_trace(spec, trace)  # whatever a first run compiles or caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_trace(spec, trace)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.counts["POST"] > 19000
+        assert retained / len(report.violations) < 200
 
 
 class TestPolicyValidation:

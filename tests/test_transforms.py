@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specguard.errors import FormatError, TransformError
-from specguard.speccore.records import FeatureRecord, Prediction
+from specguard.speccore.records import FeatureRecord, Prediction, conformance_errors
 from specguard.speccore.transforms import (
     AddOffset,
     FieldMap,
@@ -133,6 +133,27 @@ class TestNumericOps:
         with pytest.raises(TransformError, match="inf for field .*, not a finite number"):
             apply_transformation(Transformation("big", op), record, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "op, grid, cell",
+        [
+            (Scale("img", 1e308), GRID, "inf for grid 'img' cell [0][1]"),
+            (Scale("img", -1e308), GRID, "-inf for grid 'img' cell [0][1]"),
+            (AddOffset("img", 1e308), [[1, 2, 3], [4, 1e308, 6], [7, 8, 9]],
+             "inf for grid 'img' cell [1][1]"),
+            (Scale("img", 10**300), [[1, 2, 3], [4, 5, 10**10], [7, 8, 9]],
+             f"{10**310} for grid 'img' cell [1][2]"),
+        ],
+        ids=["scaled", "scaled_negative", "offset", "int_past_float_range"],
+    )
+    def test_a_grid_cell_past_float_range_is_a_transform_error(self, op, grid, cell):
+        with pytest.raises(TransformError) as raised:
+            apply_transformation(Transformation("big", op), rec(img=grid), SCHEMA)
+        assert str(raised.value) == f"transformation 'big' produced {cell}, not a finite number"
+
+    def test_a_row_whose_sum_overflows_keeps_its_finite_cells(self):
+        out = apply_transformation(Transformation("x", Scale("img", 1e307)), rec(), SCHEMA)
+        assert out.fields["img"][2] == [7e307, 8e307, 9e307]
+
     def test_missing_field_raises(self):
         with pytest.raises(TransformError, match="no field"):
             apply_transformation(
@@ -190,6 +211,42 @@ class TestGridShape:
         for op in self.OPS:
             out = apply_transformation(Transformation("t", op), rec(img=[]), SCHEMA)
             assert out.fields["img"] == []
+
+
+_FINITE = st.floats(-1e308, 1e308)
+_CELL = st.one_of(_FINITE, st.integers(-(10**6), 10**6))
+_FACTOR = st.one_of(_FINITE, st.sampled_from([1e308, -1e308, 1e307, 2, -1]))
+
+
+@st.composite
+def record_and_transformation(draw):
+    """A schema with a drawn grid, a conforming record of it, and a
+    Scale, AddOffset or ShiftGrid of any field with factors up to ±1e308."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    schema = Schema(
+        {"g": GridType(rows, cols), "x": NumberType(), "n": IntegerType()}, ("yes", "no")
+    )
+    grid = draw(st.lists(st.lists(_CELL, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    fields = {"g": grid, "x": draw(_FINITE), "n": draw(st.integers(-(10**6), 10**6))}
+    field = draw(st.sampled_from(sorted(fields)))
+    op = draw(st.one_of(
+        st.builds(Scale, st.just(field), _FACTOR),
+        st.builds(AddOffset, st.just(field), _FACTOR),
+        st.builds(ShiftGrid, st.just(field), st.integers(-3, 3), st.integers(-3, 3), _FINITE),
+    ))
+    return schema, FeatureRecord(fields, "r"), Transformation("t", op)
+
+
+@given(record_and_transformation())
+def test_every_transformed_record_conforms_to_its_schema(drawn):
+    schema, record, t = drawn
+    assert conformance_errors(record.fields, schema) == []
+    try:
+        out = apply_transformation(t, record, schema)
+    except TransformError:
+        return
+    assert conformance_errors(out.fields, schema) == []
 
 
 COPY_SCHEMA = Schema(
