@@ -14,7 +14,10 @@ declines where it is chosen, and only the exact code runs:
 - errors.read_json_streamed returns None, so its callers read the file
   whole;
 - the JSON Lines readers and the subprocess classifier decode a line with
-  json.loads (errors.line_decoder), not with errors.json_line's scanner.
+  json.loads (errors.line_decoder), not with errors.json_line's scanner;
+- cli._write_json writes a report through json's own encoder, a Violation
+  as its to_json_dict(), not through its own writer, which renders each
+  shared detail once and each Violation from its fields.
 
 Each reads the switch once per call or per file, never per line or per
 key, so it costs nothing where records are processed. It is meant for

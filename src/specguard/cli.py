@@ -9,7 +9,7 @@ to stderr as a JSON object {"error", "detail"}. Output is byte-identical
 across identical invocations unless --timestamps is given.
 
 A JSON report is written as json.dumps(payload, sort_keys=True, indent=2)
-and a newline would give it, but in batches of the encoder's chunks, so the
+and a newline would give it, but in batches of a few tens of kB, so the
 whole report text never exists at once. A report that cannot be written
 (an OSError from stdout, such as a full disk) exits 2 with an "io" error;
 part of the report may then already be on stdout.
@@ -23,14 +23,17 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import dataset as ds
+from ._exact import exact
 from .errors import FormatError, SpecGuardError, iter_json_lines, read_json_file, read_json_lines
 from .monitor import (
     MonitorPolicy,
     PolicyAction,
     Violation,
+    _SharedDetail,
     run_trace,
 )
 # read_trace is not called here; bench/tracer.py wraps it under this name in
@@ -186,7 +189,7 @@ def _cmd_monitor_run(args) -> tuple[Optional[dict], Iterable[str], int]:
     spec = load_spec(args.spec)
     policy = _policy_from_file(args.policy) if args.policy else MonitorPolicy()
     report = run_trace(spec, args.trace, policy)
-    payload = None if _wants_text(args) else report.json_members(_Violations(report.violations))
+    payload = None if _wants_text(args) else report.json_members(report.violations)
     summary = [
         f"final state: {report.final_state.value}",
         f"records: {report.records_processed}",
@@ -481,47 +484,150 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-# Encoder chunks joined per write: a few tens of kB of text at a time.
-_JSON_BATCH = 4096
+# A write ends at the first piece of text that brings it to this many
+# characters, so no write is longer than a batch and one list item.
+_JSON_BATCH = 1 << 16
+# Containers nested deeper than this many columns of indent (32 levels) are
+# written by json's own encoder, which spots a cycle there.
+_JSON_MAX_PAD = 64
+_INF = float("inf")
 
 
-# A report's violations, which _write_json writes as the list of their JSON
-# values: each violation's to_json_dict() is made as the encoder reaches it
-# and dropped once it is written. It is a list because that is what the
-# encoder writes as an array, but its own storage stays empty: it reads the
-# report's list through __len__ and __iter__, all that the pure-Python
-# encoder asks of a list. json's C encoder, which runs without indent, reads
-# the storage and would write [].
-class _Violations(list):
-    __slots__ = ("violations",)
+class _ReportEncoder(json.JSONEncoder):
+    """json's encoder, which also writes a Violation as its to_json_dict()."""
 
-    def __init__(self, violations: list[Violation]) -> None:
-        self.violations = violations
+    def default(self, o):
+        if isinstance(o, Violation):
+            return o.to_json_dict()
+        return super().default(o)
 
-    def __len__(self) -> int:
-        return len(self.violations)
 
-    def __iter__(self) -> Iterator[dict]:
-        return map(Violation.to_json_dict, self.violations)
+# Made at import, as _quote is bound: bench/tracer.py replaces this module's
+# json name with a view of json.__all__, which has no json.encoder.
+_ENCODER = _ReportEncoder(sort_keys=True, indent=2)
 
 
 def _write_json(payload, out) -> None:
     """Write json.dumps(payload, sort_keys=True, indent=2) and a newline to
-    out, joined in batches of _JSON_BATCH encoder chunks.
+    out, in writes of about _JSON_BATCH characters, so the whole text is
+    never held. A Violation in payload is written as its to_json_dict().
 
-    With indent set, json.dumps runs the same pure-Python iterencode and
-    joins the list of all its chunks, so the text is identical; only one
-    batch is held here at a time. That encoder reads a list by iterating
-    it, so a list in payload may make its items as it is read: monitor run
-    passes its violations as _Violations, and only the violation being
-    written has a JSON value. The encoder is reached as cli.json's
-    JSONEncoder because the benchmark's tracer replaces the json name of
-    this module with a view of json.__all__.
+    Dicts are written member by member and lists item by item, each item's
+    text made whole by _text. It encodes the exact builtin types itself,
+    each shared detail once per write and indent, and each Violation from
+    its fields, so no dict is made per violation. Any other value, such as
+    a subclass, a tuple, a dict with a key that is not a str or a container
+    nested past _JSON_MAX_PAD, is _ReportEncoder's, with its errors. With
+    the fast paths off (specguard._exact), _ReportEncoder writes it all.
     """
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    for chunk in chunks:
-        out.write(chunk + "".join(itertools.islice(chunks, _JSON_BATCH - 1)))
-    out.write("\n")
+    pieces = _ENCODER.iterencode(payload) if exact() else _pieces(payload, "", {})
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _JSON_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("\n")
+    out.write("".join(batch))
+
+
+def _pieces(value, pad: str, memo: dict) -> Iterator[str]:
+    """value's JSON text at indent pad in pieces: a dict member by member, a
+    list item by item."""
+    kind = type(value)
+    if (kind is list or kind is dict) and value and len(pad) < _JSON_MAX_PAD:
+        inner = pad + "  "
+        if kind is list:
+            opening = "[\n" + inner
+            for item in value:
+                yield opening + _text(item, inner, memo)
+                opening = ",\n" + inner
+            yield "\n" + pad + "]"
+            return
+        if all(type(key) is str for key in value):
+            opening = "{\n" + inner
+            for key, member in sorted(value.items()):
+                yield opening + _quote(key) + ": "
+                yield from _pieces(member, inner, memo)
+                opening = ",\n" + inner
+            yield "\n" + pad + "}"
+            return
+    yield _text(value, pad, memo)
+
+
+def _text(value, pad: str, memo: dict) -> str:
+    """value's JSON text, its lines after the first indented by pad.
+
+    memo maps (id, len(pad)) of each shared detail written so far to the
+    detail, which keeps the id from being reused, and its text."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is Violation:
+        inner = pad + "  "
+        return (
+            f'{{\n{inner}"detail": {_text(value.detail, inner, memo)},\n'
+            f'{inner}"kind": {_text(value.kind.value, inner, memo)},\n'
+            f'{inner}"post_failsafe": {_text(value.post_failsafe, inner, memo)},\n'
+            f'{inner}"record_id": {_text(value.record_id, inner, memo)}\n{pad}}}'
+        )
+    if kind is _SharedDetail:
+        key = (id(value), len(pad))
+        known = memo.get(key)
+        if known is None:
+            known = memo[key] = (value, _dict_text(value, pad, memo))
+        return known[1]
+    if kind is dict:
+        return _dict_text(value, pad, memo)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return _float_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is list and len(pad) < _JSON_MAX_PAD:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = map(_text, value, itertools.repeat(inner), itertools.repeat(memo))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _encoded(value, pad)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    return "-Infinity" if value == -_INF else float.__repr__(value)
+
+
+def _dict_text(value: dict, pad: str, memo: dict) -> str:
+    """_text of a dict or a shared detail."""
+    if not value:
+        return "{}"
+    if len(pad) >= _JSON_MAX_PAD:
+        return _encoded(value, pad)
+    inner = pad + "  "
+    members = []
+    for key, member in sorted(value.items()):
+        if type(key) is not str:
+            return _encoded(value, pad)
+        members.append(f"{_quote(key)}: {_text(member, inner, memo)}")
+    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
+
+
+def _encoded(value, pad: str) -> str:
+    """_text of any value, by json's encoder: its text holds a newline only
+    as layout, since a string's newline is escaped."""
+    return _ENCODER.encode(value).replace("\n", "\n" + pad)
 
 
 def _emit_error(kind: str, detail: str) -> None:

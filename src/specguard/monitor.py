@@ -226,8 +226,9 @@ class MonitorReport:
         return self.json_members([v.to_json_dict() for v in self.violations])
 
     def json_members(self, violations: list) -> dict:
-        """The report's JSON object, with violations, the violations' JSON
-        values in order, as its "violations" member."""
+        """The report's JSON object, with violations as its "violations"
+        member: the violations' JSON values in order, or the violations
+        themselves, which cli._write_json writes as those values."""
         return {
             "final_state": self.final_state.value,
             "records_processed": self.records_processed,

@@ -181,12 +181,23 @@ def validate_transformation(t: Transformation, schema: Schema) -> list[str]:
     return errors
 
 
+def _shown(value: Any) -> str:
+    """repr(value) for an error text, but an int past float range, which has
+    at least 309 digits, by the number of its digits."""
+    if isinstance(value, bool) or not isinstance(value, int) or is_number(value):
+        return repr(value)
+    size = abs(value)
+    digits = int(math.log10(size)) + 1
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))  # log10's rounding
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _number_result(t: Transformation, field: str, value: float, ftype: Any) -> float:
     """value as a field of type ftype takes it: finite, and for an integer
     field integral (returned as a float)."""
     if not is_number(value):
         raise TransformError(
-            f"transformation {t.name!r} produced {value!r} for field {field!r}, "
+            f"transformation {t.name!r} produced {_shown(value)} for field {field!r}, "
             "not a finite number"
         )
     if not isinstance(ftype, IntegerType):
@@ -251,7 +262,7 @@ def _transform_grid(
             for col, cell in enumerate(new_row):
                 if not is_number(cell):
                     raise TransformError(
-                        f"transformation {t.name!r} produced {cell!r} for grid {op.field!r} "
+                        f"transformation {t.name!r} produced {_shown(cell)} for grid {op.field!r} "
                         f"cell [{r}][{col}], not a finite number"
                     )
         rows.append(new_row)
@@ -315,12 +326,10 @@ def apply_transformation(
     else:
         if not is_number(value):
             raise TransformError(f"transformation {t.name!r}: {op.field!r} is not numeric")
-        new_value = _number_result(
-            t,
-            op.field,
-            float(value) * op.k if isinstance(op, Scale) else float(value) + op.c,
-            schema.fields.get(op.field),
-        )
+        # An int and an int factor or offset make an exact int, so one past
+        # float range is refused by _number_result, as a grid cell is.
+        result = value * op.k if isinstance(op, Scale) else value + op.c
+        new_value = float(_number_result(t, op.field, result, schema.fields.get(op.field)))
     memo: dict = {}
     fields = {
         name: new_value if name == op.field else copy.deepcopy(v, memo)

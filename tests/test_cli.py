@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,9 @@ from hypothesis import strategies as st
 
 import cli_help_golden
 import specguard
-from specguard import cli
+from specguard import _exact, cli
 from specguard.cli import main
-from specguard.monitor import MonitorReport, run_trace
+from specguard.monitor import MonitorReport, Violation, ViolationKind, _SharedDetail, run_trace
 from specguard.speccore.spec import load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1609,10 +1611,33 @@ class CountingSink:
 
 
 BATCH = cli._JSON_BATCH
-# A list of n ints encodes as n + 2 chunks (one per item, the first with
-# the "[", then the closing newline and "]"), so these lists straddle one
-# and two batches.
-BATCH_EDGE_SIZES = [count - 2 for count in (BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1)]
+# A list of n strings of 26 characters writes as pieces of 32 characters,
+# one per item, the first with the "[": with the closing "]" and the
+# newline, 32 * n + 3 characters, so these lists straddle one and two
+# batches.
+ITEM = 32
+BATCH_EDGE_SIZES = [BATCH // ITEM - 1, BATCH // ITEM, 2 * BATCH // ITEM + 1]
+# Past the writer's depth limit, where json's encoder takes over.
+DEEP = cli._JSON_MAX_PAD // 2 + 3
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str, Enum):
+    PLAIN = "plain"
+    ODD = "a\nb"
+
+
+class Bag(dict):
+    pass
+
+
+class Row(list):
+    pass
+
 
 _json_leaves = st.one_of(
     st.none(),
@@ -1623,14 +1648,29 @@ _json_leaves = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
     st.text(),
     st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\b\f\n\r\t']),
+    st.sampled_from([*Level, *Tag]),
 )
-_json_values = st.recursive(
-    _json_leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6), st.dictionaries(st.text(max_size=8), inner, max_size=6)
-    ),
-    max_leaves=40,
-)
+
+
+def _containers(inner):
+    """Each container json encodes, its subclasses, and dicts of every key
+    type json takes (a dict's keys must be comparable, so None keys stand
+    alone); a shared detail twice, once inside a list one level deeper."""
+    dicts = st.dictionaries(st.text(max_size=8), inner, max_size=6)
+    return st.one_of(
+        st.lists(inner, max_size=6),
+        dicts,
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(Row),
+        dicts.map(Bag),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), inner, max_size=4),
+        st.dictionaries(st.none(), inner, max_size=1),
+        st.dictionaries(st.sampled_from([*Tag]), inner, max_size=2),
+        dicts.map(_SharedDetail).map(lambda shared: [shared, [shared]]),
+    )
+
+
+_json_values = st.recursive(_json_leaves, _containers, max_leaves=40)
 
 
 def _nested(depth: int):
@@ -1640,11 +1680,75 @@ def _nested(depth: int):
     return value
 
 
+def _wrapped(depth: int, value):
+    """value inside depth lists and dicts, by turns."""
+    for level in range(depth):
+        value = [value, 0] if level % 2 else {"v": value}
+    return value
+
+
 _payloads = st.one_of(
     _json_values,
     st.integers(min_value=0, max_value=300).map(_nested),
-    st.sampled_from(BATCH_EDGE_SIZES).map(lambda n: list(range(n))),
+    st.builds(_wrapped, st.integers(min_value=DEEP - 4, max_value=DEEP), _json_values),
 )
+
+
+def _violations(details):
+    return st.builds(
+        Violation,
+        st.one_of(st.none(), st.text(max_size=6), st.integers()),
+        st.sampled_from(ViolationKind),
+        details,
+        st.booleans(),
+    )
+
+
+def _with_violations(inner):
+    """Lists and tuples of violations. A violation with a shared detail is
+    written twice, and its detail once more a level deeper."""
+    shared = st.dictionaries(st.text(max_size=4), _json_leaves, max_size=3).map(_SharedDetail)
+    violations = st.one_of(
+        _violations(st.one_of(shared, _json_values)),
+        _violations(shared).map(lambda v: [v, [v.detail], v]),
+    )
+    return st.one_of(violations, st.lists(inner, max_size=4), st.tuples(inner, violations))
+
+
+_report_payloads = st.one_of(
+    st.recursive(_violations(_json_values), _with_violations, max_leaves=12),
+    st.builds(_wrapped, st.integers(min_value=DEEP - 4, max_value=DEEP), _violations(_json_values)),
+)
+
+
+def _dump(payload) -> str:
+    """The text _write_json must write for payload."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=Violation.to_json_dict) + "\n"
+
+
+def _written(payload) -> str:
+    out = io.StringIO()
+    cli._write_json(payload, out)
+    return out.getvalue()
+
+
+class SizeSink:
+    """A text sink that keeps the size of each write."""
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> None:
+        self.sizes.append(len(text))
+
+
+@contextlib.contextmanager
+def _exact_paths():
+    _exact.set_exact(True)
+    try:
+        yield
+    finally:
+        _exact.set_exact(False)
 
 
 class TestJsonWriter:
@@ -1655,14 +1759,78 @@ class TestJsonWriter:
         cli._write_json(payload, out)
         assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize("size", BATCH_EDGE_SIZES)
-    def test_chunks_are_written_in_batches(self, size):
-        payload = list(range(size))
-        sink = CountingSink()
+    @settings(max_examples=200, deadline=None)
+    @given(_report_payloads)
+    def test_a_violation_is_written_as_its_json_dict(self, payload):
+        want = _dump(payload)
+        assert _written(payload) == want
+        with _exact_paths():
+            assert _written(payload) == want
+
+    def test_a_cycle_raises_json_s_error(self):
+        listed: list = [1]
+        listed.append({"again": listed})
+        held = {"k": [listed]}
+        through = [(listed,)]
+        bagged = Bag(k=None)
+        bagged["k"] = [bagged]
+        for payload in (listed, held, through, {"top": bagged}):
+            with pytest.raises(ValueError) as want:
+                json.dumps(payload, sort_keys=True, indent=2)
+            with pytest.raises(ValueError) as got:
+                cli._write_json(payload, CountingSink())
+            assert str(got.value) == str(want.value) == "Circular reference detected"
+
+    def test_an_unencodable_value_raises_json_s_error(self):
+        for payload in ({"k": [object()]}, [{(1, 2): 3}], {"k": {1: 2, "a": 3}}):
+            with pytest.raises(TypeError) as want:
+                json.dumps(payload, sort_keys=True, indent=2)
+            with pytest.raises(TypeError) as got:
+                cli._write_json(payload, CountingSink())
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("items", BATCH_EDGE_SIZES)
+    @pytest.mark.parametrize("in_dict", [False, True])
+    def test_writes_are_batched_by_size(self, items, in_dict):
+        """Each write but the last holds a batch and at most one list item
+        more; the last holds the rest, the newline included."""
+        payload = ["x" * (ITEM - 6)] * items
+        piece = ITEM
+        if in_dict:  # each item's piece is indented two columns more
+            payload, piece = {"a": 1, "items": payload}, ITEM + 2
+        sink = SizeSink()
         cli._write_json(payload, sink)
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-        assert sum(1 for _ in chunks) == size + 2
-        assert sink.writes == -(-(size + 2) // BATCH) + 1  # the batches, then "\n"
+        chars = sum(sink.sizes)
+        assert chars == len(_dump(payload))
+        assert all(BATCH <= size < BATCH + piece for size in sink.sizes[:-1])
+        assert 0 < sink.sizes[-1] <= BATCH
+        assert chars // BATCH <= len(sink.sizes) <= chars // BATCH + 1
+
+    def test_the_fast_paths_off_write_in_batches_too(self):
+        payload = ["x" * (ITEM - 6)] * BATCH_EDGE_SIZES[-1]
+        sink = SizeSink()
+        with _exact_paths():
+            cli._write_json(payload, sink)
+        assert sum(sink.sizes) == len(_dump(payload))
+        assert all(BATCH <= size < BATCH + ITEM for size in sink.sizes[:-1])
+
+    def test_the_benchmark_tracer_s_json_view_writes_the_same(self, monkeypatch):
+        """bench/tracer.py replaces cli's json name with a namespace of
+        json.__all__ alone, which has no json.encoder."""
+        shared = _SharedDetail(condition="input.x > 0", label="a")
+        payload = {
+            "violations": [
+                Violation("r1", ViolationKind.POST, shared),
+                Violation(None, ViolationKind.PRE, {"line": 3}, post_failsafe=True),
+            ],
+            "other": [(1, Level.HIGH), Bag(k=Tag.ODD), shared, {2: None}],
+        }
+        want = _dump(payload)
+        view = types.SimpleNamespace(**{name: getattr(json, name) for name in json.__all__})
+        monkeypatch.setattr(cli, "json", view)
+        assert _written(payload) == want
+        with _exact_paths():
+            assert _written(payload) == want
 
     def test_memory_stays_bounded_by_one_batch(self):
         payload = [
@@ -1679,3 +1847,24 @@ class TestJsonWriter:
         assert sink.chars > 5_000_000
         assert peak < sink.chars / 10
         assert sink.largest < 256 * 1024
+
+    def test_a_mostly_failing_monitor_report_is_never_held_whole(self, tmp_path):
+        """monitor run's report over 20,000 lines, nearly every one a
+        violation: the write holds one batch and the shared details' text."""
+        WORKLOADS["monitor_trace"].generate(7, tmp_path, lines=20000)
+        path = tmp_path / "spec.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["postcondition"] = "output.confidence >= 0.999"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        report = run_trace(load_spec(path), tmp_path / "trace.jsonl")
+        payload = report.json_members(report.violations)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            cli._write_json(payload, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts["POST"] > 19000
+        assert sink.chars > 4_000_000
+        assert peak < sink.chars / 10

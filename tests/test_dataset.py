@@ -36,7 +36,7 @@ from specguard.dataset import (
     verify_dataset,
 )
 from specguard.errors import FormatError
-from specguard.speccore.records import FeatureRecord, conformance_errors
+from specguard.speccore.records import FeatureRecord
 from specguard.speccore.spec import PartialSpec
 from specguard.speccore.transforms import (
     AddOffset,
@@ -451,7 +451,6 @@ class TestUncertainty:
             record
             for level in closure_levels(known, transforms, max_depth + 1, schema)
             for _, record, _ in level
-            if not conformance_errors(record.fields, schema)
         ]
         drawn = data.draw(st.lists(st.sampled_from(reached), max_size=4)) if reached else []
         probes = [FeatureRecord(f) for f in random_probes] + [

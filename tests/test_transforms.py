@@ -141,7 +141,7 @@ class TestNumericOps:
             (AddOffset("img", 1e308), [[1, 2, 3], [4, 1e308, 6], [7, 8, 9]],
              "inf for grid 'img' cell [1][1]"),
             (Scale("img", 10**300), [[1, 2, 3], [4, 5, 10**10], [7, 8, 9]],
-             f"{10**310} for grid 'img' cell [1][2]"),
+             "an int of 311 digits for grid 'img' cell [1][2]"),
         ],
         ids=["scaled", "scaled_negative", "offset", "int_past_float_range"],
     )
@@ -149,6 +149,22 @@ class TestNumericOps:
         with pytest.raises(TransformError) as raised:
             apply_transformation(Transformation("big", op), rec(img=grid), SCHEMA)
         assert str(raised.value) == f"transformation 'big' produced {cell}, not a finite number"
+
+    @pytest.mark.parametrize(
+        "op, shown",
+        [
+            (Scale("count", 10**300), "an int of 311 digits"),
+            (AddOffset("count", -(10**400)), "a negative int of 400 digits"),
+            (Scale("count", 2 * 10**298), "an int of 309 digits"),  # 2e308
+        ],
+        ids=["scaled", "offset_negative", "just_past_float_range"],
+    )
+    def test_a_scalar_int_past_float_range_is_named_by_its_digits(self, op, shown):
+        with pytest.raises(TransformError) as raised:
+            apply_transformation(Transformation("big", op), rec(count=10**10), SCHEMA)
+        assert str(raised.value) == (
+            f"transformation 'big' produced {shown} for field 'count', not a finite number"
+        )
 
     def test_a_row_whose_sum_overflows_keeps_its_finite_cells(self):
         out = apply_transformation(Transformation("x", Scale("img", 1e307)), rec(), SCHEMA)

@@ -6,8 +6,10 @@ transform path that first reached it, and keys states with the reference
 encoder of canonical_oracle. Within a level, states are expanded in the
 order they were reached, each by the transformations in their given order,
 so the first path to reach a state is the shortest one with the earliest
-tie-break. test_dataset.py checks categorize_uncertainty against it on
-random records and transformations.
+tie-break. A state outside the input domain is never reached: the oracle
+prunes a result that fails conformance_errors itself, beside every
+transformation that raises. test_dataset.py checks categorize_uncertainty
+against it on random records and transformations.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from canonical_oracle import canonical_key
 
 from specguard.dataset import LabeledRecord
 from specguard.errors import EvalError, TransformError
-from specguard.speccore.records import FeatureRecord, record_ref
+from specguard.speccore.records import FeatureRecord, conformance_errors, record_ref
 from specguard.speccore.transforms import Transformation, apply_transformation
 from specguard.speclang.schema import Schema
 
@@ -45,6 +47,8 @@ def closure_levels(
                 try:
                     new = apply_transformation(t, record, schema)
                 except (TransformError, EvalError):
+                    continue
+                if conformance_errors(new.fields, schema):
                     continue
                 key = canonical_key(new.fields)
                 if key not in seen:
